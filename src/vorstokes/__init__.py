@@ -21,6 +21,7 @@ from .continuation import (
     continue_branch,
     epsilon_homotopy,
     initial_nontrivial_guess,
+    newton_solve,
     solve_at_amplitude,
     surface_mode_amplitude,
 )

@@ -110,10 +110,9 @@ def cmd_continue(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     rows = []
-    for k, state in enumerate(branch.points):
+    for k, (state, rec) in enumerate(zip(branch.points, branch.record_rows(op))):
         state.save(os.path.join(out, f"point_{k:03d}.json"))
         state.save_surface_csv(os.path.join(out, f"surface_{k:03d}.csv"))
-        rec = branch.record_rows(op)[k]
         rep = verify_all(op, state, model, solver_tol=cfg.newton_tol)
         rows.append(
             (rec["s"], rec["lambda"], rec["c"], rec["eta_crest"],
@@ -128,11 +127,17 @@ def cmd_continue(args):
 def cmd_homotopy(args):
     cfg = parse_config(args.config)
     model = cfg.model()
-    bp, _ = bifurcate_record(cfg, cfg.epsilon_schedule[0])
-    grid = grid_for(cfg, bp.lambda_star, cfg.epsilon_schedule[0])
+    eps0 = cfg.epsilon_schedule[0]
+    bp, _ = bifurcate_record(cfg, eps0)
+    grid = grid_for(cfg, bp.lambda_star, eps0)
     target = args.target_s if args.target_s else cfg.s0
+
+    def bif_factory(eps):
+        # reuse the point solved above; a zero target also needs the others
+        return bp if eps == eps0 else bifurcate_record(cfg, eps)[0]
+
     res = epsilon_homotopy(model, cfg.g, grid, cfg.epsilon_schedule, target,
-                           delta=cfg.delta, tol=cfg.newton_tol)
+                           delta=cfg.delta, bif_factory=bif_factory, tol=cfg.newton_tol)
     _emit_json(
         args,
         {
@@ -211,8 +216,7 @@ def cmd_nekrasov(args):
 
 def cmd_pipeline(args):
     cfg = parse_config(args.config)
-    return run_pipeline(cfg, args.out or "run_out", steps=args.steps,
-                        jobs=args.jobs, seed=args.seed)
+    return run_pipeline(cfg, args.out or "run_out", steps=args.steps, jobs=args.jobs)
 
 
 def build_parser():
@@ -225,8 +229,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("trivial", help="laminar shear-flow table")
     common(p)
@@ -273,6 +275,8 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="bifurcate + continue + homotopy + verify")
     common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="epsilon branches traced in parallel threads")
     p.add_argument("--steps", type=int, default=6)
     p.set_defaults(func=cmd_pipeline)
 

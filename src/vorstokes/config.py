@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .vorticity import VorticityModel, model_from_config
 
 __all__ = ["RunConfig", "parse_config", "ENV_PREFIX"]
@@ -39,8 +39,6 @@ _DEFAULTS = {
     "seeds.s0": 0.01,
     "seeds.step": 0.005,
     "tolerances.newton": 1e-10,
-    "tolerances.quadrature": 1e-10,
-    "tolerances.verify": 1e-8,
 }
 
 _INT_KEYS = {"grid.nq", "grid.np"}
@@ -65,8 +63,6 @@ class RunConfig:
     s0: float
     step: float
     newton_tol: float
-    quadrature_tol: float
-    verify_tol: float
     raw: dict = field(default_factory=dict, repr=False)
 
     def model(self) -> VorticityModel:
@@ -158,8 +154,6 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         s0=float(values["seeds.s0"]),
         step=float(values["seeds.step"]),
         newton_tol=float(values["tolerances.newton"]),
-        quadrature_tol=float(values["tolerances.quadrature"]),
-        verify_tol=float(values["tolerances.verify"]),
         raw=values,
     )
     _validate(cfg)
@@ -184,8 +178,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError("epsilon schedule entries must lie in [0, 1)")
     if any(b >= a for a, b in zip(sched, sched[1:])):
         raise ConfigError("epsilon schedule must be strictly decreasing")
-    if cfg.newton_tol <= 0 or cfg.quadrature_tol <= 0 or cfg.verify_tol <= 0:
-        raise ConfigError("tolerances must be positive")
+    if cfg.newton_tol <= 0:
+        raise ConfigError("tolerances.newton must be positive")
     if cfg.step <= 0:
         raise ConfigError("continuation step must be positive")
-    cfg.model()  # validates the vorticity block
+    try:
+        cfg.model()
+    except DomainError as exc:
+        raise ConfigError(f"vorticity.kind = {cfg.vorticity['kind']}: {exc}") from exc

@@ -46,6 +46,7 @@ __all__ = [
     "classify_termination",
     "continue_branch",
     "solve_at_amplitude",
+    "newton_solve",
     "epsilon_homotopy",
 ]
 
@@ -55,6 +56,7 @@ DS_FLOOR = 1e-6
 class Termination(enum.Enum):
     RUNNING = "Running"
     MAX_STEPS = "MaxSteps"
+    STEP_FLOOR = "StepFloor"
     LAMBDA_BLOWUP = "LambdaBlowup"
     SUP_W_BLOWUP = "SupWBlowup"
     SUP_WP_BLOWUP = "SupWpBlowup"
@@ -135,6 +137,49 @@ def solve_bordered(J, f_lam, c_row, c_lam, rhs_top, rhs_bot):
     return sol[:-1], sol[-1]
 
 
+def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
+                     max_iter: int, label: str):
+    """Damped Newton on {F = 0, one scalar constraint = 0} inside O_delta.
+
+    ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
+    w and in lambda, and a function giving its value at an iterate.  Each
+    update is halved (at most thirty times) until the iterate is admissible.
+    Returns (state, iterations, residual); ``residual`` is the larger of
+    the sup-norm residual and the constraint.
+    """
+    c_row, c_lam, constraint = border
+    op.check_admissible(state)
+    current = state.copy_with()
+    for it in range(max_iter + 1):
+        r = op.residual_vector(current)
+        cons = constraint(current)
+        res = max(float(np.max(np.abs(r))), abs(cons))
+        if res <= tol:
+            return current, it, res
+        if it == max_iter:
+            break
+        J = op.jacobian(current)
+        f_lam = op.d_residual_d_lambda(current)
+        dw, dlam = solve_bordered(J, f_lam, c_row, c_lam, -r, -cons)
+        alpha = 1.0
+        for _ in range(30):
+            cand = current.copy_with(
+                lam=current.lam + alpha * dlam,
+                w=current.w + alpha * dw.reshape(current.w.shape),
+            )
+            if op.is_admissible(cand):
+                break
+            alpha *= 0.5
+        else:
+            # raises AdmissibilityError naming the clause and node
+            op.check_admissible(cand)
+        current = cand
+    raise NewtonDivergenceError(
+        f"{label} did not reach tol {tol:.2g} in {max_iter} iterations",
+        residual=res, iterations=max_iter,
+    )
+
+
 def _branch_ip(dlam1, dw1, dlam2, dw2):
     n = dw1.size
     return dlam1 * dlam2 + float(dw1 @ dw2) / n
@@ -170,6 +215,21 @@ def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
     return 0.0, t_w / norm
 
 
+def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
+                 max_iter: int = 25) -> tuple[WaveState, dict]:
+    """Solve F(lambda, w) = 0 at the fixed lambda of ``state``.
+
+    The border pins lambda (zero row, unit lambda coefficient).  Returns
+    the converged state and an info dict with the iteration count and
+    final residual.
+    """
+    lam0 = state.lam
+    border = (np.zeros(state.w.size), 1.0, lambda cur: cur.lam - lam0)
+    current, iterations, res = _bordered_newton(op, state, border, tol, max_iter,
+                                                "fixed-lambda Newton")
+    return current, {"iterations": iterations, "residual": res}
+
+
 def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
                    tol: float = 1e-10, max_iter: int = 15):
     """One predictor-corrector step of length ds along the branch.
@@ -179,45 +239,15 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     """
     t_lam, t_w = tangent
     n = state.w.size
-    lam = state.lam + ds * t_lam
-    w = state.w + ds * t_w.reshape(state.w.shape)
-    current = state.copy_with(lam=lam, w=w)
-    if not op.is_admissible(current):
-        raise AdmissibilityError("predictor left the admissible set")
+    predicted = state.copy_with(lam=state.lam + ds * t_lam,
+                                w=state.w + ds * t_w.reshape(state.w.shape))
 
-    for _ in range(max_iter):
-        r = op.residual_vector(current)
-        constraint = (
-            _branch_ip(
-                current.lam - state.lam,
-                (current.w - state.w).ravel(),
-                t_lam,
-                t_w,
-            )
-            - ds
-        )
-        if max(float(np.max(np.abs(r))), abs(constraint)) <= tol:
-            new_tangent = branch_tangent(op, current, prev=tangent)
-            return current, new_tangent
-        J = op.jacobian(current)
-        f_lam = op.d_residual_d_lambda(current)
-        dw, dlam = solve_bordered(J, f_lam, t_w / n, t_lam, -r, -constraint)
-        moved = None
-        alpha = 1.0
-        for _ in range(30):
-            cand = current.copy_with(
-                lam=current.lam + alpha * dlam,
-                w=current.w + alpha * dw.reshape(current.w.shape),
-            )
-            if op.is_admissible(cand):
-                moved = cand
-                break
-            alpha *= 0.5
-        if moved is None:
-            raise AdmissibilityError("no damped corrector step stays admissible")
-        current = moved
-    raise NewtonDivergenceError("arclength corrector did not converge",
-                                iterations=max_iter)
+    def constraint(cur):
+        return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
+
+    current, _, _ = _bordered_newton(op, predicted, (t_w / n, t_lam, constraint), tol,
+                                     max_iter, "arclength corrector")
+    return current, branch_tangent(op, current, prev=tangent)
 
 
 def classify_termination(op: StripOperator, state: WaveState,
@@ -318,8 +348,10 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
         except (AdmissibilityError, NewtonDivergenceError, SingularJacobianError) as exc:
             step *= 0.5
             if step < DS_FLOOR:
-                branch.termination = Termination.MAX_STEPS
-                branch.diagnostics = f"step floor reached: {exc}"
+                branch.termination = Termination.STEP_FLOOR
+                branch.diagnostics = (
+                    f"step floor reached: {type(exc).__name__}: {exc}"
+                )
                 return branch
             continue
         state, tangent = state_new, tangent_new
@@ -331,33 +363,11 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
 def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
                        tol: float = 1e-10, max_iter: int = 20) -> WaveState:
     """Solve {F = 0, surface mode amplitude = s_target} for (w, lambda)."""
-    c_row = _mode_weights(op.grid)
-    current = state.copy_with()
-    op.check_admissible(current)
-    for _ in range(max_iter):
-        r = op.residual_vector(current)
-        cons = surface_mode_amplitude(current) - s_target
-        if max(float(np.max(np.abs(r))), abs(cons)) <= tol:
-            return current
-        J = op.jacobian(current)
-        f_lam = op.d_residual_d_lambda(current)
-        dw, dlam = solve_bordered(J, f_lam, c_row, 0.0, -r, -cons)
-        moved = None
-        alpha = 1.0
-        for _ in range(30):
-            cand = current.copy_with(
-                lam=current.lam + alpha * dlam,
-                w=current.w + alpha * dw.reshape(current.w.shape),
-            )
-            if op.is_admissible(cand):
-                moved = cand
-                break
-            alpha *= 0.5
-        if moved is None:
-            raise AdmissibilityError("no damped amplitude-constrained step admissible")
-        current = moved
-    raise NewtonDivergenceError("amplitude-constrained solve did not converge",
-                                iterations=max_iter)
+    border = (_mode_weights(op.grid), 0.0,
+              lambda cur: surface_mode_amplitude(cur) - s_target)
+    current, _, _ = _bordered_newton(op, state, border, tol, max_iter,
+                                     "amplitude-constrained solve")
+    return current
 
 
 @dataclass

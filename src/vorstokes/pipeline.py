@@ -28,7 +28,7 @@ from .sturm_liouville import (
 from .vorticity import check_bifurcation_condition, functionals
 from .wave_physics import verify_all
 
-__all__ = ["run_pipeline", "bifurcate_record", "branch_to_rows", "grid_for", "write_csv"]
+__all__ = ["run_pipeline", "bifurcate_record", "grid_for", "write_csv"]
 
 
 def _dump_json(path, obj):
@@ -71,24 +71,6 @@ def grid_for(cfg: RunConfig, lam_hint, epsilon) -> StripGrid:
     return grid
 
 
-def branch_to_rows(branch, op):
-    rows = []
-    for rec in branch.record_rows(op):
-        rows.append(
-            (
-                rec["s"],
-                rec["lambda"],
-                rec["c"],
-                rec["eta_crest"],
-                rec["eta_trough"],
-                rec["min_rel_speed"],
-                rec.get("verify_pass_count", ""),
-                rec["termination"],
-            )
-        )
-    return rows
-
-
 BRANCH_HEADER = (
     "s", "lambda", "c", "eta_crest", "eta_trough",
     "min_rel_speed", "verify_pass_count", "termination",
@@ -109,21 +91,20 @@ def _trace_one_epsilon(cfg, epsilon, steps, out_dir):
     tag = f"eps{epsilon:g}".replace(".", "p")
     _dump_json(os.path.join(out_dir, f"bifurcation_{tag}.json"), bp_record)
     rows = []
-    for k, (st, rep) in enumerate(zip(branch.points, reports)):
+    records = branch.record_rows(op)
+    for k, (st, rep, rec) in enumerate(zip(branch.points, reports, records)):
         st.save(os.path.join(out_dir, f"state_{tag}_{k:03d}.json"))
         _dump_json(os.path.join(out_dir, f"verify_{tag}_{k:03d}.json"), rep.to_dict())
-        rec = branch.record_rows(op)[k]
         rows.append(
             (rec["s"], rec["lambda"], rec["c"], rec["eta_crest"], rec["eta_trough"],
              rec["min_rel_speed"], rep.pass_count, rec["termination"])
         )
     write_csv(os.path.join(out_dir, f"branch_{tag}.csv"), BRANCH_HEADER, rows)
     ok = all(rep.passed for rep in reports)
-    return ok, branch, reports
+    return ok, branch, bp
 
 
-def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1,
-                 seed: int = 0) -> int:
+def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) -> int:
     """Full orchestration; returns the process exit status.
 
     Writes branch summaries, per-point states and verification reports
@@ -136,7 +117,6 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1,
     manifest = {
         "config": {k: (v if not isinstance(v, float) else float(v))
                    for k, v in cfg.raw.items()},
-        "seed": seed,
         "bifurcation_condition": {
             "holds": cond.holds, "margin": cond.margin, "integral": cond.integral,
         },
@@ -158,11 +138,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1,
 
     all_ok = all(results[i][0] for i in range(len(schedule)))
 
-    # homotopy at fixed branch coordinate
-    bp0, _ = bifurcate_record(cfg, schedule[0])
-    grid = grid_for(cfg, bp0.lambda_star, schedule[0])
+    # homotopy at fixed branch coordinate, reusing the traced bifurcation points
+    bps = {eps: results[i][2] for i, eps in enumerate(schedule)}
+    grid = grid_for(cfg, bps[schedule[0]].lambda_star, schedule[0])
     hres = epsilon_homotopy(model, cfg.g, grid, schedule, cfg.s0,
-                            delta=cfg.delta, tol=cfg.newton_tol)
+                            delta=cfg.delta, bif_factory=bps.__getitem__,
+                            tol=cfg.newton_tol)
     manifest["homotopy"] = {
         "epsilons": hres.epsilons,
         "lambdas": hres.lambdas,

@@ -19,9 +19,10 @@ the top-row residual is
 
     F2 = 1 + (2 g w - lambda) (lambda^-1/2 + wp)^2 + wq^2.
 
-Newton's method with analytic linearization and sparse direct factorization
-solves F = 0 inside the admissible set O_delta (parameter above the
-critical floor, no stagnation, surface Bernoulli inequality).
+The operator supplies the residual, its analytic linearization in w and
+lambda, and the test for the admissible set O_delta (parameter above the
+critical floor, no stagnation, surface Bernoulli inequality); the damped
+Newton solves live in ``continuation``.
 """
 
 from __future__ import annotations
@@ -34,15 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
 
-from .errors import (
-    AdmissibilityError,
-    DomainError,
-    NewtonDivergenceError,
-    SingularJacobianError,
-    StagnationDomainError,
-)
+from .errors import AdmissibilityError, DomainError, StagnationDomainError
 from .vorticity import VorticityModel, functionals
 
 __all__ = ["StripGrid", "WaveState", "StripOperator", "default_grid", "linear_strip_mode"]
@@ -188,7 +182,7 @@ def derivative_fields(grid: StripGrid, w: np.ndarray):
 
 
 class StripOperator:
-    """Residual, linearization and Newton solver for one model and grid.
+    """Residual, linearization and admissibility test for one model and grid.
 
     Holds the cached vorticity samples on the grid; immutable after
     construction, so distinct solves can share it across threads.
@@ -397,50 +391,6 @@ class StripOperator:
         hp_top = lam**-0.5 + d["wp"][-1]
         out[-1] = -hp_top**2 - (2.0 * self.g * w[-1] - lam) * hp_top * lam**-1.5
         return out.ravel()
-
-    # -- Newton ------------------------------------------------------------------------
-
-    def newton_solve(self, state: WaveState, tol: float = 1e-10,
-                     max_iter: int = 25) -> tuple[WaveState, dict]:
-        """Solve F(lambda, w) = 0 at fixed lambda starting from ``state``.
-
-        Every iterate is kept inside O_delta by halving the update (at most
-        thirty times).  Returns the converged state and an info dict with
-        the iteration count and final residual.
-        """
-        self.check_admissible(state)
-        current = state.copy_with()
-        res = self.residual_norm(current)
-        if res <= tol:
-            return current, {"iterations": 0, "residual": res}
-        for it in range(1, max_iter + 1):
-            J = self.jacobian(current)
-            try:
-                lu = splu(J)
-            except RuntimeError as exc:
-                raise SingularJacobianError(f"factorization failed: {exc}") from exc
-            step = lu.solve(-self.residual_vector(current))
-            trial, alpha = None, 1.0
-            for _ in range(30):
-                cand = current.copy_with(
-                    w=current.w + alpha * step.reshape(current.w.shape)
-                )
-                if self.is_admissible(cand):
-                    trial = cand
-                    break
-                alpha *= 0.5
-            if trial is None:
-                raise AdmissibilityError(
-                    "no damped Newton step stays inside O_delta"
-                )
-            current = trial
-            res = self.residual_norm(current)
-            if res <= tol:
-                return current, {"iterations": it, "residual": res}
-        raise NewtonDivergenceError(
-            f"Newton did not reach tol {tol:.2g} in {max_iter} iterations",
-            residual=res, iterations=max_iter,
-        )
 
 
 def linear_strip_mode(op: StripOperator, lam_hint: float):

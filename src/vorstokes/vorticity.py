@@ -537,5 +537,7 @@ def model_from_config(block: dict) -> VorticityModel:
     if kind == "gerstner":
         return GerstnerVorticity(m=float(block.get("m", 0.5)), rho=rho)
     if kind == "tabulated":
+        if "knots" not in block:
+            raise DomainError("a tabulated model needs knots")
         return TabulatedVorticity(block["knots"], rho=rho)
     raise DomainError(f"unknown vorticity kind {kind!r}")

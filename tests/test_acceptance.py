@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from vorstokes.continuation import (
     initial_nontrivial_guess,
+    newton_solve,
     solve_at_amplitude,
     surface_mode_amplitude,
 )
@@ -120,7 +121,7 @@ def test_criterion_04_local_theory_agreement(zero_setup):
 
     # plain Newton at the located parameter, seeded by the local ansatz
     seed = initial_nontrivial_guess(bp, op, 0.01).copy_with(lam=st.lam)
-    newton_state, info = op.newton_solve(seed, tol=1e-11)
+    newton_state, info = newton_solve(op, seed, tol=1e-11)
     newton_ok = info["iterations"] <= 8
     same = float(np.max(np.abs(newton_state.w - st.w))) < 1e-9
 

@@ -59,6 +59,17 @@ def test_env_override(tmp_path, monkeypatch):
     assert cfg.model().kind == "gerstner"
 
 
+def test_tabulated_kind_rejected_as_config_error(tmp_path):
+    # a flat config cannot carry knots
+    with pytest.raises(ConfigError, match="vorticity.kind"):
+        parse_config(write_config(tmp_path, "vorticity.kind = tabulated\n"))
+
+
+def test_unknown_vorticity_kind_rejected_as_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="vorticity.kind"):
+        parse_config(write_config(tmp_path, "vorticity.kind = spiral\n"))
+
+
 def test_comments_and_blank_lines(tmp_path):
     cfg = parse_config(write_config(tmp_path, "# comment\n\nL = 2.0  # trailing\n"))
     assert cfg.L == 2.0

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from vorstokes import continuation
 from vorstokes.continuation import (
     Caps,
     Termination,
+    _bordered_newton,
     arclength_step,
     branch_tangent,
     classify_termination,
+    continue_branch,
     epsilon_homotopy,
     initial_nontrivial_guess,
     seed_tangent,
@@ -18,7 +21,9 @@ from vorstokes.continuation import (
     surface_mode_amplitude,
 )
 from vorstokes.errors import AdmissibilityError, DomainError
-from vorstokes.strip_solver import WaveState, linear_strip_mode
+from vorstokes.strip_solver import StripGrid, StripOperator, WaveState, linear_strip_mode
+from vorstokes.sturm_liouville import SLProblem, find_bifurcation_point
+from vorstokes.vorticity import ZeroVorticity
 
 G = 9.81
 L = math.pi
@@ -261,3 +266,38 @@ def test_branch_records_have_consistent_wave_speed(zero_branch, zero_setup):
     for row in zero_branch.record_rows(op):
         assert row["c"] ** 2 == pytest.approx(row["lambda"] + 2.0 * fn.gamma_total,
                                               rel=1e-12)
+
+
+SMALL_GRID = StripGrid(L=L, P=4 * L, nq=16, np=48)
+
+
+def test_step_floor_termination_names_the_cause(monkeypatch):
+    model = ZeroVorticity()
+    bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=0.01))
+    op = StripOperator(model, G, SMALL_GRID, epsilon=0.01)
+    real_step = continuation.arclength_step
+
+    # the first point converges; every corrector after it chases an
+    # unreachable tolerance until the step halving hits its floor
+    def unreachable(op, state, tangent, ds, tol):
+        return real_step(op, state, tangent, ds, tol=1e-300)
+
+    monkeypatch.setattr(continuation, "arclength_step", unreachable)
+    branch = continue_branch(op, bp, steps=3, ds=0.004)
+    assert branch.termination is Termination.STEP_FLOOR
+    assert branch.termination.value == "StepFloor"
+    assert len(branch.points) == 1
+    assert "NewtonDivergenceError" in branch.diagnostics
+    assert "arclength corrector did not reach tol" in branch.diagnostics
+
+
+def test_failed_damping_names_the_admissibility_clause():
+    # a border that pins lambda far below the critical floor (delta for
+    # gamma = 0): every damped candidate, down to alpha = 2^-29, leaves O_delta
+    op = StripOperator(ZeroVorticity(), G, SMALL_GRID, epsilon=0.01)
+    state = WaveState(op.delta + 1e-12, op.epsilon, op.grid,
+                      np.zeros((op.grid.np, op.grid.nq)))
+    border = (np.zeros(state.w.size), 1.0, lambda cur: cur.lam + 1.0)
+    with pytest.raises(AdmissibilityError) as err:
+        _bordered_newton(op, state, border, 1e-10, 5, "pinned solve")
+    assert err.value.clause == "lambda must exceed the critical floor plus delta"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vorstokes.continuation import newton_solve
 from vorstokes.errors import AdmissibilityError, DomainError
 from vorstokes.strip_solver import (
     StripGrid,
@@ -248,7 +249,7 @@ def test_d_residual_d_lambda_matches_finite_difference():
 
 def test_newton_trivial_returns_immediately():
     op = make_op()
-    st, info = op.newton_solve(zero_state(op, 9.0))
+    st, info = newton_solve(op, zero_state(op, 9.0))
     assert info["iterations"] == 0
     assert np.all(st.w == 0.0)
 
@@ -259,7 +260,7 @@ def test_newton_rejects_inadmissible_initial_state():
     st = zero_state(op, lam)
     st.w[-1] = (2.0 * lam) / (4.0 * G)
     with pytest.raises(AdmissibilityError):
-        op.newton_solve(st)
+        newton_solve(op, st)
 
 
 def test_reflected_solution_satisfies_full_period_equations(zero_setup):
