@@ -16,7 +16,9 @@ component by 1/sqrt(node count) for the same reason.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,53 +116,101 @@ def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
 # -- bordered linear algebra -----------------------------------------------------
 
 
+# fill-reducing order of each Jacobian sparsity pattern seen so far; the
+# lock keeps pipeline threads from computing the same order twice
+_ORDERS: dict = {}
+_ORDERS_LOCK = threading.Lock()
+
+
+def _fill_order(J) -> np.ndarray:
+    """Symmetric fill-reducing order of the pattern of the CSC matrix ``J``.
+
+    The order is the MMD order on J^T + J of a surrogate with J's pattern
+    and a dominant diagonal, so it exists where J itself is singular (at a
+    fold).  It is computed once per pattern.  Applied to rows and columns
+    alike, ``argsort(perm_c)`` keeps the dominant entries on the diagonal,
+    where SuperLU's partial pivoting prefers them; ``perm_c`` itself, or a
+    column-only permutation, does not, and multiplies the fill.
+    """
+    digest = hashlib.blake2b(J.indptr.tobytes())
+    digest.update(J.indices.tobytes())
+    key = (J.shape, digest.digest())
+    with _ORDERS_LOCK:
+        order = _ORDERS.get(key)
+        if order is None:
+            n = J.shape[0]
+            pattern = sp.csc_matrix((np.ones(J.nnz), J.indices, J.indptr), shape=J.shape)
+            surrogate = (pattern + n * sp.identity(n, format="csc")).tocsc()
+            order = np.argsort(splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c)
+            _ORDERS[key] = order
+    return order
+
+
 def solve_bordered(J, f_lam, c_row, c_lam, rhs_top, rhs_bot):
     """Solve the bordered system [[J, f_lam], [c_row, c_lam]] x = rhs.
 
     ``J`` may be singular on its own (fold points); the border keeps the
-    extended matrix invertible along regular branch arcs.  Returns
+    extended matrix invertible along regular branch arcs.  The matrix is
+    factored in the cached fill-reducing order of J's pattern, with the
+    border last.  ``rhs_top`` may have k columns, with ``rhs_bot`` of length
+    k, to solve k right-hand sides with one factorization.  Returns
     (dw, dlam).
     """
     n = J.shape[0]
+    J = sp.csc_matrix(J)
+    ob = np.append(_fill_order(J), n)
     M = sp.bmat(
         [
-            [sp.csc_matrix(J), sp.csc_matrix(np.asarray(f_lam).reshape(n, 1))],
+            [J, sp.csc_matrix(np.asarray(f_lam).reshape(n, 1))],
             [sp.csc_matrix(np.asarray(c_row).reshape(1, n)), sp.csc_matrix([[c_lam]])],
         ],
         format="csc",
-    )
+    )[ob][:, ob]
     try:
-        lu = splu(M)
+        lu = splu(M, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularJacobianError(f"bordered factorization failed: {exc}") from exc
-    sol = lu.solve(np.concatenate([np.asarray(rhs_top), [rhs_bot]]))
+    rhs_top = np.asarray(rhs_top, dtype=float)
+    rhs = np.concatenate([rhs_top, np.reshape(rhs_bot, (1,) + rhs_top.shape[1:])])
+    sol = np.empty_like(rhs)
+    sol[ob] = lu.solve(rhs[ob])
     return sol[:-1], sol[-1]
 
 
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
-                     max_iter: int, label: str):
+                     max_iter: int, label: str, with_tangent: bool = False):
     """Damped Newton on {F = 0, one scalar constraint = 0} inside O_delta.
 
     ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
     w and in lambda, and a function giving its value at an iterate.  Each
     update is halved (at most thirty times) until the iterate is admissible.
-    Returns (state, iterations, residual); ``residual`` is the larger of
-    the sup-norm residual and the constraint.
+    Returns (state, iterations, residual, tangent); ``residual`` is the
+    larger of the sup-norm residual and the constraint.  With
+    ``with_tangent`` each factorization also solves for the right-hand side
+    (0, 1); ``tangent`` is the (dlam, dw) of the last one, unnormalized, or
+    None when no update was made.
     """
     c_row, c_lam, constraint = border
     op.check_admissible(state)
     current = state.copy_with()
+    tangent = None
     for it in range(max_iter + 1):
         r = op.residual_vector(current)
         cons = constraint(current)
         res = max(float(np.max(np.abs(r))), abs(cons))
         if res <= tol:
-            return current, it, res
+            return current, it, res, tangent
         if it == max_iter:
             break
         J = op.jacobian(current)
         f_lam = op.d_residual_d_lambda(current)
-        dw, dlam = solve_bordered(J, f_lam, c_row, c_lam, -r, -cons)
+        if with_tangent:
+            dw, dlam = solve_bordered(J, f_lam, c_row, c_lam,
+                                      np.column_stack([-r, np.zeros_like(r)]), [-cons, 1.0])
+            tangent = (dlam[1], dw[:, 1])
+            dw, dlam = dw[:, 0], dlam[0]
+        else:
+            dw, dlam = solve_bordered(J, f_lam, c_row, c_lam, -r, -cons)
         alpha = 1.0
         for _ in range(30):
             cand = current.copy_with(
@@ -185,6 +235,11 @@ def _branch_ip(dlam1, dw1, dlam2, dw2):
     return dlam1 * dlam2 + float(dw1 @ dw2) / n
 
 
+def _unit(dlam, dw):
+    norm = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
+    return dlam / norm, dw / norm
+
+
 def branch_tangent(op: StripOperator, state: WaveState, prev=None):
     """Unit tangent (t_lam, t_w) of the solution curve at ``state``.
 
@@ -200,8 +255,7 @@ def branch_tangent(op: StripOperator, state: WaveState, prev=None):
     dw, dlam = solve_bordered(
         J, f_lam, t_w_prev / n, t_lam_prev, np.zeros(n), 1.0
     )
-    norm = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
-    return dlam / norm, dw / norm
+    return _unit(dlam, dw)
 
 
 def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
@@ -210,9 +264,7 @@ def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
     phi = bp.phi_at(grid.p_nodes)
     t_w = phi[:, None] * np.cos(math.pi * grid.q_nodes / grid.L)[None, :]
     t_w[0] = 0.0
-    t_w = sign * t_w.ravel()
-    norm = math.sqrt(_branch_ip(0.0, t_w, 0.0, t_w))
-    return 0.0, t_w / norm
+    return _unit(0.0, sign * t_w.ravel())
 
 
 def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
@@ -225,8 +277,8 @@ def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
     """
     lam0 = state.lam
     border = (np.zeros(state.w.size), 1.0, lambda cur: cur.lam - lam0)
-    current, iterations, res = _bordered_newton(op, state, border, tol, max_iter,
-                                                "fixed-lambda Newton")
+    current, iterations, res, _ = _bordered_newton(op, state, border, tol, max_iter,
+                                                   "fixed-lambda Newton")
     return current, {"iterations": iterations, "residual": res}
 
 
@@ -234,8 +286,10 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
                    tol: float = 1e-10, max_iter: int = 15):
     """One predictor-corrector step of length ds along the branch.
 
-    Returns (new_state, new_tangent).  Raises on corrector failure so the
-    caller can halve the step.
+    Returns (new_state, new_tangent).  The corrector's border row is the
+    tangent system's, so the new tangent comes from the corrector's last
+    factorization, one update before convergence.  Raises on corrector
+    failure so the caller can halve the step.
     """
     t_lam, t_w = tangent
     n = state.w.size
@@ -245,9 +299,12 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     def constraint(cur):
         return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
 
-    current, _, _ = _bordered_newton(op, predicted, (t_w / n, t_lam, constraint), tol,
-                                     max_iter, "arclength corrector")
-    return current, branch_tangent(op, current, prev=tangent)
+    current, _, _, new_tangent = _bordered_newton(
+        op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector",
+        with_tangent=True)
+    if new_tangent is None:
+        return current, branch_tangent(op, current, prev=tangent)
+    return current, _unit(*new_tangent)
 
 
 def classify_termination(op: StripOperator, state: WaveState,
@@ -262,7 +319,7 @@ def classify_termination(op: StripOperator, state: WaveState,
         return Termination.SUP_WP_BLOWUP
     if state.lam + 2.0 * op.fn.gamma_inf_bound <= op.delta:
         return Termination.LAMBDA_FLOOR
-    hp = op._ainv_rows(state.lam)[:, None] + wp
+    hp = op.ainv_rows(state.lam)[:, None] + wp
     if float(np.min(hp)) <= op.delta:
         return Termination.STAGNATION_CLAUSE
     if float(np.max(state.w[-1])) >= (2.0 * state.lam - op.delta) / (4.0 * op.g):
@@ -300,7 +357,7 @@ class Branch:
         """Summary rows (s, lambda, c, crest, trough, min relative speed)."""
         rows = []
         for state in self.points:
-            hp = op._ainv_rows(state.lam)[:, None] + derivative_fields(
+            hp = op.ainv_rows(state.lam)[:, None] + derivative_fields(
                 op.grid, state.w
             )["wp"]
             rows.append(
@@ -356,7 +413,9 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
             continue
         state, tangent = state_new, tangent_new
         branch.append(state, tangent, max_gap=step)
-    branch.termination = classify_termination(op, state, caps)
+        step = min(ds, 2.0 * step)
+    term = classify_termination(op, state, caps)
+    branch.termination = Termination.MAX_STEPS if term is Termination.RUNNING else term
     return branch
 
 
@@ -365,8 +424,8 @@ def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
     """Solve {F = 0, surface mode amplitude = s_target} for (w, lambda)."""
     border = (_mode_weights(op.grid), 0.0,
               lambda cur: surface_mode_amplitude(cur) - s_target)
-    current, _, _ = _bordered_newton(op, state, border, tol, max_iter,
-                                     "amplitude-constrained solve")
+    current, _, _, _ = _bordered_newton(op, state, border, tol, max_iter,
+                                        "amplitude-constrained solve")
     return current
 
 

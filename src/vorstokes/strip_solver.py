@@ -206,7 +206,8 @@ class StripOperator:
 
     # -- coefficient rows --------------------------------------------------------
 
-    def _ainv_rows(self, lam):
+    def ainv_rows(self, lam):
+        """1 / sqrt(lambda + 2 Gamma(p)) at the p nodes, the laminar h_p."""
         a_sq = lam + 2.0 * self.big_gamma_p
         if np.any(a_sq <= 0.0):
             raise StagnationDomainError(
@@ -224,7 +225,7 @@ class StripOperator:
             raise AdmissibilityError(
                 "lambda must exceed the critical floor plus delta", value=lam
             )
-        ainv = self._ainv_rows(lam)[:, None]
+        ainv = self.ainv_rows(lam)[:, None]
         hp = ainv + derivative_fields(self.grid, w)["wp"]
         if np.any(hp <= self.delta):
             i, j = np.unravel_index(int(np.argmin(hp)), hp.shape)
@@ -263,7 +264,7 @@ class StripOperator:
     def _residual_fields(self, state):
         lam, w = state.lam, state.w
         d = derivative_fields(self.grid, w)
-        ainv = self._ainv_rows(lam)[:, None]
+        ainv = self.ainv_rows(lam)[:, None]
         gam = self.gamma_p[:, None]
 
         sl = slice(1, -1)
@@ -313,7 +314,7 @@ class StripOperator:
         dq, dp = grid.dq, grid.dp
         lam, w = state.lam, state.w
         d = derivative_fields(grid, w)
-        ainv = self._ainv_rows(lam)[:, None]
+        ainv = self.ainv_rows(lam)[:, None]
         gam = self.gamma_p[:, None]
 
         rows, cols, vals = [], [], []
@@ -375,7 +376,7 @@ class StripOperator:
         grid = self.grid
         lam, w = state.lam, state.w
         d = derivative_fields(grid, w)
-        ainv = self._ainv_rows(lam)[:, None]
+        ainv = self.ainv_rows(lam)[:, None]
         gam = self.gamma_p[:, None]
         out = np.zeros((grid.np, grid.nq))
 
@@ -409,7 +410,7 @@ def linear_strip_mode(op: StripOperator, lam_hint: float):
     sigma_q = (2.0 - 2.0 * math.cos(math.pi * dq / grid.L)) / dq**2
 
     def solve_phi(lam):
-        ainv = op._ainv_rows(lam)
+        ainv = op.ainv_rows(lam)
         gam = op.gamma_p
         # rows i = 1 .. n-1 for unknowns Phi_1 .. Phi_{n-1}; Phi_0 = 0, Phi_n = 1
         i = np.arange(1, n)

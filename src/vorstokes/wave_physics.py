@@ -255,7 +255,7 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     """
     grid = state.grid
     d = derivative_fields(grid, state.w)
-    ainv = op._ainv_rows(state.lam)[:, None]
+    ainv = op.ainv_rows(state.lam)[:, None]
     gam = op.gamma_p[:, None]
     hp = ainv + d["wp"]
     if M is None:
@@ -501,7 +501,7 @@ def verify_bottom_flux(op: StripOperator, wave: PhysicalWave) -> WaveReport:
     """psi_y approaches -c at the truncated bottom, uniformly in x."""
     report = WaveReport()
     state = wave.source
-    a_bot = 1.0 / op._ainv_rows(state.lam)[0]
+    a_bot = 1.0 / op.ainv_rows(state.lam)[0]
     trunc = abs(a_bot - wave.c)
     wp_bot = float(np.max(np.abs(derivative_fields(state.grid, state.w)["wp"][0])))
     tol = 2.0 * (trunc + wp_bot * a_bot**2) + 1e-12

@@ -9,6 +9,7 @@ from vorstokes.continuation import (
     Caps,
     Termination,
     _bordered_newton,
+    _branch_ip,
     arclength_step,
     branch_tangent,
     classify_termination,
@@ -20,7 +21,7 @@ from vorstokes.continuation import (
     solve_bordered,
     surface_mode_amplitude,
 )
-from vorstokes.errors import AdmissibilityError, DomainError
+from vorstokes.errors import AdmissibilityError, DomainError, NewtonDivergenceError
 from vorstokes.strip_solver import StripGrid, StripOperator, WaveState, linear_strip_mode
 from vorstokes.sturm_liouville import SLProblem, find_bifurcation_point
 from vorstokes.vorticity import ZeroVorticity
@@ -301,3 +302,118 @@ def test_failed_damping_names_the_admissibility_clause():
     with pytest.raises(AdmissibilityError) as err:
         _bordered_newton(op, state, border, 1e-10, 5, "pinned solve")
     assert err.value.clause == "lambda must exceed the critical floor plus delta"
+
+
+@pytest.fixture(scope="module")
+def small_zero():
+    """(bifurcation point, operator) for gamma = 0 on SMALL_GRID."""
+    model = ZeroVorticity()
+    bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=0.01))
+    return bp, StripOperator(model, G, SMALL_GRID, epsilon=0.01)
+
+
+def test_branch_at_its_step_budget_reports_max_steps(small_zero):
+    bp, op = small_zero
+    branch = continue_branch(op, bp, steps=3, ds=0.004)
+    assert len(branch.points) == 3
+    assert branch.termination is Termination.MAX_STEPS
+    assert {row["termination"] for row in branch.record_rows(op)} == {"MaxSteps"}
+
+
+def test_step_size_regrows_after_a_halving(small_zero, monkeypatch):
+    bp, op = small_zero
+    real_step = continuation.arclength_step
+    requested = []
+
+    def fail_once(op, state, tangent, ds, tol):
+        requested.append(ds)
+        if len(requested) == 1:
+            raise NewtonDivergenceError("forced failure", iterations=0)
+        return real_step(op, state, tangent, ds, tol=tol)
+
+    monkeypatch.setattr(continuation, "arclength_step", fail_once)
+    branch = continue_branch(op, bp, steps=4, ds=0.004)
+    assert len(branch.points) == 4
+    assert requested == [0.004, 0.002, 0.004, 0.004]
+
+
+def test_solve_bordered_matches_dense_solve(small_zero):
+    # the bordered matrices here have condition numbers 1e5-2e7, so two
+    # correct solvers agree to cond * eps, not to 1e-12; the 1e-12 is on the
+    # relative residual, which a dense solve meets as well
+    bp, op = small_zero
+    state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    state = state.copy_with(w=1.01 * state.w)  # off the solution set: r != 0
+    n = state.w.size
+    r = op.residual_vector(state)
+    J = op.jacobian(state)
+    f_lam = op.d_residual_d_lambda(state)
+    t_lam, t_w = branch_tangent(op, state, prev=seed_tangent(bp, op))
+    borders = {
+        "tangent": (t_w / n, t_lam, np.column_stack([-r, np.zeros(n)]), np.array([0.3, 1.0])),
+        "amplitude": (continuation._mode_weights(op.grid), 0.0, -r, 1e-4),
+        "lambda pin": (np.zeros(n), 1.0, -r, 0.0),
+    }
+    for name, (c_row, c_lam, top, bot) in borders.items():
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = J.toarray()
+        M[:n, n] = f_lam
+        M[n, :n] = c_row
+        M[n, n] = c_lam
+        rhs = np.concatenate([top, np.reshape(bot, (1,) + top.shape[1:])])
+        dense = np.linalg.solve(M, rhs)
+        dw, dlam = solve_bordered(J, f_lam, c_row, c_lam, top, bot)
+        sol = np.concatenate([dw, np.reshape(dlam, (1,) + dw.shape[1:])])
+        assert sol.shape == dense.shape, name
+        m_norm = np.max(np.sum(np.abs(M), axis=1))
+        for x in (sol, dense):
+            backward = np.max(np.abs(M @ x - rhs)) / (m_norm * np.max(np.abs(x))
+                                                     + np.max(np.abs(rhs)))
+            assert backward <= 1e-12, name
+        forward = np.max(np.abs(sol - dense)) / np.max(np.abs(dense))
+        assert forward <= 1e-15 * np.linalg.cond(M), name
+
+
+def test_solve_bordered_with_exactly_singular_jacobian():
+    # the toy fold x^2 + lambda = 0 at its apex: J = [[0]], the border makes
+    # the extended matrix a permutation
+    for J in (sp.csc_matrix(np.array([[0.0]])),
+              sp.csc_matrix(([0.0], [0], [0, 1]), shape=(1, 1))):
+        dx, dl = solve_bordered(J, np.array([1.0]), np.array([1.0]), 0.0,
+                                np.array([0.25]), -0.5)
+        assert dx[0] == pytest.approx(-0.5)
+        assert dl == pytest.approx(0.25)
+
+
+def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
+    bp, op = small_zero
+    real_splu = continuation.splu
+    specs = []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return real_splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(continuation, "_ORDERS", {})
+    monkeypatch.setattr(continuation, "splu", counting_splu)
+    continue_branch(op, bp, steps=3, ds=0.004)
+    assert specs.count("MMD_AT_PLUS_A") == 1
+    assert len(specs) > 3
+    assert specs.count("NATURAL") == len(specs) - 1
+    other = StripOperator(ZeroVorticity(), G, StripGrid(L=L, P=4 * L, nq=12, np=40),
+                          epsilon=0.01)
+    continue_branch(other, bp, steps=3, ds=0.004)
+    continue_branch(op, bp, steps=2, ds=0.004)
+    assert specs.count("MMD_AT_PLUS_A") == 2
+
+
+def test_reused_tangent_matches_a_fresh_tangent(small_zero):
+    # the reused tangent is the one at the corrector's last iterate but one
+    bp, op = small_zero
+    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    for ds in (0.004, 0.002, 0.00075):
+        state, (t_lam, t_w) = arclength_step(op, first, tangent, ds)
+        fresh = branch_tangent(op, state, prev=tangent)
+        assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
+        assert _branch_ip(t_lam, t_w, *fresh) == pytest.approx(1.0, abs=1e-6)

@@ -177,7 +177,7 @@ def test_jacobian_trivial_matches_displayed_operator():
 
     # independent evaluation of phi_pp + a^-2 phi_qq + 3 gamma a^-2 phi_p - eps phi
     dp, dq = grid.dp, grid.dq
-    ainv = op._ainv_rows(lam)
+    ainv = op.ainv_rows(lam)
     gam = op.gamma_p
     phip = np.pad(phi, ((0, 0), (1, 1)), mode="reflect")
     ref = np.zeros_like(phi)
@@ -274,7 +274,7 @@ def test_reflected_solution_satisfies_full_period_equations(zero_setup):
     w_full = np.concatenate([st.w, st.w[:, -2:0:-1]], axis=1)  # q in [-L, L)
     dq, dp = grid.dq, grid.dp
     lam = st.lam
-    ainv = op._ainv_rows(lam)[:, None]
+    ainv = op.ainv_rows(lam)[:, None]
     gam = op.gamma_p[:, None]
 
     wq = (np.roll(w_full, -1, axis=1) - np.roll(w_full, 1, axis=1)) / (2 * dq)
