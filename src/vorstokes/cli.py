@@ -42,7 +42,7 @@ from .pipeline import (
 from .shear_flow import ShearFlow
 from .strip_solver import StripOperator, WaveState
 from .vorticity import functionals
-from .wave_physics import reconstruct, verify_all
+from .wave_physics import physical_grid, reconstruct, verify_all
 
 
 def _out_path(args, default_name):
@@ -145,6 +145,7 @@ def cmd_homotopy(args):
             "lambdas": res.lambdas,
             "sup_diffs": res.sup_diffs,
             "failure_index": res.failure_index,
+            "diagnostics": res.diagnostics,
             "target_s": target,
         },
         "homotopy.json",
@@ -172,18 +173,18 @@ def cmd_reconstruct(args):
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "eta.csv"), ("x", "eta"),
               list(zip(map(float, wave.x), map(float, wave.eta))))
+    fields = physical_grid(wave)
     psi_rows, pressure_rows = [], []
-    gx, gy = wave.grid_x, wave.grid_y
+    gx, gy = fields.x, fields.y
     for j in range(gx.shape[0]):
         for k in range(gx.shape[1]):
-            if np.isfinite(wave.grid_psi[j, k]):
+            if np.isfinite(fields.psi[j, k]):
                 psi_rows.append(
-                    (float(gx[j, k]), float(gy[j, k]), float(wave.grid_psi[j, k]),
-                     float(wave.grid_psi_x[j, k]), float(wave.grid_psi_y[j, k]))
+                    (float(gx[j, k]), float(gy[j, k]), float(fields.psi[j, k]),
+                     float(fields.psi_x[j, k]), float(fields.psi_y[j, k]))
                 )
                 pressure_rows.append(
-                    (float(gx[j, k]), float(gy[j, k]),
-                     float(wave.grid_pressure[j, k]))
+                    (float(gx[j, k]), float(gy[j, k]), float(fields.pressure[j, k]))
                 )
     write_csv(os.path.join(out, "psi.csv"),
               ("x", "y", "psi", "psi_x", "psi_y"), psi_rows)

@@ -28,7 +28,6 @@ _DEFAULTS = {
     "vorticity.amplitude": 1.0,
     "vorticity.rate": 1.0,
     "vorticity.m": 0.5,
-    "vorticity.rho": 1.0,
     "grid.nq": 64,
     "grid.np": 0,          # 0 = choose from the decay estimate
     "grid.P": 0.0,         # 0 = choose from the decay estimate
@@ -142,7 +141,6 @@ def parse_config(path=None, overrides=None) -> RunConfig:
             "amplitude": float(values["vorticity.amplitude"]),
             "rate": float(values["vorticity.rate"]),
             "m": float(values["vorticity.m"]),
-            "rho": float(values["vorticity.rho"]),
         },
         nq=int(values["grid.nq"]),
         np=int(values["grid.np"]),

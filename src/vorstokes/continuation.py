@@ -333,25 +333,17 @@ class Branch:
 
     epsilon: float
     points: list = field(default_factory=list)
-    tangents: list = field(default_factory=list)
     termination: Termination = Termination.RUNNING
     diagnostics: str = ""
 
-    def append(self, state, tangent, max_gap=None):
+    def append(self, state, max_gap=None):
         if self.points and max_gap is not None:
             prev = self.points[-1]
-            gap = math.sqrt(
-                _branch_ip(
-                    state.lam - prev.lam,
-                    (state.w - prev.w).ravel(),
-                    state.lam - prev.lam,
-                    (state.w - prev.w).ravel(),
-                )
-            )
+            dlam, dw = state.lam - prev.lam, (state.w - prev.w).ravel()
+            gap = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
             if gap > 1.5 * max_gap:
                 raise DomainError("consecutive branch points exceed the step bound")
         self.points.append(state)
-        self.tangents.append(tangent)
 
     def record_rows(self, op):
         """Summary rows (s, lambda, c, crest, trough, min relative speed)."""
@@ -391,7 +383,7 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     seed = initial_nontrivial_guess(bp, op, s_first)
     first = solve_at_amplitude(op, seed, s_first, tol=tol)
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)))
-    branch.append(first, tangent)
+    branch.append(first)
 
     step = ds
     state = first
@@ -412,7 +404,7 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
                 return branch
             continue
         state, tangent = state_new, tangent_new
-        branch.append(state, tangent, max_gap=step)
+        branch.append(state, max_gap=step)
         step = min(ds, 2.0 * step)
     term = classify_termination(op, state, caps)
     branch.termination = Termination.MAX_STEPS if term is Termination.RUNNING else term
@@ -431,17 +423,18 @@ def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
 
 @dataclass
 class HomotopyResult:
-    """Outcome of the decreasing-epsilon homotopy at fixed amplitude."""
+    """Outcome of the decreasing-epsilon homotopy at fixed amplitude.
+
+    ``diagnostics`` is "Type: message" of the error that stopped the
+    homotopy at ``failure_index``, or empty when every entry converged.
+    """
 
     epsilons: list
-    branches: list
+    states: list
     lambdas: list
     sup_diffs: list
     failure_index: int = -1
-
-    @property
-    def states(self):
-        return [b.points[-1] for b in self.branches]
+    diagnostics: str = ""
 
 
 def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
@@ -466,7 +459,7 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
                 SLProblem(model, g=g, L=grid.L, epsilon=eps)
             )
 
-    branches, lambdas, diffs = [], [], []
+    res = HomotopyResult(epsilons=sched, states=[], lambdas=[], sup_diffs=[])
     prev_state = None
     for idx, eps in enumerate(sched):
         op = StripOperator(model, g, grid, epsilon=eps, delta=delta)
@@ -482,20 +475,16 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
                 if target_s != 0.0
                 else _trivial_resolve(op, seed, bif_factory, eps)
             )
-        except (AdmissibilityError, NewtonDivergenceError, SingularJacobianError):
-            return HomotopyResult(
-                epsilons=sched, branches=branches, lambdas=lambdas,
-                sup_diffs=diffs, failure_index=idx,
-            )
-        branch = Branch(epsilon=eps)
-        branch.append(state, None)
-        branches.append(branch)
-        lambdas.append(state.lam)
+        except (AdmissibilityError, NewtonDivergenceError, SingularJacobianError) as exc:
+            res.failure_index = idx
+            res.diagnostics = f"{type(exc).__name__}: {exc}"
+            return res
+        res.states.append(state)
+        res.lambdas.append(state.lam)
         if prev_state is not None:
-            diffs.append(float(np.max(np.abs(state.w - prev_state.w))))
+            res.sup_diffs.append(float(np.max(np.abs(state.w - prev_state.w))))
         prev_state = state
-    return HomotopyResult(epsilons=sched, branches=branches, lambdas=lambdas,
-                          sup_diffs=diffs)
+    return res
 
 
 def _trivial_resolve(op, seed, bif_factory, eps):

@@ -149,6 +149,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
         "lambdas": hres.lambdas,
         "sup_diffs": hres.sup_diffs,
         "failure_index": hres.failure_index,
+        "diagnostics": hres.diagnostics,
         "target_s": cfg.s0,
     }
     if hres.failure_index >= 0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -261,26 +262,40 @@ class StripOperator:
         self.check_admissible(state)
         return self._residual_fields(state)[1]
 
-    def _residual_fields(self, state):
+    def _coefficients(self, state):
+        """The strip equation's coefficients at ``state``, built once.
+
+        Interior rows (1 .. np-2) read c_pp wpp + c_pq wpq + c_qq wqq +
+        gamma hp^3 - gamma a^-3 c_pp - eps w with hp = a^-1 + wp; c_p and
+        c_q are the derivatives of that row in wp and wq.  The top row
+        reads 1 + bern hp_top^2 + wq_top^2 with bern = 2 g w - lambda.
+        """
         lam, w = state.lam, state.w
         d = derivative_fields(self.grid, w)
-        ainv = self.ainv_rows(lam)[:, None]
-        gam = self.gamma_p[:, None]
-
         sl = slice(1, -1)
-        hp = ainv[sl] + d["wp"][sl]
+        ainv = self.ainv_rows(lam)[sl, None]
+        gam = self.gamma_p[sl, None]
         wq, wqq, wpp, wpq = d["wq"][sl], d["wqq"][sl], d["wpp"][sl], d["wpq"][sl]
-        f1 = (
-            (1.0 + wq**2) * wpp
-            - 2.0 * hp * wq * wpq
-            + hp**2 * wqq
-            + gam[sl] * hp**3
-            - gam[sl] * ainv[sl] ** 3 * (1.0 + wq**2)
-            - self.epsilon * w[sl]
+        hp = ainv + d["wp"][sl]
+        a3 = ainv**3
+        return SimpleNamespace(
+            ainv=ainv, gam=gam, a3=a3, hp=hp,
+            wq=wq, wqq=wqq, wpp=wpp, wpq=wpq,
+            c_pp=1.0 + wq**2,
+            c_pq=-2.0 * hp * wq,
+            c_qq=hp**2,
+            c_p=-2.0 * wq * wpq + 2.0 * hp * wqq + 3.0 * gam * hp**2,
+            c_q=2.0 * wq * wpp - 2.0 * hp * wpq - 2.0 * gam * a3 * wq,
+            hp_top=lam**-0.5 + d["wp"][-1],
+            bern=2.0 * self.g * w[-1] - lam,
+            wq_top=d["wq"][-1],
         )
 
-        hp_top = lam**-0.5 + d["wp"][-1]
-        f2 = 1.0 + (2.0 * self.g * w[-1] - lam) * hp_top**2 + d["wq"][-1] ** 2
+    def _residual_fields(self, state):
+        c = self._coefficients(state)
+        f1 = (c.c_pp * c.wpp + c.c_pq * c.wpq + c.c_qq * c.wqq + c.gam * c.hp**3
+              - c.gam * c.a3 * c.c_pp - self.epsilon * state.w[1:-1])
+        f2 = 1.0 + c.bern * c.hp_top**2 + c.wq_top**2
         return f1, f2
 
     def residual_vector(self, state: WaveState):
@@ -312,10 +327,7 @@ class StripOperator:
         grid = self.grid
         nq, n_p = grid.nq, grid.np
         dq, dp = grid.dq, grid.dp
-        lam, w = state.lam, state.w
-        d = derivative_fields(grid, w)
-        ainv = self.ainv_rows(lam)[:, None]
-        gam = self.gamma_p[:, None]
+        c = self._coefficients(state)
 
         rows, cols, vals = [], [], []
         jj = np.arange(nq)
@@ -333,21 +345,13 @@ class StripOperator:
 
         # interior PDE rows
         ii = np.arange(1, n_p - 1)[:, None]
-        sl = slice(1, -1)
-        hp = ainv[sl] + d["wp"][sl]
-        wq, wqq, wpp, wpq = d["wq"][sl], d["wqq"][sl], d["wpp"][sl], d["wpq"][sl]
-        c_pp = 1.0 + wq**2
-        c_pq = -2.0 * hp * wq
-        c_qq = hp**2
-        c_p = -2.0 * wq * wpq + 2.0 * hp * wqq + 3.0 * gam[sl] * hp**2
-        c_q = 2.0 * wq * wpp - 2.0 * hp * wpq - 2.0 * gam[sl] * ainv[sl] ** 3 * wq
-
+        c_pp, c_qq, c_p, c_q = c.c_pp, c.c_qq, c.c_p, c.c_q
         emit(ii, ii + 1, jj[None, :], c_pp / dp**2 + c_p / (2.0 * dp))
         emit(ii, ii - 1, jj[None, :], c_pp / dp**2 - c_p / (2.0 * dp))
         emit(ii, ii, jj[None, :] + 1, c_qq / dq**2 + c_q / (2.0 * dq))
         emit(ii, ii, jj[None, :] - 1, c_qq / dq**2 - c_q / (2.0 * dq))
         emit(ii, ii, jj[None, :], -2.0 * c_pp / dp**2 - 2.0 * c_qq / dq**2 - self.epsilon)
-        cross = c_pq / (4.0 * dp * dq)
+        cross = c.c_pq / (4.0 * dp * dq)
         emit(ii, ii + 1, jj[None, :] + 1, cross)
         emit(ii, ii - 1, jj[None, :] - 1, cross)
         emit(ii, ii + 1, jj[None, :] - 1, -cross)
@@ -355,10 +359,9 @@ class StripOperator:
 
         # top Bernoulli rows
         it = np.array([[n_p - 1]])
-        hp_top = lam**-0.5 + d["wp"][-1]
-        c_bp = 2.0 * (2.0 * self.g * w[-1] - lam) * hp_top
-        c_bq = 2.0 * d["wq"][-1]
-        c_b0 = 2.0 * self.g * hp_top**2
+        c_bp = 2.0 * c.bern * c.hp_top
+        c_bq = 2.0 * c.wq_top
+        c_b0 = 2.0 * self.g * c.hp_top**2
         emit(it, it, jj[None, :], c_b0 + c_bp * 3.0 / (2.0 * dp))
         emit(it, it - 1, jj[None, :], -c_bp * 4.0 / (2.0 * dp))
         emit(it, it - 2, jj[None, :], c_bp / (2.0 * dp))
@@ -372,25 +375,17 @@ class StripOperator:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
     def d_residual_d_lambda(self, state: WaveState):
-        """Analytic derivative of the residual vector in lambda."""
-        grid = self.grid
-        lam, w = state.lam, state.w
-        d = derivative_fields(grid, w)
-        ainv = self.ainv_rows(lam)[:, None]
-        gam = self.gamma_p[:, None]
-        out = np.zeros((grid.np, grid.nq))
+        """Analytic derivative of the residual vector in lambda.
 
-        sl = slice(1, -1)
-        hp = ainv[sl] + d["wp"][sl]
-        a3 = ainv[sl] ** 3
-        dainv = -0.5 * a3
-        out[1:-1] = (
-            dainv * (-2.0 * d["wq"][sl] * d["wpq"][sl] + 2.0 * hp * d["wqq"][sl]
-                     + 3.0 * gam[sl] * hp**2)
-            + 1.5 * gam[sl] * ainv[sl] ** 5 * (1.0 + d["wq"][sl] ** 2)
-        )
-        hp_top = lam**-0.5 + d["wp"][-1]
-        out[-1] = -hp_top**2 - (2.0 * self.g * w[-1] - lam) * hp_top * lam**-1.5
+        The interior rows depend on lambda only through a^-1 =
+        (lambda + 2 Gamma)^-1/2, with d(a^-1)/dlambda = -a^-3/2; the top row
+        through lambda^-1/2 and bern = 2 g w - lambda.
+        """
+        c = self._coefficients(state)
+        lam = state.lam
+        out = np.zeros((self.grid.np, self.grid.nq))
+        out[1:-1] = -0.5 * c.a3 * c.c_p + 1.5 * c.gam * c.ainv**5 * c.c_pp
+        out[-1] = -c.hp_top**2 - c.bern * c.hp_top * lam**-1.5
         return out.ravel()
 
 

@@ -39,7 +39,9 @@ __all__ = [
     "CheckResult",
     "WaveReport",
     "PhysicalWave",
+    "PhysicalGrid",
     "reconstruct",
+    "physical_grid",
     "verify_nodal",
     "verify_decay",
     "verify_velocity_bounds",
@@ -100,11 +102,10 @@ class WaveReport:
 
 @dataclass
 class PhysicalWave:
-    """Reconstructed traveling wave sampled in physical variables.
+    """Reconstructed traveling wave sampled at the strip nodes.
 
-    The strip-node samples (x = q, y = height map) are transform-exact;
-    the tensor-grid fields are interpolated column-wise and carry the
-    associated interpolation error.
+    The samples (x = q, y = height map) are transform-exact; no
+    interpolation is involved.
     """
 
     c: float
@@ -115,30 +116,36 @@ class PhysicalWave:
     psi_y: np.ndarray           # at strip nodes
     pressure: np.ndarray        # at strip nodes, relative to the surface value
     big_gamma: np.ndarray       # Gamma(p) per row
-    grid_x: np.ndarray          # tensor physical grid
-    grid_y: np.ndarray
-    grid_psi: np.ndarray        # masked (nan above the surface)
-    grid_psi_x: np.ndarray
-    grid_psi_y: np.ndarray
-    grid_pressure: np.ndarray
     source: WaveState = None
     hp: np.ndarray = None
     hq: np.ndarray = None
 
 
-def reconstruct(state: WaveState, model: VorticityModel, g: float,
-                n_y: int = 60) -> PhysicalWave:
-    """Build the physical fields of a strip state.
+@dataclass(frozen=True)
+class PhysicalGrid:
+    """Fields of a wave on a tensor (x, y) grid under the surface.
 
-    Velocities at strip nodes follow from the hodograph identities without
-    interpolation; a tensor (x, y) grid under the surface is filled by
-    monotone cubic inversion of each column's height map.
+    Arrays have shape (nq, n_y); samples above the surface are nan.  They
+    are interpolated column-wise and carry that interpolation error.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    psi: np.ndarray
+    psi_x: np.ndarray
+    psi_y: np.ndarray
+    pressure: np.ndarray
+
+
+def reconstruct(state: WaveState, model: VorticityModel, g: float) -> PhysicalWave:
+    """Build the physical fields of a strip state at the strip nodes.
+
+    Velocities follow from the hodograph identities without interpolation.
     """
     grid = state.grid
     fn = functionals(model)
     flow = ShearFlow(model, lam=state.lam, g=g, fn=fn)
     p = grid.p_nodes
-    q = grid.q_nodes
 
     h = flow.h_tr(p)[:, None] + state.w
     d = derivative_fields(grid, state.w)
@@ -157,32 +164,40 @@ def reconstruct(state: WaveState, model: VorticityModel, g: float,
     eta = h[-1].copy()
     c = wave_speed(state.lam, fn)
 
-    # tensor grid: clip to the fluid region, invert p -> y per column
+    return PhysicalWave(
+        c=c, x=grid.q_nodes, eta=eta, height=h, psi_x=psi_x, psi_y=psi_y,
+        pressure=pressure, big_gamma=big_gamma, source=state, hp=hp, hq=hq,
+    )
+
+
+def physical_grid(wave: PhysicalWave, n_y: int = 60) -> PhysicalGrid:
+    """Sample a reconstructed wave on a tensor (x, y) grid under the surface.
+
+    The grid spans the surface abscissae and n_y levels from the highest
+    bottom-row height to the crest; each column's height map is inverted
+    p -> y by monotone cubic interpolation.
+    """
+    h, eta = wave.height, wave.eta
+    p = wave.source.grid.p_nodes
     y_top = float(eta.max())
     y_bot = float(h[0].max())
     ys = np.linspace(y_bot, y_top, n_y)
-    gx, gy = np.meshgrid(q, ys, indexing="ij")
+    gx, gy = np.meshgrid(wave.x, ys, indexing="ij")
     g_psi = np.full(gx.shape, np.nan)
     g_px = np.full(gx.shape, np.nan)
     g_py = np.full(gx.shape, np.nan)
     g_pr = np.full(gx.shape, np.nan)
-    for j in range(grid.nq):
+    for j in range(h.shape[1]):
         col_y = h[:, j]
         inside = ys <= eta[j]
         yy = np.clip(ys[inside], col_y[0], col_y[-1])
         p_of_y = PchipInterpolator(col_y, p)
         pj = p_of_y(yy)
         g_psi[j, inside] = -pj
-        g_px[j, inside] = PchipInterpolator(p, psi_x[:, j])(pj)
-        g_py[j, inside] = PchipInterpolator(p, psi_y[:, j])(pj)
-        g_pr[j, inside] = PchipInterpolator(p, pressure[:, j])(pj)
-
-    return PhysicalWave(
-        c=c, x=q.copy(), eta=eta, height=h, psi_x=psi_x, psi_y=psi_y,
-        pressure=pressure, big_gamma=big_gamma,
-        grid_x=gx, grid_y=gy, grid_psi=g_psi, grid_psi_x=g_px,
-        grid_psi_y=g_py, grid_pressure=g_pr, source=state, hp=hp, hq=hq,
-    )
+        g_px[j, inside] = PchipInterpolator(p, wave.psi_x[:, j])(pj)
+        g_py[j, inside] = PchipInterpolator(p, wave.psi_y[:, j])(pj)
+        g_pr[j, inside] = PchipInterpolator(p, wave.pressure[:, j])(pj)
+    return PhysicalGrid(x=gx, y=gy, psi=g_psi, psi_x=g_px, psi_y=g_py, pressure=g_pr)
 
 
 def _base_tolerance(op: StripOperator, solver_tol: float = 1e-10) -> float:

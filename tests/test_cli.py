@@ -10,10 +10,16 @@ from vorstokes.config import ENV_PREFIX, parse_config
 from vorstokes.errors import ConfigError
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*argv):
+    # the subprocess finds the package through PYTHONPATH, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "vorstokes.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
 
 
@@ -36,8 +42,9 @@ def test_minimal_config_gets_defaults(tmp_path):
 
 
 def test_unknown_key_is_hard_error(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config(write_config(tmp_path, "gravity = 9.81\n"))
+    for text in ("gravity = 9.81\n", "vorticity.rho = 1\n"):
+        with pytest.raises(ConfigError):
+            parse_config(write_config(tmp_path, text))
 
 
 def test_nondecreasing_schedule_rejected(tmp_path):

@@ -417,3 +417,24 @@ def test_reused_tangent_matches_a_fresh_tangent(small_zero):
         fresh = branch_tangent(op, state, prev=tangent)
         assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
         assert _branch_ip(t_lam, t_w, *fresh) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_homotopy_failure_names_its_cause(small_zero, monkeypatch):
+    bp, op = small_zero
+    calls = []
+
+    # the first entry converges at once; the second diverges
+    def solve(op, seed, s_target, tol):
+        calls.append(op.epsilon)
+        if len(calls) == 2:
+            raise NewtonDivergenceError("corrector stalled", residual=1.0, iterations=3)
+        return seed
+
+    monkeypatch.setattr(continuation, "solve_at_amplitude", solve)
+    res = epsilon_homotopy(op.model, G, op.grid, [0.1, 0.05, 0.025], target_s=0.004,
+                           bif_factory=lambda eps: bp)
+    assert res.failure_index == 1
+    assert res.diagnostics.startswith("NewtonDivergenceError: corrector stalled")
+    assert len(res.states) == 1 and res.lambdas == [bp.lambda_star]
+    assert epsilon_homotopy(op.model, G, op.grid, [0.1], target_s=0.004,
+                            bif_factory=lambda eps: bp).diagnostics == ""

@@ -208,9 +208,14 @@ def smooth_random_field(grid, rng):
     return phi / np.max(np.abs(phi))
 
 
-def test_jacobian_directional_derivative():
+@pytest.mark.parametrize("model", [ZeroVorticity(), ExpDecayVorticity(0.4, 1.0),
+                                   GerstnerVorticity(m=0.5)],
+                         ids=["zero", "expdecay", "gerstner"])
+def test_jacobian_directional_derivative(model):
+    # a nonzero gamma exercises c_p's 3 gamma hp^2 and c_q's -2 gamma a^-3 wq
+    # away from w = 0
     grid = StripGrid(L=L, P=4 * L, nq=32, np=80)
-    op = StripOperator(ZeroVorticity(), G, grid, epsilon=0.01)
+    op = StripOperator(model, G, grid, epsilon=0.01)
     rng = np.random.default_rng(0)
     p = grid.p_nodes[:, None]
     q = grid.q_nodes[None, :]

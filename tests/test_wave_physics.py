@@ -9,6 +9,7 @@ from vorstokes.vorticity import ExpDecayVorticity, ZeroVorticity
 from vorstokes.wave_physics import (
     decay_envelope_constants,
     fitted_wq_tail_rate,
+    physical_grid,
     reconstruct,
     smallness_condition_value,
     stagnation_descriptor,
@@ -246,18 +247,18 @@ def test_tensor_grid_fields_consistent_with_direct_transform(solved_zero):
     # finite differences of the interpolated psi reproduce the transform
     # velocities to interpolation accuracy
     op, st = solved_zero
-    wave = reconstruct(st, ZeroVorticity(), G, n_y=220)
-    gx, gy = wave.grid_x, wave.grid_y
-    psi = wave.grid_psi
+    fields = physical_grid(reconstruct(st, ZeroVorticity(), G), n_y=220)
+    gx, gy = fields.x, fields.y
+    psi = fields.psi
     hx = gx[1, 0] - gx[0, 0]
     hy = gy[0, 1] - gy[0, 0]
     fd_x = (psi[2:, :] - psi[:-2, :]) / (2.0 * hx)
     fd_y = (psi[:, 2:] - psi[:, :-2]) / (2.0 * hy)
-    ok_x = np.isfinite(fd_x) & np.isfinite(wave.grid_psi_x[1:-1, :])
-    ok_y = np.isfinite(fd_y) & np.isfinite(wave.grid_psi_y[:, 1:-1])
-    err_x = np.nanmax(np.abs((fd_x - wave.grid_psi_x[1:-1, :])[ok_x]))
-    err_y = np.nanmax(np.abs((fd_y - wave.grid_psi_y[:, 1:-1])[ok_y]))
-    scale = np.nanmax(np.abs(wave.grid_psi_y))
+    ok_x = np.isfinite(fd_x) & np.isfinite(fields.psi_x[1:-1, :])
+    ok_y = np.isfinite(fd_y) & np.isfinite(fields.psi_y[:, 1:-1])
+    err_x = np.nanmax(np.abs((fd_x - fields.psi_x[1:-1, :])[ok_x]))
+    err_y = np.nanmax(np.abs((fd_y - fields.psi_y[:, 1:-1])[ok_y]))
+    scale = np.nanmax(np.abs(fields.psi_y))
     assert err_x < 5e-3 * scale
     assert err_y < 5e-3 * scale
 
@@ -271,9 +272,9 @@ def test_stream_pde_residual_second_order():
     for n_p in (200, 400):
         grid = StripGrid(L=L, P=3 * L, nq=16, np=n_p)
         op = StripOperator(model, G, grid, epsilon=0.0)
-        wave = reconstruct(trivial_state(op, lam), model, G, n_y=n_p)
-        psi = wave.grid_psi[0]   # x-independent column
-        y = wave.grid_y[0]
+        fields = physical_grid(reconstruct(trivial_state(op, lam), model, G), n_y=n_p)
+        psi = fields.psi[0]   # x-independent column
+        y = fields.y[0]
         hy = y[1] - y[0]
         lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / hy**2
         ok = np.isfinite(lap)
