@@ -25,18 +25,16 @@ import sys
 import numpy as np
 
 from .config import parse_config
-from .continuation import (
-    Caps,
-    continue_branch,
-    epsilon_homotopy,
-)
+from .continuation import epsilon_homotopy
 from .errors import VorStokesError
 from .nekrasov import nu_bound_check, solve_nekrasov
 from .pipeline import (
     BRANCH_HEADER,
     bifurcate_record,
     grid_for,
+    homotopy_record,
     run_pipeline,
+    trace_branch,
     write_csv,
 )
 from .shear_flow import ShearFlow
@@ -98,27 +96,14 @@ def cmd_bifurcate(args):
 
 def cmd_continue(args):
     cfg = parse_config(args.config)
-    model = cfg.model()
-    bp, _ = bifurcate_record(cfg, args.epsilon)
-    grid = grid_for(cfg, bp.lambda_star, args.epsilon)
-    op = StripOperator(model, cfg.g, grid, epsilon=args.epsilon, delta=cfg.delta)
-    caps = Caps(lambda_cap=cfg.caps_lambda(), w_cap=cfg.w_cap, wp_cap=cfg.wp_cap)
-    ds = args.step_size if args.step_size else cfg.step
-    s0 = args.target_s if args.target_s else cfg.s0
-    branch = continue_branch(op, bp, steps=args.steps, ds=ds, caps=caps,
-                             s0=s0, tol=cfg.newton_tol)
+    _, _, branch, _, rows = trace_branch(cfg, args.epsilon, args.steps,
+                                         args.step_size or cfg.step,
+                                         args.target_s or cfg.s0)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    rows = []
-    for k, (state, rec) in enumerate(zip(branch.points, branch.record_rows(op))):
+    for k, state in enumerate(branch.points):
         state.save(os.path.join(out, f"point_{k:03d}.json"))
         state.save_surface_csv(os.path.join(out, f"surface_{k:03d}.csv"))
-        rep = verify_all(op, state, model, solver_tol=cfg.newton_tol)
-        rows.append(
-            (rec["s"], rec["lambda"], rec["c"], rec["eta_crest"],
-             rec["eta_trough"], rec["min_rel_speed"], rep.pass_count,
-             rec["termination"])
-        )
     write_csv(os.path.join(out, "branch.csv"), BRANCH_HEADER, rows)
     print(os.path.join(out, "branch.csv"))
     return 0
@@ -138,18 +123,7 @@ def cmd_homotopy(args):
 
     res = epsilon_homotopy(model, cfg.g, grid, cfg.epsilon_schedule, target,
                            delta=cfg.delta, bif_factory=bif_factory, tol=cfg.newton_tol)
-    _emit_json(
-        args,
-        {
-            "epsilons": res.epsilons,
-            "lambdas": res.lambdas,
-            "sup_diffs": res.sup_diffs,
-            "failure_index": res.failure_index,
-            "diagnostics": res.diagnostics,
-            "target_s": target,
-        },
-        "homotopy.json",
-    )
+    _emit_json(args, homotopy_record(res, target), "homotopy.json")
     return 0 if res.failure_index < 0 else 1
 
 

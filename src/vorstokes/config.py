@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .continuation import Caps
 from .errors import ConfigError, DomainError
 from .vorticity import VorticityModel, model_from_config
 
@@ -31,7 +32,7 @@ _DEFAULTS = {
     "grid.nq": 64,
     "grid.np": 0,          # 0 = choose from the decay estimate
     "grid.P": 0.0,         # 0 = choose from the decay estimate
-    "caps.lambda_cap": 0.0,  # 0 = 100 g L / pi
+    "caps.lambda_cap": 0.0,  # 0 = the default of Caps.default
     "caps.w_cap": 1e3,
     "caps.wp_cap": 1e3,
     "epsilon_schedule": "0.1,0.05,0.025,0.0125,0.00625",
@@ -67,10 +68,10 @@ class RunConfig:
     def model(self) -> VorticityModel:
         return model_from_config(self.vorticity)
 
-    def caps_lambda(self) -> float:
-        if self.lambda_cap > 0.0:
-            return self.lambda_cap
-        return 100.0 * self.g * self.L / math.pi
+    def caps(self) -> Caps:
+        """Termination caps; a zero lambda_cap takes the one of Caps.default."""
+        lambda_cap = self.lambda_cap or Caps.default(self.g, self.L).lambda_cap
+        return Caps(lambda_cap=lambda_cap, w_cap=self.w_cap, wp_cap=self.wp_cap)
 
 
 def _coerce(key, text):

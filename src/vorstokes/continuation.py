@@ -307,6 +307,12 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     return current, _unit(*new_tangent)
 
 
+# the Termination of each clause of O_delta that check_admissible raises
+_CLAUSE_TERMINATIONS = dict(zip(StripOperator.CLAUSES, (
+    Termination.LAMBDA_FLOOR, Termination.STAGNATION_CLAUSE, Termination.SURFACE_CLAUSE,
+)))
+
+
 def classify_termination(op: StripOperator, state: WaveState,
                          caps: Caps) -> Termination:
     """Map a state to the first matching branch-termination clause."""
@@ -317,13 +323,10 @@ def classify_termination(op: StripOperator, state: WaveState,
     wp = derivative_fields(op.grid, state.w)["wp"]
     if float(np.max(wp)) >= caps.wp_cap:
         return Termination.SUP_WP_BLOWUP
-    if state.lam + 2.0 * op.fn.gamma_inf_bound <= op.delta:
-        return Termination.LAMBDA_FLOOR
-    hp = op.ainv_rows(state.lam)[:, None] + wp
-    if float(np.min(hp)) <= op.delta:
-        return Termination.STAGNATION_CLAUSE
-    if float(np.max(state.w[-1])) >= (2.0 * state.lam - op.delta) / (4.0 * op.g):
-        return Termination.SURFACE_CLAUSE
+    try:
+        op.check_admissible(state)
+    except AdmissibilityError as exc:
+        return _CLAUSE_TERMINATIONS[exc.clause]
     return Termination.RUNNING
 
 
@@ -349,9 +352,7 @@ class Branch:
         """Summary rows (s, lambda, c, crest, trough, min relative speed)."""
         rows = []
         for state in self.points:
-            hp = op.ainv_rows(state.lam)[:, None] + derivative_fields(
-                op.grid, state.w
-            )["wp"]
+            hp = op._clause_margins(state)[1]
             rows.append(
                 {
                     "s": surface_mode_amplitude(state),

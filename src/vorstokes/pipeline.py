@@ -14,11 +14,7 @@ import json
 import os
 
 from .config import RunConfig
-from .continuation import (
-    Caps,
-    continue_branch,
-    epsilon_homotopy,
-)
+from .continuation import continue_branch, epsilon_homotopy
 from .strip_solver import StripOperator, StripGrid, default_grid
 from .sturm_liouville import (
     SLProblem,
@@ -28,7 +24,8 @@ from .sturm_liouville import (
 from .vorticity import check_bifurcation_condition, functionals
 from .wave_physics import verify_all
 
-__all__ = ["run_pipeline", "bifurcate_record", "grid_for", "write_csv"]
+__all__ = ["run_pipeline", "bifurcate_record", "grid_for", "trace_branch",
+           "branch_rows", "homotopy_record", "write_csv"]
 
 
 def _dump_json(path, obj):
@@ -77,28 +74,52 @@ BRANCH_HEADER = (
 )
 
 
-def _trace_one_epsilon(cfg, epsilon, steps, out_dir):
+def trace_branch(cfg: RunConfig, epsilon, steps, ds, s0):
+    """Bifurcate at ``epsilon``, continue the branch and verify its points.
+
+    Returns (bp, bp_record, branch, reports, rows) with ``rows`` the
+    BRANCH_HEADER tuples of :func:`branch_rows`.
+    """
     model = cfg.model()
     bp, bp_record = bifurcate_record(cfg, epsilon)
     grid = grid_for(cfg, bp.lambda_star, epsilon)
     op = StripOperator(model, cfg.g, grid, epsilon=epsilon, delta=cfg.delta)
-    caps = Caps(lambda_cap=cfg.caps_lambda(), w_cap=cfg.w_cap, wp_cap=cfg.wp_cap)
-    branch = continue_branch(op, bp, steps=steps, ds=cfg.step, caps=caps,
-                             s0=cfg.s0, tol=cfg.newton_tol)
+    branch = continue_branch(op, bp, steps=steps, ds=ds, caps=cfg.caps(),
+                             s0=s0, tol=cfg.newton_tol)
     reports = [verify_all(op, st, model, solver_tol=cfg.newton_tol)
                for st in branch.points]
+    return bp, bp_record, branch, reports, branch_rows(branch, op, reports)
 
+
+def branch_rows(branch, op, reports):
+    """BRANCH_HEADER tuples of a branch and the verification of its points."""
+    return [
+        (rec["s"], rec["lambda"], rec["c"], rec["eta_crest"], rec["eta_trough"],
+         rec["min_rel_speed"], rep.pass_count, rec["termination"])
+        for rec, rep in zip(branch.record_rows(op), reports)
+    ]
+
+
+def homotopy_record(res, target_s):
+    """The JSON record of an epsilon homotopy at amplitude ``target_s``."""
+    return {
+        "epsilons": res.epsilons,
+        "lambdas": res.lambdas,
+        "sup_diffs": res.sup_diffs,
+        "failure_index": res.failure_index,
+        "diagnostics": res.diagnostics,
+        "target_s": target_s,
+    }
+
+
+def _trace_one_epsilon(cfg, epsilon, steps, out_dir):
+    bp, bp_record, branch, reports, rows = trace_branch(cfg, epsilon, steps,
+                                                        cfg.step, cfg.s0)
     tag = f"eps{epsilon:g}".replace(".", "p")
     _dump_json(os.path.join(out_dir, f"bifurcation_{tag}.json"), bp_record)
-    rows = []
-    records = branch.record_rows(op)
-    for k, (st, rep, rec) in enumerate(zip(branch.points, reports, records)):
+    for k, (st, rep) in enumerate(zip(branch.points, reports)):
         st.save(os.path.join(out_dir, f"state_{tag}_{k:03d}.json"))
         _dump_json(os.path.join(out_dir, f"verify_{tag}_{k:03d}.json"), rep.to_dict())
-        rows.append(
-            (rec["s"], rec["lambda"], rec["c"], rec["eta_crest"], rec["eta_trough"],
-             rec["min_rel_speed"], rep.pass_count, rec["termination"])
-        )
     write_csv(os.path.join(out_dir, f"branch_{tag}.csv"), BRANCH_HEADER, rows)
     ok = all(rep.passed for rep in reports)
     return ok, branch, bp
@@ -144,14 +165,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
     hres = epsilon_homotopy(model, cfg.g, grid, schedule, cfg.s0,
                             delta=cfg.delta, bif_factory=bps.__getitem__,
                             tol=cfg.newton_tol)
-    manifest["homotopy"] = {
-        "epsilons": hres.epsilons,
-        "lambdas": hres.lambdas,
-        "sup_diffs": hres.sup_diffs,
-        "failure_index": hres.failure_index,
-        "diagnostics": hres.diagnostics,
-        "target_s": cfg.s0,
-    }
+    manifest["homotopy"] = homotopy_record(hres, cfg.s0)
     if hres.failure_index >= 0:
         all_ok = False
 

@@ -218,30 +218,41 @@ class StripOperator:
 
     # -- admissibility -------------------------------------------------------------
 
+    # the clauses of O_delta, in the order check_admissible tests them
+    CLAUSES = (
+        "lambda must exceed the critical floor plus delta",
+        "no-stagnation clause a^-1 + wp > delta",
+        "surface clause w < (2*lambda - delta)/(4g)",
+    )
+
+    def _clause_margins(self, state: WaveState):
+        """h_p = a^-1 + wp and the margins of the three clauses of O_delta.
+
+        Returns (lam_margin, hp, cap_margin) with lam_margin = lambda +
+        2 inf Gamma and cap_margin = 2 lambda - 4 g max w(q, 0); the state
+        lies in O_delta when lam_margin, cap_margin and hp at every node
+        exceed delta.  h_p needs a^-1, which exists above the lambda floor,
+        so the lambda clause is raised here.
+        """
+        lam, w = state.lam, state.w
+        lam_margin = lam + 2.0 * self.fn.gamma_inf_bound
+        if not lam_margin > self.delta:
+            raise AdmissibilityError(self.CLAUSES[0], value=lam)
+        hp = self.ainv_rows(lam)[:, None] + derivative_fields(self.grid, w)["wp"]
+        cap_margin = 2.0 * lam - 4.0 * self.g * float(np.max(w[-1]))
+        return lam_margin, hp, cap_margin
+
     def check_admissible(self, state: WaveState):
         """Raise AdmissibilityError naming the clause and node on violation."""
-        lam, w, g = state.lam, state.w, self.g
-        floor = -2.0 * self.fn.gamma_inf_bound + self.delta
-        if not lam > floor:
-            raise AdmissibilityError(
-                "lambda must exceed the critical floor plus delta", value=lam
-            )
-        ainv = self.ainv_rows(lam)[:, None]
-        hp = ainv + derivative_fields(self.grid, w)["wp"]
+        _, hp, cap_margin = self._clause_margins(state)
         if np.any(hp <= self.delta):
             i, j = np.unravel_index(int(np.argmin(hp)), hp.shape)
-            raise AdmissibilityError(
-                "no-stagnation clause a^-1 + wp > delta", node=(i, j),
-                value=float(hp[i, j]),
-            )
-        cap = (2.0 * lam - self.delta) / (4.0 * g)
-        top = w[-1]
-        if np.any(top >= cap):
+            raise AdmissibilityError(self.CLAUSES[1], node=(i, j), value=float(hp[i, j]))
+        if not cap_margin > self.delta:
+            top = state.w[-1]
             j = int(np.argmax(top))
-            raise AdmissibilityError(
-                "surface clause w < (2*lambda - delta)/(4g)",
-                node=(self.grid.np - 1, j), value=float(top[j]),
-            )
+            raise AdmissibilityError(self.CLAUSES[2], node=(self.grid.np - 1, j),
+                                     value=float(top[j]))
 
     def is_admissible(self, state: WaveState) -> bool:
         try:

@@ -67,7 +67,6 @@ class VorticityModel:
     """
 
     kind = "abstract"
-    rho: float = 1.0
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -151,7 +150,6 @@ class VorticityModel:
 class ZeroVorticity(VorticityModel):
     """Irrotational flow, gamma identically zero."""
 
-    rho: float = 1.0
     kind = "zero"
 
     def _gamma_impl(self, r):
@@ -198,7 +196,6 @@ class ExpDecayVorticity(VorticityModel):
 
     amplitude: float = 1.0
     rate: float = 1.0
-    rho: float = 1.0
     kind = "expdecay"
 
     def __post_init__(self):
@@ -256,11 +253,10 @@ class GerstnerVorticity(VorticityModel):
 
     kind = "gerstner"
 
-    def __init__(self, m: float, b_fn=None, rho: float = 1.0):
+    def __init__(self, m: float, b_fn=None):
         if not 0.0 <= m < 1.0:
             raise DomainError("Gerstner parameter m must lie in [0, 1)")
         self.m = float(m)
-        self.rho = float(rho)
         self._custom_b = b_fn is not None
         self.b_fn = b_fn if b_fn is not None else _default_gerstner_b
         b0 = float(self.b_fn(0.0))
@@ -337,7 +333,7 @@ class GerstnerVorticity(VorticityModel):
 
     def __repr__(self):
         tag = "custom-b" if self._custom_b else "default-b"
-        return f"GerstnerVorticity(m={self.m}, {tag}, rho={self.rho})"
+        return f"GerstnerVorticity(m={self.m}, {tag})"
 
 
 class TabulatedVorticity(VorticityModel):
@@ -350,7 +346,7 @@ class TabulatedVorticity(VorticityModel):
 
     kind = "tabulated"
 
-    def __init__(self, knots, rho: float = 1.0):
+    def __init__(self, knots):
         pts = np.asarray(knots, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise DomainError("knots must be an (n, 2) array with n >= 3")
@@ -365,7 +361,6 @@ class TabulatedVorticity(VorticityModel):
         self._prim = self._spline.antiderivative()
         self.r_last = float(r[-1])
         self.knots = pts
-        self.rho = float(rho)
 
     def _gamma_impl(self, r):
         rr = np.asarray(r, dtype=float)
@@ -409,7 +404,7 @@ class TabulatedVorticity(VorticityModel):
         return max(0.0, float(self._dense_gamma()[1].max()))
 
     def __repr__(self):
-        return f"TabulatedVorticity({len(self.knots)} knots, rho={self.rho})"
+        return f"TabulatedVorticity({len(self.knots)} knots)"
 
 
 @dataclass(frozen=True)
@@ -497,25 +492,23 @@ def check_bifurcation_condition(
 
 
 def model_to_config(model: VorticityModel) -> dict:
-    """Serialize a model as a flat key/value block (kind, parameters, rho)."""
+    """Serialize a model as a flat key/value block (kind and parameters)."""
     if isinstance(model, ZeroVorticity):
-        return {"kind": "zero", "rho": model.rho}
+        return {"kind": "zero"}
     if isinstance(model, ExpDecayVorticity):
         return {
             "kind": "expdecay",
             "amplitude": model.amplitude,
             "rate": model.rate,
-            "rho": model.rho,
         }
     if isinstance(model, GerstnerVorticity):
         if model._custom_b:
             raise DomainError("a Gerstner model with a custom b map is not serializable")
-        return {"kind": "gerstner", "m": model.m, "rho": model.rho}
+        return {"kind": "gerstner", "m": model.m}
     if isinstance(model, TabulatedVorticity):
         return {
             "kind": "tabulated",
             "knots": [[float(a), float(b)] for a, b in model.knots],
-            "rho": model.rho,
         }
     raise DomainError(f"unknown model type {type(model)!r}")
 
@@ -523,21 +516,17 @@ def model_to_config(model: VorticityModel) -> dict:
 def model_from_config(block: dict) -> VorticityModel:
     """Inverse of :func:`model_to_config`."""
     kind = str(block.get("kind", "")).lower()
-    rho = float(block.get("rho", 1.0))
-    if rho <= 0:
-        raise DomainError("decay exponent rho must be positive")
     if kind == "zero":
-        return ZeroVorticity(rho=rho)
+        return ZeroVorticity()
     if kind == "expdecay":
         return ExpDecayVorticity(
             amplitude=float(block.get("amplitude", 1.0)),
             rate=float(block.get("rate", 1.0)),
-            rho=rho,
         )
     if kind == "gerstner":
-        return GerstnerVorticity(m=float(block.get("m", 0.5)), rho=rho)
+        return GerstnerVorticity(m=float(block.get("m", 0.5)))
     if kind == "tabulated":
         if "knots" not in block:
             raise DomainError("a tabulated model needs knots")
-        return TabulatedVorticity(block["knots"], rho=rho)
+        return TabulatedVorticity(block["knots"])
     raise DomainError(f"unknown vorticity kind {kind!r}")

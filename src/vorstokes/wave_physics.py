@@ -272,7 +272,7 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     d = derivative_fields(grid, state.w)
     ainv = op.ainv_rows(state.lam)[:, None]
     gam = op.gamma_p[:, None]
-    hp = ainv + d["wp"]
+    lam_margin, hp, cap_margin = op._clause_margins(state)
     if M is None:
         M = max(
             float(np.max(np.abs(state.w))),
@@ -287,8 +287,6 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     km2 = max(float(np.max(np.abs(b1))), float(np.max(np.abs(b2))))
     # the state lies in O_delta for every delta up to its own margins; the
     # largest such delta gives the strongest envelope constants
-    lam_margin = state.lam + 2.0 * op.fn.gamma_inf_bound
-    cap_margin = 2.0 * state.lam - 4.0 * op.g * float(np.max(state.w[-1]))
     delta_env = max(op.delta,
                     0.99 * min(float(np.min(hp)), lam_margin, cap_margin))
     beta = max(1.0, km2 / (2.0 * delta_env**2))

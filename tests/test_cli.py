@@ -188,6 +188,29 @@ def test_cli_pipeline_exit_status(tmp_path):
     assert len(manifest["homotopy"]["sup_diffs"]) == 1
 
 
+def test_cli_records_match_pipeline(tmp_path):
+    # homotopy and continue write the records the pipeline writes
+    cfg = write_config(
+        tmp_path,
+        "vorticity.kind = zero\ngrid.nq = 24\n"
+        "epsilon_schedule = 0.05, 0.025\nseeds.s0 = 0.008\nseeds.step = 0.003\n",
+    )
+    out = tmp_path / "run"
+    res = run_cli("pipeline", "--config", cfg, "--steps", "2", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    manifest = json.load(open(out / "manifest.json"))
+
+    res = run_cli("homotopy", "--config", cfg, "--out", str(tmp_path) + os.sep)
+    assert res.returncode == 0, res.stderr
+    assert json.load(open(tmp_path / "homotopy.json")) == manifest["homotopy"]
+
+    branch = tmp_path / "branch"
+    res = run_cli("continue", "--config", cfg, "--epsilon", "0.05", "--steps", "2",
+                  "--out", str(branch))
+    assert res.returncode == 0, res.stderr
+    assert (branch / "branch.csv").read_bytes() == (out / "branch_eps0p05.csv").read_bytes()
+
+
 def test_pipeline_concurrent_jobs_byte_identical(tmp_path):
     # identical config: parallel epsilon branches must reproduce the
     # sequential artifacts byte for byte

@@ -201,27 +201,27 @@ def test_tabulated_clamps_beyond_last_knot():
 
 
 def test_decay_envelope_expdecay():
-    # |gamma(r)| r^(2+2*rho) must stay bounded; exponential decay makes the
-    # weighted tail collapse well before r = 60.
-    model = ExpDecayVorticity(1.0, 1.0, rho=1.0)
+    # |gamma(r)| r^(2+2*rho) must stay bounded (here rho = 1); exponential
+    # decay makes the weighted tail collapse well before r = 60.
+    model = ExpDecayVorticity(1.0, 1.0)
     r = np.linspace(15.0, 60.0, 50)
-    weighted = np.abs(model.gamma(r)) * r ** (2.0 + 2.0 * model.rho)
+    weighted = np.abs(model.gamma(r)) * r ** 4.0
     assert np.all(weighted < 0.1)
     assert np.all(np.diff(weighted) < 0.0)
 
 
 def test_config_roundtrip():
     models = [
-        ZeroVorticity(rho=2.0),
-        ExpDecayVorticity(-0.3, 1.5, rho=0.5),
-        GerstnerVorticity(m=0.4, rho=1.0),
-        TabulatedVorticity([[0.0, 0.1], [0.5, 0.05], [1.5, 0.0]], rho=1.0),
+        ZeroVorticity(),
+        ExpDecayVorticity(-0.3, 1.5),
+        GerstnerVorticity(m=0.4),
+        TabulatedVorticity([[0.0, 0.1], [0.5, 0.05], [1.5, 0.0]]),
     ]
     for model in models:
         clone = model_from_config(model_to_config(model))
         r = np.linspace(0.0, 3.0, 17)
         assert np.allclose(clone.gamma(r), model.gamma(r), atol=1e-14)
-        assert clone.rho == model.rho
+        assert model_to_config(clone) == model_to_config(model)
 
 
 def test_config_rejects_unknown_kind():
