@@ -375,7 +375,8 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     The first point is produced by an amplitude-constrained solve at
     s0 (default ds), subsequent points by pseudo-arclength steps.  The
     trace stops at ``steps`` accepted points, on a termination clause, or
-    when step halving hits its floor.
+    when step halving hits its floor; a floor reached on an
+    AdmissibilityError reports that error's clause.
     """
     caps = Caps.default(op.g, op.grid.L) if caps is None else caps
     branch = Branch(epsilon=op.epsilon)
@@ -398,7 +399,10 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
         except (AdmissibilityError, NewtonDivergenceError, SingularJacobianError) as exc:
             step *= 0.5
             if step < DS_FLOOR:
-                branch.termination = Termination.STEP_FLOOR
+                # a corrector that keeps leaving O_delta stops at that clause
+                branch.termination = (_CLAUSE_TERMINATIONS[exc.clause]
+                                      if isinstance(exc, AdmissibilityError)
+                                      else Termination.STEP_FLOOR)
                 branch.diagnostics = (
                     f"step floor reached: {type(exc).__name__}: {exc}"
                 )

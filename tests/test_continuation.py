@@ -312,6 +312,24 @@ def small_zero():
     return bp, StripOperator(model, G, SMALL_GRID, epsilon=0.01)
 
 
+def test_step_floor_on_admissibility_reports_the_clause(small_zero, monkeypatch):
+    # every corrector after the first point raises the error check_admissible
+    # gives for a state above the surface cap
+    bp, op = small_zero
+
+    def above_cap(op, state, tangent, ds, tol):
+        w = state.w.copy()
+        w[-1] = (2.0 * state.lam) / (4.0 * G)
+        op.check_admissible(state.copy_with(w=w))
+
+    monkeypatch.setattr(continuation, "arclength_step", above_cap)
+    branch = continue_branch(op, bp, steps=3, ds=0.004)
+    assert branch.termination is Termination.SURFACE_CLAUSE
+    assert len(branch.points) == 1
+    assert branch.diagnostics.startswith("step floor reached: AdmissibilityError: ")
+    assert "surface clause" in branch.diagnostics
+
+
 def test_branch_at_its_step_budget_reports_max_steps(small_zero):
     bp, op = small_zero
     branch = continue_branch(op, bp, steps=3, ds=0.004)
