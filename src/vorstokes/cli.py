@@ -55,8 +55,8 @@ def _out_path(args, default_name):
     return args.out
 
 
-def _emit_json(args, obj, default_name):
-    text = json.dumps(obj, sort_keys=True, indent=1)
+def _emit(args, text, default_name):
+    # print the text, or write it to --out and print the path
     path = _out_path(args, default_name)
     if path is None:
         print(text)
@@ -64,6 +64,10 @@ def _emit_json(args, obj, default_name):
         with open(path, "w") as fh:
             fh.write(text + "\n")
         print(path)
+
+
+def _emit_json(args, obj, default_name):
+    _emit(args, json.dumps(obj, sort_keys=True, indent=1), default_name)
 
 
 def cmd_trivial(args):
@@ -74,16 +78,9 @@ def cmd_trivial(args):
     flow = ShearFlow(model, lam=lam, g=cfg.g, fn=fn)
     p = -np.linspace(0.0, max(4.0 * cfg.L, 10.0), args.samples)
     rows = [(float(pp), float(flow.h_tr(pp)), float(flow.h_tr_p(pp))) for pp in p]
-    path = _out_path(args, "trivial.csv")
     lines = [f"# lambda,{lam!r}", f"# c,{flow.c!r}", "p,h_tr,h_tr_p"]
     lines += [",".join(repr(v) for v in row) for row in rows]
-    text = "\n".join(lines)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(path)
+    _emit(args, "\n".join(lines), "trivial.csv")
     return 0
 
 

@@ -226,13 +226,11 @@ class StripOperator:
     )
 
     def _clause_margins(self, state: WaveState):
-        """h_p = a^-1 + wp and the margins of the three clauses of O_delta.
+        """(lambda + 2 inf Gamma, h_p = a^-1 + wp, 2 lambda - 4 g max w(q, 0)).
 
-        Returns (lam_margin, hp, cap_margin) with lam_margin = lambda +
-        2 inf Gamma and cap_margin = 2 lambda - 4 g max w(q, 0); the state
-        lies in O_delta when lam_margin, cap_margin and hp at every node
-        exceed delta.  h_p needs a^-1, which exists above the lambda floor,
-        so the lambda clause is raised here.
+        The state lies in O_delta when all three exceed delta, h_p at every
+        node.  h_p needs a^-1, which exists above the lambda floor, so the
+        lambda clause is raised here.
         """
         lam, w = state.lam, state.w
         lam_margin = lam + 2.0 * self.fn.gamma_inf_bound
@@ -249,10 +247,9 @@ class StripOperator:
             i, j = np.unravel_index(int(np.argmin(hp)), hp.shape)
             raise AdmissibilityError(self.CLAUSES[1], node=(i, j), value=float(hp[i, j]))
         if not cap_margin > self.delta:
-            top = state.w[-1]
-            j = int(np.argmax(top))
+            j = int(np.argmax(state.w[-1]))
             raise AdmissibilityError(self.CLAUSES[2], node=(self.grid.np - 1, j),
-                                     value=float(top[j]))
+                                     value=float(state.w[-1, j]))
 
     def is_admissible(self, state: WaveState) -> bool:
         try:
