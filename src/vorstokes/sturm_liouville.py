@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .errors import BifurcationAbsentError, DomainError, NoDiscreteEigenvalue
 from .vorticity import VorticityFunctionals, VorticityModel, functionals
@@ -178,10 +179,6 @@ def lowest_eigenvalue(prob: SLProblem, lam: float) -> float:
     return mu
 
 
-def _lambda_floor(prob):
-    return -2.0 * prob.fn.gamma_inf_bound
-
-
 @dataclass
 class BifurcationPoint:
     """Bifurcation parameter and sampled eigenfunction for one epsilon."""
@@ -212,7 +209,8 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     """Locate lambda with Lambda(lambda) = -(pi/L)^2 and its eigenfunction.
 
     Brackets by doubling the offset above the admissible floor, then
-    bisects; monotonicity of Lambda in lambda makes the root unique.  The
+    solves by Brent's method; monotonicity of Lambda in lambda makes the
+    root unique.  The
     returned lambda is Richardson-extrapolated across a grid doubling, and
     the final eigenfunction is re-sampled on a depth-adapted grid so that
     the truncation sits at roughly twenty-five decay lengths of the mode.
@@ -223,14 +221,11 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
         If no sign change occurs below ``prob.lambda_max``.
     """
     target = -((math.pi / prob.L) ** 2)
-    floor = _lambda_floor(prob)
+    floor = -2.0 * prob.fn.gamma_inf_bound
 
     def value(lam, n):
         mu, _, _ = _smallest_pair(prob, lam, n)
         return mu - target
-
-    def richardson(lam, n):
-        return (4.0 * value(lam, 2 * n) - value(lam, n)) / 3.0
 
     # coarse bracket on a cheap grid
     n_coarse = max(256, prob.n // 4)
@@ -255,15 +250,9 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
             f"no sign change of Lambda + (pi/L)^2 up to lambda_max = "
             f"{prob.lambda_max:.6g}"
         )
-    for _ in range(12):  # cheap narrowing
-        mid = 0.5 * (lo + hi)
-        if value(mid, n_coarse) < 0.0:
-            lo = mid
-        else:
-            hi = mid
 
     # adapt the depth to the located scale and polish with extrapolation
-    lam_rough = 0.5 * (lo + hi)
+    lam_rough = brentq(value, lo, hi, args=(n_coarse,))
     k_mode = math.sqrt(
         prob.epsilon + (math.pi / prob.L) ** 2 / (lam_rough + 2.0 * prob.fn.gamma_total)
     )
@@ -284,7 +273,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
                 - _smallest_pair(fine, lam, fine.n)[0]) / 3.0 - target
 
     # the coarse root can sit a few percent off; expand multiplicatively
-    width = max(hi - lo, 0.05 * max(lam_rough - floor, 1e-3))
+    width = 0.05 * max(lam_rough - floor, 1e-3)
     lo = max(floor + 1e-12, lam_rough - width)
     hi = min(prob.lambda_max, lam_rough + width)
     f_lo, f_hi = f_fine(lo), f_fine(hi)
@@ -304,13 +293,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     else:
         raise BifurcationAbsentError("could not re-bracket on the refined grid")
 
-    while hi - lo > BISECTION_RTOL * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if f_fine(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam_star = 0.5 * (lo + hi)
+    lam_star = brentq(f_fine, lo, hi, xtol=BISECTION_RTOL, rtol=BISECTION_RTOL)
 
     _, v, p = _smallest_pair(fine, lam_star, 2 * fine.n)
     phi = v / v[-1]
