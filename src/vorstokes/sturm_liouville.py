@@ -210,10 +210,10 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
 
     Brackets by doubling the offset above the admissible floor, then
     solves by Brent's method; monotonicity of Lambda in lambda makes the
-    root unique.  The
-    returned lambda is Richardson-extrapolated across a grid doubling, and
-    the final eigenfunction is re-sampled on a depth-adapted grid so that
-    the truncation sits at roughly twenty-five decay lengths of the mode.
+    root unique.  The returned lambda is Richardson-extrapolated across a
+    grid doubling, and the final eigenfunction is re-sampled on a
+    depth-adapted grid so that the truncation sits at roughly twenty-five
+    decay lengths of the mode.
 
     Raises
     ------
