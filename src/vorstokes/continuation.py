@@ -2,10 +2,10 @@
 
 From the bifurcation point (lambda_eps, 0) a branch of nontrivial waves
 emerges along s * Phi(p) cos(pi q / L) + O(s^2).  This module traces it by
-pseudo-arclength continuation with a bordered Newton corrector (which stays
-nonsingular across folds), re-converges branches across a decreasing
-sequence of regularization strengths at a fixed branch coordinate, and
-classifies why a trace stopped.
+pseudo-arclength continuation with a bordered chord-Newton corrector (which
+stays nonsingular across folds and factors about once per step),
+re-converges branches across a decreasing sequence of regularization
+strengths at a fixed branch coordinate, and classifies why a trace stopped.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -42,6 +42,7 @@ __all__ = [
     "HomotopyResult",
     "surface_mode_amplitude",
     "initial_nontrivial_guess",
+    "factor_bordered",
     "solve_bordered",
     "branch_tangent",
     "arclength_step",
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 DS_FLOOR = 1e-6
+# iterative refinement of the tangent with the corrector's LU
+TANGENT_RTOL = 1e-8
+TANGENT_SWEEPS = 12
 
 
 class Termination(enum.Enum):
@@ -146,15 +150,14 @@ def _fill_order(J) -> np.ndarray:
     return order
 
 
-def solve_bordered(J, f_lam, c_row, c_lam, rhs_top, rhs_bot):
-    """Solve the bordered system [[J, f_lam], [c_row, c_lam]] x = rhs.
+def factor_bordered(J, f_lam, c_row, c_lam):
+    """LU of the bordered matrix [[J, f_lam], [c_row, c_lam]], for `solve_bordered`.
 
     ``J`` may be singular on its own (fold points); the border keeps the
     extended matrix invertible along regular branch arcs.  The matrix is
     factored in the cached fill-reducing order of J's pattern, with the
-    border last.  ``rhs_top`` may have k columns, with ``rhs_bot`` of length
-    k, to solve k right-hand sides with one factorization.  Returns
-    (dw, dlam).
+    border last.  Returns (lu, order); the caller owns it and drops it
+    before the next factorization.
     """
     n = J.shape[0]
     J = sp.csc_matrix(J)
@@ -166,10 +169,22 @@ def solve_bordered(J, f_lam, c_row, c_lam, rhs_top, rhs_bot):
         ],
         format="csc",
     )[ob][:, ob]
+    # splu would sort the row indices in place; hand it a canonical matrix
+    M.sort_indices()
     try:
         lu = splu(M, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularJacobianError(f"bordered factorization failed: {exc}") from exc
+    return lu, ob
+
+
+def solve_bordered(factor, rhs_top, rhs_bot):
+    """Back-solve the bordered system of ``factor`` (from `factor_bordered`).
+
+    ``rhs_top`` may have k columns, with ``rhs_bot`` of length k, to solve k
+    right-hand sides at once.  Returns (dw, dlam).
+    """
+    lu, ob = factor
     rhs_top = np.asarray(rhs_top, dtype=float)
     rhs = np.concatenate([rhs_top, np.reshape(rhs_bot, (1,) + rhs_top.shape[1:])])
     sol = np.empty_like(rhs)
@@ -178,39 +193,41 @@ def solve_bordered(J, f_lam, c_row, c_lam, rhs_top, rhs_bot):
 
 
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
-                     max_iter: int, label: str, with_tangent: bool = False):
-    """Damped Newton on {F = 0, one scalar constraint = 0} inside O_delta.
+                     max_iter: int, label: str):
+    """Damped chord Newton on {F = 0, one scalar constraint = 0} inside O_delta.
 
     ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
-    w and in lambda, and a function giving its value at an iterate.  Each
+    w and in lambda, and a function giving its value at an iterate.  The
+    bordered matrix is factored at the first iterate and its LU reused for
+    later updates; it is factored again, at the current iterate, when the
+    residual has not halved since the previous iterate or when, at the
+    observed rate, the remaining updates would not reach ``tol``.  Each
     update is halved (at most thirty times) until the iterate is admissible.
-    Returns (state, iterations, residual, tangent); ``residual`` is the
-    larger of the sup-norm residual and the constraint.  With
-    ``with_tangent`` each factorization also solves for the right-hand side
-    (0, 1); ``tangent`` is the (dlam, dw) of the last one, unnormalized, or
-    None when no update was made.
+    Returns (state, iterations, residual, factor); ``iterations`` counts
+    updates, ``residual`` is the larger of the sup-norm residual and the
+    constraint, and ``factor`` is the last LU used, or None when no update
+    was made.
     """
     c_row, c_lam, constraint = border
     op.check_admissible(state)
     current = state.copy_with()
-    tangent = None
+    factor = None
+    res_prev = math.inf
     for it in range(max_iter + 1):
         r = op.residual_vector(current)
         cons = constraint(current)
         res = max(float(np.max(np.abs(r))), abs(cons))
         if res <= tol:
-            return current, it, res, tangent
+            return current, it, res, factor
         if it == max_iter:
             break
-        J = op.jacobian(current)
-        f_lam = op.d_residual_d_lambda(current)
-        if with_tangent:
-            dw, dlam = solve_bordered(J, f_lam, c_row, c_lam,
-                                      np.column_stack([-r, np.zeros_like(r)]), [-cons, 1.0])
-            tangent = (dlam[1], dw[:, 1])
-            dw, dlam = dw[:, 0], dlam[0]
-        else:
-            dw, dlam = solve_bordered(J, f_lam, c_row, c_lam, -r, -cons)
+        rate = res / res_prev
+        if factor is None or rate > 0.5 or res * rate ** (max_iter - it) > tol:
+            factor = None  # release the old LU before the new one is built
+            factor = factor_bordered(op.jacobian(current), op.d_residual_d_lambda(current),
+                                     c_row, c_lam)
+        res_prev = res
+        dw, dlam = solve_bordered(factor, -r, -cons)
         alpha = 1.0
         for _ in range(30):
             cand = current.copy_with(
@@ -250,12 +267,34 @@ def branch_tangent(op: StripOperator, state: WaveState, prev=None):
     if prev is None:
         raise DomainError("an orientation tangent is required")
     t_lam_prev, t_w_prev = prev
+    factor = factor_bordered(op.jacobian(state), op.d_residual_d_lambda(state),
+                             t_w_prev / n, t_lam_prev)
+    dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+    return _unit(dlam, dw)
+
+
+def _refined_tangent(op: StripOperator, state: WaveState, factor, prev):
+    """`branch_tangent` at ``state`` from an LU factored near it, or None.
+
+    ``factor`` must border with ``prev`` as `branch_tangent` does.  The
+    tangent system at ``state`` is solved by iterative refinement with that
+    LU, without factoring its own matrix; None when the update has not
+    fallen below TANGENT_RTOL (relative, branch norm) in TANGENT_SWEEPS
+    sweeps.
+    """
+    t_lam_prev, t_w_prev = prev
+    n = state.w.size
     J = op.jacobian(state)
     f_lam = op.d_residual_d_lambda(state)
-    dw, dlam = solve_bordered(
-        J, f_lam, t_w_prev / n, t_lam_prev, np.zeros(n), 1.0
-    )
-    return _unit(dlam, dw)
+    c_row = t_w_prev / n
+    dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+    for _ in range(TANGENT_SWEEPS):
+        ew, elam = solve_bordered(factor, -(J @ dw + f_lam * dlam),
+                                  1.0 - (c_row @ dw + t_lam_prev * dlam))
+        dw, dlam = dw + ew, dlam + elam
+        if _branch_ip(elam, ew, elam, ew) <= TANGENT_RTOL**2 * _branch_ip(dlam, dw, dlam, dw):
+            return _unit(dlam, dw)
+    return None
 
 
 def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
@@ -287,8 +326,9 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     """One predictor-corrector step of length ds along the branch.
 
     Returns (new_state, new_tangent).  The corrector's border row is the
-    tangent system's, so the new tangent comes from the corrector's last
-    factorization, one update before convergence.  Raises on corrector
+    tangent system's, so the corrector's last LU also gives the new
+    tangent, refined at the new state (`_refined_tangent`); `branch_tangent`
+    factors afresh only when that refinement fails.  Raises on corrector
     failure so the caller can halve the step.
     """
     t_lam, t_w = tangent
@@ -299,12 +339,13 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     def constraint(cur):
         return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
 
-    current, _, _, new_tangent = _bordered_newton(
-        op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector",
-        with_tangent=True)
+    current, _, _, factor = _bordered_newton(
+        op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector")
+    new_tangent = None if factor is None else _refined_tangent(op, current, factor, tangent)
+    factor = None  # release the step's LU before a fallback factors again
     if new_tangent is None:
-        return current, branch_tangent(op, current, prev=tangent)
-    return current, _unit(*new_tangent)
+        new_tangent = branch_tangent(op, current, prev=tangent)
+    return current, new_tangent
 
 
 # the Termination of each clause of O_delta that check_admissible raises

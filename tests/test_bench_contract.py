@@ -1,0 +1,70 @@
+"""The benchmark's per-layer metrics stay reportable on the library's call paths.
+
+perfbench/spans.py wraps named library functions and derives per-layer metrics
+from their spans, some by parent: Newton iterations are the `solve_bordered`
+spans under `arclength_step` or `solve_at_amplitude`, tangents those under
+`branch_tangent`.  A library change that stops making one of these calls makes
+a traced benchmark run report that metric missing.  These tests trace the
+branch and pipeline call paths on small inputs and require every metric.
+"""
+
+import math
+import os
+import sys
+
+import pytest
+
+from vorstokes import cli, continuation, strip_solver, sturm_liouville
+from vorstokes.vorticity import ZeroVorticity
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+G = 9.81
+L = math.pi
+SMALL_GRID = strip_solver.StripGrid(L=L, P=4 * L, nq=16, np=48)
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import spans
+
+    return spans
+
+
+def traced_missing(spans, workload, run):
+    """Metrics that `spans.layer_metrics` reports missing after ``run()``."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_id = "timed:0"
+        run()
+    finally:
+        tracer.remove()
+    _, missing = spans.layer_metrics(tracer, workload, 1, lambda start, end: end - start,
+                                     0.0, None)
+    return missing
+
+
+def test_branch_reports_every_layer_metric(spans):
+    def run():
+        model = ZeroVorticity()
+        bp = sturm_liouville.find_bifurcation_point(
+            sturm_liouville.SLProblem(model, g=G, L=L, epsilon=0.01))
+        op = strip_solver.StripOperator(model, G, SMALL_GRID, epsilon=0.01)
+        continuation.continue_branch(op, bp, steps=3, ds=0.004)
+
+    assert traced_missing(spans, spans.BRANCH, run) == {}
+
+
+def test_pipeline_reports_every_layer_metric(spans, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vorticity.kind = zero\ngrid.nq = 24\n"
+                   "epsilon_schedule = 0.05, 0.025\nseeds.s0 = 0.008\nseeds.step = 0.003\n")
+
+    def run():
+        assert cli.main(["pipeline", "--config", str(cfg), "--steps", "2",
+                         "--out", str(tmp_path / "run")]) == 0
+
+    assert traced_missing(spans, spans.PIPELINE, run) == {}

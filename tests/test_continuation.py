@@ -15,6 +15,7 @@ from vorstokes.continuation import (
     classify_termination,
     continue_branch,
     epsilon_homotopy,
+    factor_bordered,
     initial_nontrivial_guess,
     seed_tangent,
     solve_at_amplitude,
@@ -124,13 +125,13 @@ def test_toy_fold_traversal_with_bordered_solver():
             cons = t_x[0] * (xc[0] - x[0]) + t_lam * (lc - lam) - ds
             if max(abs(r[0]), abs(cons)) < 1e-12:
                 break
-            dx, dl = solve_bordered(jac(xc), np.array([1.0]),
-                                    t_x, t_lam, -r, -cons)
+            dx, dl = solve_bordered(factor_bordered(jac(xc), np.array([1.0]), t_x, t_lam),
+                                    -r, -cons)
             xc = xc + dx
             lc = lc + dl
         min_abs_jac = min(min_abs_jac, abs(2.0 * xc[0]))
         # new tangent through the bordered system
-        dx, dl = solve_bordered(jac(xc), np.array([1.0]), t_x, t_lam,
+        dx, dl = solve_bordered(factor_bordered(jac(xc), np.array([1.0]), t_x, t_lam),
                                 np.zeros(1), 1.0)
         nrm = math.sqrt(dx[0] ** 2 + dl**2)
         t_x, t_lam = dx / nrm, dl / nrm
@@ -380,7 +381,7 @@ def test_solve_bordered_matches_dense_solve(small_zero):
         M[n, n] = c_lam
         rhs = np.concatenate([top, np.reshape(bot, (1,) + top.shape[1:])])
         dense = np.linalg.solve(M, rhs)
-        dw, dlam = solve_bordered(J, f_lam, c_row, c_lam, top, bot)
+        dw, dlam = solve_bordered(factor_bordered(J, f_lam, c_row, c_lam), top, bot)
         sol = np.concatenate([dw, np.reshape(dlam, (1,) + dw.shape[1:])])
         assert sol.shape == dense.shape, name
         m_norm = np.max(np.sum(np.abs(M), axis=1))
@@ -397,7 +398,7 @@ def test_solve_bordered_with_exactly_singular_jacobian():
     # the extended matrix a permutation
     for J in (sp.csc_matrix(np.array([[0.0]])),
               sp.csc_matrix(([0.0], [0], [0, 1]), shape=(1, 1))):
-        dx, dl = solve_bordered(J, np.array([1.0]), np.array([1.0]), 0.0,
+        dx, dl = solve_bordered(factor_bordered(J, np.array([1.0]), np.array([1.0]), 0.0),
                                 np.array([0.25]), -0.5)
         assert dx[0] == pytest.approx(-0.5)
         assert dl == pytest.approx(0.25)
@@ -409,6 +410,9 @@ def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
     specs = []
 
     def counting_splu(A, permc_spec=None, **kwargs):
+        # splu sorts the row indices of a non-canonical matrix in place, which
+        # once scrambled a later factorization that shared the index arrays
+        assert A.has_canonical_format
         specs.append(permc_spec)
         return real_splu(A, permc_spec=permc_spec, **kwargs)
 
@@ -456,3 +460,29 @@ def test_homotopy_failure_names_its_cause(small_zero, monkeypatch):
     assert len(res.states) == 1 and res.lambdas == [bp.lambda_star]
     assert epsilon_homotopy(op.model, G, op.grid, [0.1], target_s=0.004,
                             bif_factory=lambda eps: bp).diagnostics == ""
+
+
+def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
+    bp, op = small_zero
+    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    real_splu = continuation.splu
+    factored = []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        factored.append(permc_spec)
+        return real_splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(continuation, "splu", counting_splu)
+    # a smooth step: one LU serves the whole corrector and the new tangent
+    arclength_step(op, first, tangent, 0.004)
+    assert factored.count("NATURAL") == 1
+    # long steps: the first chord update contracts the residual less than
+    # twice, so the corrector factors again and still reaches tol; at 0.08
+    # the chord then contracts by about 0.4 per update, too slowly to reach
+    # tol within max_iter, so it factors a third time
+    for ds in (0.03, 0.08):
+        factored.clear()
+        state, _ = arclength_step(op, first, tangent, ds, tol=1e-10)
+        assert factored.count("NATURAL") > 1
+        assert op.residual_norm(state) <= 1e-10
