@@ -222,10 +222,18 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     """
     target = -((math.pi / prob.L) ** 2)
     floor = -2.0 * prob.fn.gamma_inf_bound
+    # brentq evaluates its bracket ends again and the closing eigenvector
+    # solve repeats an evaluation, so each (problem, lambda, n) is solved once
+    pairs = {}
+
+    def pair(problem, lam, n):
+        key = (id(problem), lam, n)
+        if key not in pairs:
+            pairs[key] = _smallest_pair(problem, lam, n)
+        return pairs[key]
 
     def value(lam, n):
-        mu, _, _ = _smallest_pair(prob, lam, n)
-        return mu - target
+        return pair(prob, lam, n)[0] - target
 
     # coarse bracket on a cheap grid
     n_coarse = max(256, prob.n // 4)
@@ -269,8 +277,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     )
 
     def f_fine(lam):
-        return (4.0 * (_smallest_pair(fine, lam, 2 * fine.n)[0])
-                - _smallest_pair(fine, lam, fine.n)[0]) / 3.0 - target
+        return (4.0 * pair(fine, lam, 2 * fine.n)[0] - pair(fine, lam, fine.n)[0]) / 3.0 - target
 
     # the coarse root can sit a few percent off; expand multiplicatively
     width = 0.05 * max(lam_rough - floor, 1e-3)
@@ -295,7 +302,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
 
     lam_star = brentq(f_fine, lo, hi, xtol=BISECTION_RTOL, rtol=BISECTION_RTOL)
 
-    _, v, p = _smallest_pair(fine, lam_star, 2 * fine.n)
+    _, v, p = pair(fine, lam_star, 2 * fine.n)
     phi = v / v[-1]
     return BifurcationPoint(
         epsilon=prob.epsilon,

@@ -228,3 +228,20 @@ def test_eigenfunction_decay_for_rotational_model():
     bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=0.01))
     fitted = fitted_tail_rate(bp.p, bp.phi)
     assert fitted >= eigenfunction_decay_rate(bp, fn) - 1e-9
+
+
+@pytest.mark.parametrize("model, eps", [(ZeroVorticity(), 0.0),
+                                        (GerstnerVorticity(m=0.5), 0.01)])
+def test_bifurcation_solves_each_eigenproblem_once(model, eps, monkeypatch):
+    from vorstokes import sturm_liouville
+
+    real_pair = sturm_liouville._smallest_pair
+    calls = []
+
+    def recording_pair(prob, lam, n=None):
+        calls.append((id(prob), lam, n))
+        return real_pair(prob, lam, n)
+
+    monkeypatch.setattr(sturm_liouville, "_smallest_pair", recording_pair)
+    find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
+    assert len(calls) == len(set(calls))
