@@ -112,7 +112,7 @@ def cmd_homotopy(args):
     eps0 = cfg.epsilon_schedule[0]
     bp, _ = bifurcate_record(cfg, eps0)
     grid = grid_for(cfg, bp.lambda_star, eps0)
-    target = args.target_s if args.target_s else cfg.s0
+    target = cfg.s0 if args.target_s is None else args.target_s
 
     def bif_factory(eps):
         # reuse the point solved above; a zero target also needs the others

@@ -27,6 +27,7 @@ Newton solves live in ``continuation``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -151,35 +152,64 @@ class WaveState:
                 fh.write(f"{float(qv)!r},{float(wv)!r}\n")
 
 
-def _pad_reflect_q(w):
-    # ghost columns mirror the interior neighbour, enforcing evenness at
-    # both q-ends of the reduced domain
-    return np.pad(w, ((0, 0), (1, 1)), mode="reflect")
+# The strip's stencil weights, written once.  A stencil (taps, divisor) maps u to
+# sum(weight * u[offset]) / divisor along one axis, in tap order.  A field is a
+# p stencil per row class (zero rows where it has none) after a q stencil that
+# reflects across both q-ends.  ``w`` is read by the -eps w, Bernoulli and
+# Dirichlet terms.
+_ID = (((0, 1),), 1.0)
+_CENTRAL_1, _CENTRAL_2 = ((1, 1), (-1, -1)), ((1, 1), (0, -2), (-1, 1))
+
+
+def _stencils(grid: StripGrid):
+    """field -> (q stencil, {row class: p stencil}, or None for the p identity)."""
+    dq, dp = grid.dq, grid.dp
+    d_q, d_p = (_CENTRAL_1, 2.0 * dq), (_CENTRAL_1, 2.0 * dp)
+    return {
+        "w": (_ID, None),
+        "wq": (d_q, None),
+        "wp": (_ID, {"bottom": (((0, -3), (1, 4), (2, -1)), 2.0 * dp), "interior": d_p,
+                     "top": (((0, 3), (-1, -4), (-2, 1)), 2.0 * dp)}),
+        "wqq": ((_CENTRAL_2, dq**2), None),
+        "wpp": (_ID, {"interior": (_CENTRAL_2, dp**2)}),
+        "wpq": (d_q, {"interior": d_p}),
+    }
+
+
+def _row_spans(n_p):
+    return {"bottom": (0, 1), "interior": (1, n_p - 1), "top": (n_p - 1, n_p)}
+
+
+def _fold(j, nq):
+    """Column indices -1 .. nq reflected into 0 .. nq-1: evenness at both q-ends."""
+    return nq - 1 - np.abs(nq - 1 - np.abs(j))
+
+
+def _apply(stencil, shifted):
+    """sum(k * shifted(offset)) / divisor, accumulated in one new array."""
+    (off, k), *rest = stencil[0]
+    out = k * shifted(off)
+    for off, k in rest:
+        term = shifted(off) if abs(k) == 1 else abs(k) * shifted(off)
+        (np.add if k > 0 else np.subtract)(out, term, out=out)
+    out /= stencil[1]
+    return out
 
 
 def derivative_fields(grid: StripGrid, w: np.ndarray):
-    """All finite-difference fields used by the residual and its checks.
-
-    Centered second-order stencils inside; one-sided second-order wp on the
-    top and bottom rows; reflection ghosts across the q-ends.
-    """
-    dq, dp = grid.dq, grid.dp
-    wpad = _pad_reflect_q(w)
-    wq = (wpad[:, 2:] - wpad[:, :-2]) / (2.0 * dq)
-    wqq = (wpad[:, 2:] - 2.0 * w + wpad[:, :-2]) / dq**2
-
-    wp = np.empty_like(w)
-    wp[1:-1] = (w[2:] - w[:-2]) / (2.0 * dp)
-    wp[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dp)
-    wp[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dp)
-
-    wpp = np.zeros_like(w)
-    wpp[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dp**2
-
-    wpq = np.zeros_like(w)
-    wpq[1:-1] = (wq[2:] - wq[:-2]) / (2.0 * dp)
-
-    return {"wq": wq, "wp": wp, "wqq": wqq, "wpp": wpp, "wpq": wpq}
+    """All finite-difference fields used by the residual and its checks."""
+    nq, spans = grid.nq, _row_spans(grid.np)
+    wpad = w.take(_fold(np.arange(-1, nq + 1), nq), axis=1)  # C order, unlike w[:, idx]
+    along_q, fields = {_ID: w}, {}
+    for name, (q_stencil, p_stencils) in _stencils(grid).items():
+        if q_stencil not in along_q:
+            along_q[q_stencil] = _apply(q_stencil, lambda dj: wpad[:, 1 + dj:1 + dj + nq])
+        u = along_q[q_stencil]
+        fields[name] = u if p_stencils is None else np.zeros_like(w)
+        for row_class, stencil in (p_stencils or {}).items():
+            lo, hi = spans[row_class]
+            fields[name][lo:hi] = _apply(stencil, lambda di: u[lo + di:hi + di])
+    return {name: field for name, field in fields.items() if name != "w"}
 
 
 class StripOperator:
@@ -309,78 +339,50 @@ class StripOperator:
     def residual_vector(self, state: WaveState):
         """Full residual with bottom Dirichlet rows, flattened row-major."""
         f1, f2 = self._residual_fields(state)
-        r = np.empty((self.grid.np, self.grid.nq))
-        r[0] = state.w[0]
-        r[1:-1] = f1
-        r[-1] = f2
-        return r.ravel()
+        return np.concatenate([state.w[0], f1.ravel(), f2])
 
     def residual_norm(self, state: WaveState) -> float:
         f1, f2 = self._residual_fields(state)
-        return max(
-            float(np.max(np.abs(f1))),
-            float(np.max(np.abs(f2))),
-            float(np.max(np.abs(state.w[0]))),
-        )
+        return float(max(np.max(np.abs(f1)), np.max(np.abs(f2)), np.max(np.abs(state.w[0]))))
 
     # -- linearization ----------------------------------------------------------------
 
     def jacobian(self, state: WaveState):
-        """Sparse derivative of the residual vector in w (CSC)."""
-        rows, cols, vals = self._jacobian_triplets(state)
-        n = self.grid.np * self.grid.nq
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+        """Sparse derivative of the residual vector in w (CSC).
 
-    def _jacobian_triplets(self, state):
-        grid = self.grid
-        nq, n_p = grid.nq, grid.np
-        dq, dp = grid.dq, grid.dp
-        c = self._coefficients(state)
-
+        The chain rule through `_stencils`: each row's derivative in each field
+        it reads, times that field's weights, summed per (p, q) shift.  Folded
+        shifts keep their own triplets, so the entries that cancel at the
+        q-ends stay stored: ``continuation`` caches its fill order per pattern.
+        """
+        nq, n_p = self.grid.nq, self.grid.np
+        table, spans, c = _stencils(self.grid), _row_spans(n_p), self._coefficients(state)
+        # the field order sets the summation order, and so the rounding, per shift
+        partials = {
+            "bottom": {"w": 1.0},
+            "interior": {"wpp": c.c_pp, "wp": c.c_p, "wqq": c.c_qq, "wq": c.c_q,
+                         "wpq": c.c_pq, "w": -self.epsilon},
+            "top": {"wp": 2.0 * c.bern * c.hp_top, "wq": 2.0 * c.wq_top,
+                    "w": 2.0 * self.g * c.hp_top**2},
+        }
         rows, cols, vals = [], [], []
-        jj = np.arange(nq)
-
-        def fold(j):
-            # ghost column indices reflect back into the domain
-            return np.where(j < 0, -j, np.where(j >= nq, 2 * nq - 2 - j, j))
-
-        def emit(i_eq, i_nb, j_nb, coeff):
-            # J[(i_eq, j), (i_nb, fold(j_nb))] += coeff
-            m = i_eq.shape[0]
-            rows.append((i_eq * nq + jj[None, :]).ravel())
-            cols.append(np.broadcast_to(i_nb * nq + fold(j_nb), (m, nq)).ravel())
-            vals.append(np.broadcast_to(coeff, (m, nq)).ravel())
-
-        # interior PDE rows
-        ii = np.arange(1, n_p - 1)[:, None]
-        c_pp, c_qq, c_p, c_q = c.c_pp, c.c_qq, c.c_p, c.c_q
-        emit(ii, ii + 1, jj[None, :], c_pp / dp**2 + c_p / (2.0 * dp))
-        emit(ii, ii - 1, jj[None, :], c_pp / dp**2 - c_p / (2.0 * dp))
-        emit(ii, ii, jj[None, :] + 1, c_qq / dq**2 + c_q / (2.0 * dq))
-        emit(ii, ii, jj[None, :] - 1, c_qq / dq**2 - c_q / (2.0 * dq))
-        emit(ii, ii, jj[None, :], -2.0 * c_pp / dp**2 - 2.0 * c_qq / dq**2 - self.epsilon)
-        cross = c.c_pq / (4.0 * dp * dq)
-        emit(ii, ii + 1, jj[None, :] + 1, cross)
-        emit(ii, ii - 1, jj[None, :] - 1, cross)
-        emit(ii, ii + 1, jj[None, :] - 1, -cross)
-        emit(ii, ii - 1, jj[None, :] + 1, -cross)
-
-        # top Bernoulli rows
-        it = np.array([[n_p - 1]])
-        c_bp = 2.0 * c.bern * c.hp_top
-        c_bq = 2.0 * c.wq_top
-        c_b0 = 2.0 * self.g * c.hp_top**2
-        emit(it, it, jj[None, :], c_b0 + c_bp * 3.0 / (2.0 * dp))
-        emit(it, it - 1, jj[None, :], -c_bp * 4.0 / (2.0 * dp))
-        emit(it, it - 2, jj[None, :], c_bp / (2.0 * dp))
-        emit(it, it, jj[None, :] + 1, c_bq / (2.0 * dq))
-        emit(it, it, jj[None, :] - 1, -c_bq / (2.0 * dq))
-
-        # bottom Dirichlet rows
-        ib = np.array([[0]])
-        emit(ib, ib, jj[None, :], np.ones((1, nq)))
-
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
+        for row_class, row_partials in partials.items():
+            lo, hi = spans[row_class]
+            ii = np.arange(lo, hi, dtype=np.int32)[:, None]
+            eq, shifts = (ii * nq + jj).ravel(), {}
+            for name, coeff in row_partials.items():
+                (q_taps, q_div), p_stencils = table[name]
+                p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
+                for (di, kp), (dj, kq) in itertools.product(p_taps, q_taps):
+                    term = (coeff if kp * kq == 1 else coeff * (kp * kq)) / (p_div * q_div)
+                    shifts[di, dj] = shifts[di, dj] + term if (di, dj) in shifts else term
+            for (di, dj), val in shifts.items():
+                rows.append(eq)
+                cols.append(((ii + di) * nq + _fold(jj + dj, nq)).ravel())
+                vals.append(np.broadcast_to(val, (hi - lo, nq)).ravel())
+        rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n_p * nq, n_p * nq)).tocsc()
 
     def d_residual_d_lambda(self, state: WaveState):
         """Analytic derivative of the residual vector in lambda.
@@ -390,11 +392,9 @@ class StripOperator:
         through lambda^-1/2 and bern = 2 g w - lambda.
         """
         c = self._coefficients(state)
-        lam = state.lam
-        out = np.zeros((self.grid.np, self.grid.nq))
-        out[1:-1] = -0.5 * c.a3 * c.c_p + 1.5 * c.gam * c.ainv**5 * c.c_pp
-        out[-1] = -c.hp_top**2 - c.bern * c.hp_top * lam**-1.5
-        return out.ravel()
+        interior = -0.5 * c.a3 * c.c_p + 1.5 * c.gam * c.ainv**5 * c.c_pp
+        top = -c.hp_top**2 - c.bern * c.hp_top * state.lam**-1.5
+        return np.concatenate([np.zeros(self.grid.nq), interior.ravel(), top])
 
 
 def linear_strip_mode(op: StripOperator, lam_hint: float):
@@ -427,8 +427,7 @@ def linear_strip_mode(op: StripOperator, lam_hint: float):
         ab[1] = diag
         ab[2, :-1] = lower[1:]
         phi_int = solve_banded((1, 1), ab, rhs)
-        phi = np.concatenate([[0.0], phi_int, [1.0]])
-        return phi
+        return np.concatenate([[0.0], phi_int, [1.0]])
 
     def top_residual(lam):
         phi = solve_phi(lam)

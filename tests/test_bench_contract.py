@@ -5,16 +5,17 @@ from their spans, some by parent: Newton iterations are the `solve_bordered`
 spans under `arclength_step` or `solve_at_amplitude`, tangents those under
 `branch_tangent`.  A library change that stops making one of these calls makes
 a traced benchmark run report that metric missing.  These tests trace the
-branch and pipeline call paths on small inputs and require every metric.
+branch, pipeline and oracle call paths on small inputs and require every metric.
 """
 
 import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from vorstokes import cli, continuation, strip_solver, sturm_liouville
+from vorstokes import cli, continuation, nekrasov, strip_solver, sturm_liouville, wave_physics
 from vorstokes.vorticity import ZeroVorticity
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -68,3 +69,22 @@ def test_pipeline_reports_every_layer_metric(spans, tmp_path):
                          "--out", str(tmp_path / "run")]) == 0
 
     assert traced_missing(spans, spans.PIPELINE, run) == {}
+
+
+def test_oracle_reports_every_layer_metric(spans, tmp_path):
+    def run():
+        model = ZeroVorticity()
+        bp = sturm_liouville.find_bifurcation_point(
+            sturm_liouville.SLProblem(model, g=G, L=L, epsilon=0.01))
+        op = strip_solver.StripOperator(model, G, SMALL_GRID, epsilon=0.01)
+        state = continuation.solve_at_amplitude(
+            op, continuation.initial_nontrivial_guess(bp, op, 0.02), 0.02, tol=1e-10)
+        path = tmp_path / "state.json"
+        state.save(path)
+        loaded = strip_solver.WaveState.load(path)
+        wave_physics.verify_all(op, loaded, model, solver_tol=1e-10)
+        mapped = nekrasov.strip_wave_to_angles(wave_physics.reconstruct(loaded, model, G), G,
+                                               n_quad=64)
+        nekrasov.solve_nekrasov(mapped.nu, n_quad=64, theta0=np.maximum(mapped.theta, 0.0))
+
+    assert traced_missing(spans, spans.ORACLE, run) == {}

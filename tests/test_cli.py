@@ -171,6 +171,15 @@ def test_cli_homotopy(tmp_path):
     assert len(data["sup_diffs"]) == 2
     assert data["sup_diffs"][0] > data["sup_diffs"][1]
 
+    # a zero target runs the homotopy along the trivial family
+    res = run_cli("homotopy", "--config", cfg, "--target-s", "0",
+                  "--out", str(tmp_path) + os.sep)
+    assert res.returncode == 0, res.stderr
+    data = json.load(open(tmp_path / "homotopy.json"))
+    assert data["target_s"] == 0
+    assert len(data["sup_diffs"]) == 2
+    assert all(d == 0.0 for d in data["sup_diffs"])
+
 
 def test_cli_pipeline_exit_status(tmp_path):
     cfg = write_config(

@@ -162,6 +162,55 @@ def test_manufactured_solution_consistency_order_two():
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
+def test_derivative_fields_exact_for_quadratic_in_p():
+    # every p stencil, the one-sided top and bottom rows included, is exact on
+    # quadratics; wpp and wpq are not formed on the end rows
+    grid = StripGrid(L=L, P=2.0, nq=12, np=20)
+    p = grid.p_nodes[:, None]
+    g = np.cos(math.pi * grid.q_nodes / L)[None, :]
+    w = (0.3 + p + 0.7 * p**2) * g
+    d = derivative_fields(grid, w)
+    assert np.allclose(d["wp"], (1.0 + 1.4 * p) * g, rtol=0.0, atol=1e-12)
+    assert np.allclose(d["wpp"][1:-1], 1.4 * g, rtol=0.0, atol=1e-11)
+    for name in ("wpp", "wpq"):
+        assert np.all(d[name][[0, -1]] == 0.0)
+
+
+def test_derivative_fields_reflect_at_both_q_ends():
+    # evenness across q = -L and q = 0: the ghost column mirrors column 1
+    # (resp. nq - 2), so wq vanishes there and wqq is the reflected formula
+    grid = StripGrid(L=L, P=2.0, nq=12, np=20)
+    p = grid.p_nodes[:, None]
+    w = np.cos(math.pi * grid.q_nodes / L)[None, :] * np.exp(0.8 * p) * (1.0 + p**2)
+    d = derivative_fields(grid, w)
+    assert np.all(d["wq"][:, [0, -1]] == 0.0)
+    dq2 = grid.dq**2
+    scale = np.max(np.abs(d["wqq"]))
+    assert np.allclose(d["wqq"][:, 0], 2.0 * (w[:, 1] - w[:, 0]) / dq2,
+                       rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(d["wqq"][:, -1], 2.0 * (w[:, -2] - w[:, -1]) / dq2,
+                       rtol=0.0, atol=1e-12 * scale)
+
+
+def test_jacobian_keeps_the_cancelled_reflection_entries():
+    # At the q-ends the reflected cross-derivative taps (i +- 1, 1) and
+    # (i +- 1, nq - 2), and the top row's wq taps, cancel to 0 but stay stored.
+    # continuation caches its MMD fill order per sparsity pattern; dropping
+    # these entries raised the LU fill by 12% at 401 x 128.
+    grid = StripGrid(L=L, P=4 * L, nq=16, np=48)
+    op = StripOperator(GerstnerVorticity(m=0.5), G, grid, epsilon=0.01)
+    p = grid.p_nodes[:, None]
+    w = 0.01 * np.exp(0.5 * p) * np.cos(math.pi * grid.q_nodes / L)[None, :]
+    w[0] = 0.0
+    J = op.jacobian(WaveState(9.0, 0.01, grid, w)).tocoo()
+    assert J.nnz == 6442
+    zero = J.data == 0.0
+    assert int(np.count_nonzero(zero)) == 186
+    nq = grid.nq
+    assert set(J.row[zero] % nq) == {0, nq - 1}
+    assert set(J.col[zero] % nq) == {1, nq - 2}
+
+
 def test_jacobian_trivial_matches_displayed_operator():
     model = ExpDecayVorticity(0.5, 1.2)
     op = make_op(model, lam_hint=7.0, nq=24)
