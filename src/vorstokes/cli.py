@@ -93,9 +93,9 @@ def cmd_bifurcate(args):
 
 def cmd_continue(args):
     cfg = parse_config(args.config)
-    _, _, branch, _, rows = trace_branch(cfg, args.epsilon, args.steps,
-                                         args.step_size or cfg.step,
-                                         args.target_s or cfg.s0)
+    ds = cfg.step if args.step_size is None else args.step_size
+    s0 = cfg.s0 if args.target_s is None else args.target_s
+    _, _, branch, _, rows = trace_branch(cfg, args.epsilon, args.steps, ds, s0)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     for k, state in enumerate(branch.points):

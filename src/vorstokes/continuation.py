@@ -3,9 +3,10 @@
 From the bifurcation point (lambda_eps, 0) a branch of nontrivial waves
 emerges along s * Phi(p) cos(pi q / L) + O(s^2).  This module traces it by
 pseudo-arclength continuation with a bordered chord-Newton corrector (which
-stays nonsingular across folds and factors about once per step),
-re-converges branches across a decreasing sequence of regularization
-strengths at a fixed branch coordinate, and classifies why a trace stopped.
+stays nonsingular across folds and factors about once per step; one more
+back-solve of the step's LU gives the next tangent), re-converges branches
+across a decreasing sequence of regularization strengths at a fixed branch
+coordinate, and classifies why a trace stopped.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -54,9 +55,6 @@ __all__ = [
 ]
 
 DS_FLOOR = 1e-6
-# iterative refinement of the tangent with the corrector's LU
-TANGENT_RTOL = 1e-8
-TANGENT_SWEEPS = 12
 
 
 class Termination(enum.Enum):
@@ -273,30 +271,6 @@ def branch_tangent(op: StripOperator, state: WaveState, prev=None):
     return _unit(dlam, dw)
 
 
-def _refined_tangent(op: StripOperator, state: WaveState, factor, prev):
-    """`branch_tangent` at ``state`` from an LU factored near it, or None.
-
-    ``factor`` must border with ``prev`` as `branch_tangent` does.  The
-    tangent system at ``state`` is solved by iterative refinement with that
-    LU, without factoring its own matrix; None when the update has not
-    fallen below TANGENT_RTOL (relative, branch norm) in TANGENT_SWEEPS
-    sweeps.
-    """
-    t_lam_prev, t_w_prev = prev
-    n = state.w.size
-    J = op.jacobian(state)
-    f_lam = op.d_residual_d_lambda(state)
-    c_row = t_w_prev / n
-    dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
-    for _ in range(TANGENT_SWEEPS):
-        ew, elam = solve_bordered(factor, -(J @ dw + f_lam * dlam),
-                                  1.0 - (c_row @ dw + t_lam_prev * dlam))
-        dw, dlam = dw + ew, dlam + elam
-        if _branch_ip(elam, ew, elam, ew) <= TANGENT_RTOL**2 * _branch_ip(dlam, dw, dlam, dw):
-            return _unit(dlam, dw)
-    return None
-
-
 def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
     """Tangent at the bifurcation point, along the eigenmode, zero in lambda."""
     grid = op.grid
@@ -326,10 +300,13 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     """One predictor-corrector step of length ds along the branch.
 
     Returns (new_state, new_tangent).  The corrector's border row is the
-    tangent system's, so the corrector's last LU also gives the new
-    tangent, refined at the new state (`_refined_tangent`); `branch_tangent`
-    factors afresh only when that refinement fails.  Raises on corrector
-    failure so the caller can halve the step.
+    tangent system's, so one back-solve of its last LU gives the new
+    tangent, oriented by ``tangent``.  It is the exact tangent at the
+    iterate where that LU was factored (the predicted point on a smooth
+    step), not at new_state; a predictor and a border row need no more.
+    Only a corrector that made no update holds no LU; `branch_tangent`
+    factors there.  Raises on corrector failure so the caller can halve
+    the step.
     """
     t_lam, t_w = tangent
     n = state.w.size
@@ -341,11 +318,10 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
 
     current, _, _, factor = _bordered_newton(
         op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector")
-    new_tangent = None if factor is None else _refined_tangent(op, current, factor, tangent)
-    factor = None  # release the step's LU before a fallback factors again
-    if new_tangent is None:
-        new_tangent = branch_tangent(op, current, prev=tangent)
-    return current, new_tangent
+    if factor is None:
+        return current, branch_tangent(op, current, prev=tangent)
+    dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+    return current, _unit(dlam, dw)
 
 
 # the Termination of each clause of O_delta that check_admissible raises
@@ -417,12 +393,17 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     s0 (default ds), subsequent points by pseudo-arclength steps.  The
     trace stops at ``steps`` accepted points, on a termination clause, or
     when step halving hits its floor; a floor reached on an
-    AdmissibilityError reports that error's clause.
+    AdmissibilityError reports that error's clause.  Raises DomainError
+    for ``ds <= 0`` and for ``s0 == 0``, the trivial solution.
     """
+    if not ds > 0.0:
+        raise DomainError(f"arclength step must be positive, got {ds!r}")
+    s_first = ds if s0 is None else s0
+    if s_first == 0.0:
+        raise DomainError("a branch cannot start on the trivial solution (s0 = 0)")
     caps = Caps.default(op.g, op.grid.L) if caps is None else caps
     branch = Branch(epsilon=op.epsilon)
 
-    s_first = ds if s0 is None else s0
     seed = initial_nontrivial_guess(bp, op, s_first)
     first = solve_at_amplitude(op, seed, s_first, tol=tol)
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)))

@@ -58,14 +58,8 @@ def bifurcate_record(cfg: RunConfig, epsilon: float):
 
 
 def grid_for(cfg: RunConfig, lam_hint, epsilon) -> StripGrid:
-    if cfg.np and cfg.P > 0.0:
-        return StripGrid(L=cfg.L, P=cfg.P, nq=cfg.nq, np=cfg.np)
     grid = default_grid(cfg.L, lam_hint, epsilon, nq=cfg.nq)
-    if cfg.P > 0.0:
-        grid = StripGrid(L=cfg.L, P=cfg.P, nq=cfg.nq, np=grid.np)
-    if cfg.np:
-        grid = StripGrid(L=grid.L, P=grid.P, nq=cfg.nq, np=cfg.np)
-    return grid
+    return StripGrid(L=cfg.L, P=cfg.P or grid.P, nq=cfg.nq, np=cfg.np or grid.np)
 
 
 BRANCH_HEADER = (

@@ -158,6 +158,18 @@ def test_cli_continue_verify_reconstruct_roundtrip(tmp_path):
     assert len(surfaces) == 3
 
 
+@pytest.mark.parametrize("flag", ["--step-size", "--target-s"])
+def test_cli_continue_rejects_a_zero_step_or_amplitude(tmp_path, flag):
+    # a zero value is taken as given, not replaced by the config's
+    cfg = write_config(tmp_path, "vorticity.kind = zero\ngrid.nq = 16\n")
+    out = tmp_path / "branch"
+    res = run_cli("continue", "--config", cfg, "--epsilon", "0.05", "--steps", "1",
+                  flag, "0", "--out", str(out))
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert not (out / "branch.csv").exists()
+
+
 def test_cli_homotopy(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -218,6 +230,21 @@ def test_cli_records_match_pipeline(tmp_path):
                   "--out", str(branch))
     assert res.returncode == 0, res.stderr
     assert (branch / "branch.csv").read_bytes() == (out / "branch_eps0p05.csv").read_bytes()
+
+
+@pytest.mark.parametrize("np_, P", [(0, 0.0), (40, 0.0), (0, 9.0), (40, 9.0)])
+def test_grid_for_takes_each_set_grid_key(tmp_path, np_, P):
+    # an unset (zero) key comes from the decay estimate of default_grid
+    from vorstokes.pipeline import grid_for
+    from vorstokes.strip_solver import default_grid
+
+    cfg = parse_config(write_config(
+        tmp_path, f"vorticity.kind = zero\ngrid.nq = 16\ngrid.np = {np_}\ngrid.P = {P}\n"))
+    auto = default_grid(cfg.L, 3.0, 0.01, nq=16)
+    grid = grid_for(cfg, 3.0, 0.01)
+    assert (grid.L, grid.nq) == (cfg.L, 16)
+    assert grid.np == (np_ or auto.np)
+    assert grid.P == (P or auto.P)
 
 
 def test_pipeline_concurrent_jobs_byte_identical(tmp_path):

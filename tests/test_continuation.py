@@ -429,16 +429,37 @@ def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
     assert specs.count("MMD_AT_PLUS_A") == 2
 
 
-def test_reused_tangent_matches_a_fresh_tangent(small_zero):
-    # the reused tangent is the one at the corrector's last iterate but one
+def test_step_tangent_is_the_tangent_at_the_predicted_point(small_zero):
+    # at ds = 0.004 one LU, factored at the predicted point, serves the whole
+    # step, so its back-solve is the exact tangent there
     bp, op = small_zero
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
-    for ds in (0.004, 0.002, 0.00075):
-        state, (t_lam, t_w) = arclength_step(op, first, tangent, ds)
-        fresh = branch_tangent(op, state, prev=tangent)
-        assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
-        assert _branch_ip(t_lam, t_w, *fresh) == pytest.approx(1.0, abs=1e-6)
+    ds = 0.004
+    _, (t_lam, t_w) = arclength_step(op, first, tangent, ds)
+    predicted = first.copy_with(lam=first.lam + ds * tangent[0],
+                                w=first.w + ds * tangent[1].reshape(first.w.shape))
+    fresh = branch_tangent(op, predicted, prev=tangent)
+    assert _branch_ip(t_lam, t_w, *fresh) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
+def test_step_tangent_is_unit_and_keeps_the_orientation(small_zero, ds):
+    bp, op = small_zero
+    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    state, (t_lam, t_w) = arclength_step(op, first, tangent, ds)
+    secant = (state.lam - first.lam, (state.w - first.w).ravel())
+    assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
+    assert _branch_ip(t_lam, t_w, *tangent) > 0.0
+    assert _branch_ip(t_lam, t_w, *secant) > 0.0
+
+
+@pytest.mark.parametrize("ds, s0", [(0.0, 0.004), (-0.004, 0.004), (0.004, 0.0)])
+def test_continue_branch_rejects_a_nonpositive_step_or_trivial_start(small_zero, ds, s0):
+    bp, op = small_zero
+    with pytest.raises(DomainError):
+        continue_branch(op, bp, steps=3, ds=ds, s0=s0)
 
 
 def test_homotopy_failure_names_its_cause(small_zero, monkeypatch):
@@ -473,10 +494,33 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
         factored.append(permc_spec)
         return real_splu(A, permc_spec=permc_spec, **kwargs)
 
+    real_newton = continuation._bordered_newton
+    real_solve = continuation.solve_bordered
+    updates, solves, jacobians = [], [], []
+
+    def recording_newton(*args, **kwargs):
+        result = real_newton(*args, **kwargs)
+        updates.append(result[1])
+        return result
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    def counting_jacobian(state):
+        jacobians.append(1)
+        return StripOperator.jacobian(op, state)
+
     monkeypatch.setattr(continuation, "splu", counting_splu)
-    # a smooth step: one LU serves the whole corrector and the new tangent
+    monkeypatch.setattr(continuation, "_bordered_newton", recording_newton)
+    monkeypatch.setattr(continuation, "solve_bordered", counting_solve)
+    monkeypatch.setattr(op, "jacobian", counting_jacobian)
+    # a smooth step: one LU serves the whole corrector and the new tangent,
+    # which costs one back-solve beyond the chord updates
     arclength_step(op, first, tangent, 0.004)
     assert factored.count("NATURAL") == 1
+    assert len(jacobians) == 1
+    assert updates[0] > 0 and len(solves) == updates[0] + 1
     # long steps: the first chord update contracts the residual less than
     # twice, so the corrector factors again and still reaches tol; at 0.08
     # the chord then contracts by about 0.4 per update, too slowly to reach
