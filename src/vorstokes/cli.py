@@ -259,7 +259,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VorStokesError as exc:
+    except (VorStokesError, OSError) as exc:
+        # a bad or missing input file is reported like any other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Run configuration: key-value text files with environment overrides.
 
 The format is flat ``key = value`` lines with ``#`` comments; nested groups
-use dotted keys (``vorticity.kind``, ``grid.nq``).  Unknown keys are hard
-errors.  Every key can be overridden through the environment as
-``VORSTOKES_<KEY>`` with dots replaced by underscores, e.g.
+use dotted keys (``vorticity.kind``, ``grid.nq``).  Unknown keys and
+non-finite numbers are hard errors.  Every key can be overridden through the
+environment as ``VORSTOKES_<KEY>`` with dots replaced by underscores, e.g.
 ``VORSTOKES_VORTICITY_KIND``.
 """
 
@@ -123,6 +123,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key {key!r}")
         values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
+    _check_finite(values)
 
     schedule_text = values["epsilon_schedule"]
     if isinstance(schedule_text, str):
@@ -159,6 +160,13 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     return cfg
 
 
+def _check_finite(values):
+    # before any conversion: int() of a NaN override would raise a bare ValueError
+    for key, val in values.items():
+        if key not in _STR_KEYS and not math.isfinite(val):
+            raise ConfigError(f"key {key}: expected a finite number, got {val!r}")
+
+
 def _validate(cfg: RunConfig):
     if cfg.g <= 0 or cfg.L <= 0:
         raise ConfigError("g and L must be positive")
@@ -172,11 +180,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError("caps must be positive")
     sched = cfg.epsilon_schedule
     if not sched:
-        raise ConfigError("epsilon schedule may not be empty")
+        raise ConfigError("epsilon_schedule may not be empty")
     if any(not (0.0 <= e < 1.0) for e in sched):
-        raise ConfigError("epsilon schedule entries must lie in [0, 1)")
+        raise ConfigError("epsilon_schedule entries must lie in [0, 1)")
     if any(b >= a for a, b in zip(sched, sched[1:])):
-        raise ConfigError("epsilon schedule must be strictly decreasing")
+        raise ConfigError("epsilon_schedule must be strictly decreasing")
     if cfg.newton_tol <= 0:
         raise ConfigError("tolerances.newton must be positive")
     if cfg.step <= 0:

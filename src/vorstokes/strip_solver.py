@@ -27,6 +27,7 @@ Newton solves live in ``continuation``.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -82,7 +83,32 @@ class StripGrid:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(L=float(d["L"]), P=float(d["P"]), nq=int(d["nq"]), np=int(d["np"]))
+        return cls(**_fields(d, {"L": float, "P": float, "nq": int, "np": int}, "grid"))
+
+
+def _fields(d, converters, what):
+    """``{key: convert(d[key])}`` for a JSON object; DomainError names a bad field."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{what} is not a JSON object")
+    out = {}
+    for key, convert in converters.items():
+        if key not in d:
+            raise DomainError(f"{what} has no {key!r} field")
+        try:
+            out[key] = convert(d[key])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{what} field {key!r}: {exc}") from exc
+    return out
+
+
+def _base64_bytes(text):
+    regenerate = "regenerate the state with this version"
+    if not isinstance(text, str):
+        raise DomainError(f"not a base64 string (an older list-form file?); {regenerate}")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise DomainError(f"not base64 ({exc}); {regenerate}") from exc
 
 
 def default_grid(L, lam_hint, epsilon, nq=64, resolution=0.025):
@@ -122,18 +148,26 @@ class WaveState:
         )
 
     def to_dict(self):
+        """JSON form: ``w`` is the base64 of its little-endian float64 bytes, row-major."""
         return {
             "lambda": self.lam,
             "epsilon": self.epsilon,
             "grid": self.grid.to_dict(),
-            "w": [float(v) for v in self.w.ravel()],
+            "w": base64.b64encode(self.w.astype("<f8").tobytes()).decode("ascii"),
         }
 
     @classmethod
     def from_dict(cls, d):
-        grid = StripGrid.from_dict(d["grid"])
-        w = np.asarray(d["w"], dtype=float).reshape(grid.np, grid.nq)
-        return cls(lam=float(d["lambda"]), epsilon=float(d["epsilon"]), grid=grid, w=w)
+        """Inverse of ``to_dict``; a malformed field raises DomainError naming it."""
+        f = _fields(d, {"lambda": float, "epsilon": float, "grid": StripGrid.from_dict,
+                        "w": _base64_bytes}, "wave state")
+        grid, raw = f["grid"], f["w"]
+        if len(raw) != 8 * grid.np * grid.nq:
+            raise DomainError(f"wave state field 'w' holds {len(raw)} bytes; the "
+                              f"{grid.np}x{grid.nq} grid needs {8 * grid.np * grid.nq}")
+        # frombuffer is read-only; astype copies into a writable native array
+        w = np.frombuffer(raw, dtype="<f8").astype(float).reshape(grid.np, grid.nq)
+        return cls(lam=f["lambda"], epsilon=f["epsilon"], grid=grid, w=w)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -142,7 +176,11 @@ class WaveState:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:
+                raise DomainError(f"{path} is not a JSON wave state: {exc}") from exc
+        return cls.from_dict(d)
 
     def save_surface_csv(self, path):
         """Write the surface trace w(q, 0) as a two-column CSV."""

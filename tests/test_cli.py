@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -75,6 +76,31 @@ def test_tabulated_kind_rejected_as_config_error(tmp_path):
 def test_unknown_vorticity_kind_rejected_as_config_error(tmp_path):
     with pytest.raises(ConfigError, match="vorticity.kind"):
         parse_config(write_config(tmp_path, "vorticity.kind = spiral\n"))
+
+
+_NUMERIC_KEYS = ["g", "L", "delta", "vorticity.amplitude", "vorticity.rate", "vorticity.m",
+                 "grid.nq", "grid.np", "grid.P", "caps.lambda_cap", "caps.w_cap",
+                 "caps.wp_cap", "seeds.s0", "seeds.step", "tolerances.newton",
+                 "epsilon_schedule"]
+
+
+@pytest.mark.parametrize("source", ["file", "env", "override"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_non_finite_number_rejected_naming_its_key(tmp_path, monkeypatch, key, value, source):
+    text = f"0.1, {value}" if key == "epsilon_schedule" else value
+    path = None
+    if source == "file":
+        path = write_config(tmp_path, f"{key} = {text}\n")
+    elif source == "env":
+        monkeypatch.setenv(ENV_PREFIX + key.replace(".", "_").upper(), text)
+    overrides = None
+    if source == "override":
+        # a non-string override skips the text parsing
+        num = float(value)
+        overrides = {key: [0.1, num] if key == "epsilon_schedule" else num}
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(path, overrides=overrides)
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -272,3 +298,33 @@ def test_cli_error_reporting(tmp_path):
     res = run_cli("bifurcate", "--config", bad)
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("w", [0.0] * 64, "regenerate"),      # the old list-of-floats form
+    ("grid", None, "no 'grid' field"),
+], ids=["list_w", "no_grid"])
+def test_cli_reports_a_malformed_state_file(tmp_path, field, value, match):
+    state = {"lambda": 5.0, "epsilon": 0.1,
+             "grid": {"L": math.pi, "P": 12.0, "nq": 8, "np": 8}, "w": [0.0] * 64}
+    if value is None:
+        del state[field]
+    else:
+        state[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(state))
+    res = run_cli("verify", "--state", str(bad))
+    assert res.returncode == 2
+    assert "error:" in res.stderr and match in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--state", "missing.json"),
+    ("bifurcate", "--config", "missing.cfg"),
+])
+def test_cli_reports_a_missing_input_file(tmp_path, argv):
+    res = run_cli(*(str(tmp_path / a) if a.startswith("missing") else a for a in argv))
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "missing" in res.stderr
+    assert "Traceback" not in res.stderr

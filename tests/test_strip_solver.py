@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 
 import numpy as np
@@ -363,13 +365,64 @@ def test_wave_state_surface_csv(tmp_path):
 def test_wave_state_json_roundtrip(tmp_path):
     grid = StripGrid(L=L, P=4 * L, nq=12, np=16)
     rng = np.random.default_rng(9)
-    st = WaveState(5.0, 0.1, grid, rng.standard_normal((grid.np, grid.nq)))
+    w = rng.standard_normal((grid.np, grid.nq))
+    w[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    st = WaveState(5.0, 0.1, grid, w)
     path = tmp_path / "state.json"
     st.save(path)
     back = WaveState.load(path)
     assert back.lam == st.lam and back.epsilon == st.epsilon
     assert back.grid == st.grid
-    assert np.array_equal(back.w, st.w)
+    # bit-exact, so -0.0 keeps its sign and the subnormal survives
+    assert back.w.tobytes() == st.w.tobytes()
+    assert back.w.dtype == np.float64
+    assert back.w.flags.writeable and back.w.flags.c_contiguous
+
+    again = tmp_path / "again.json"
+    st.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+    with open(path) as fh:
+        data = json.load(fh)
+    assert set(data) == {"lambda", "epsilon", "grid", "w"}
+    assert isinstance(data["w"], str)
+
+
+def _state_dict():
+    grid = StripGrid(L=L, P=4 * L, nq=8, np=8)
+    return WaveState(5.0, 0.1, grid, np.ones((grid.np, grid.nq))).to_dict()
+
+
+@pytest.mark.parametrize("key", ["lambda", "epsilon", "grid", "w", "grid.np"])
+def test_wave_state_missing_field_is_a_domain_error(key):
+    d = _state_dict()
+    if key == "grid.np":
+        del d["grid"]["np"]
+    else:
+        del d[key]
+    with pytest.raises(DomainError, match=repr(key.split(".")[-1])):
+        WaveState.from_dict(d)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("w", [1.0] * 64, "regenerate"),            # the old list-of-floats form
+    ("w", "not base64!", "not base64.*regenerate"),
+    ("w", base64.b64encode(b"\0" * 8 * 63).decode(), "504 bytes.*needs 512"),
+    ("lambda", "x", "could not convert"),
+    ("grid", {"L": L, "P": 4 * L, "nq": "many", "np": 8}, "'nq'"),
+], ids=["list_w", "not_base64", "short_w", "text_lambda", "text_nq"])
+def test_wave_state_bad_field_is_a_domain_error(field, value, match):
+    d = _state_dict()
+    d[field] = value
+    with pytest.raises(DomainError, match=f"'{field}'.*{match}"):
+        WaveState.from_dict(d)
+
+
+def test_wave_state_load_rejects_a_non_json_file(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text("w = 1\n")
+    with pytest.raises(DomainError, match="not a JSON wave state"):
+        WaveState.load(path)
 
 
 def test_linear_strip_mode_matches_halfline_solver(zero_setup):
