@@ -3,10 +3,11 @@
 From the bifurcation point (lambda_eps, 0) a branch of nontrivial waves
 emerges along s * Phi(p) cos(pi q / L) + O(s^2).  This module traces it by
 pseudo-arclength continuation with a bordered chord-Newton corrector (which
-stays nonsingular across folds and factors about once per step; one more
-back-solve of the step's LU gives the next tangent), re-converges branches
-across a decreasing sequence of regularization strengths at a fixed branch
-coordinate, and classifies why a trace stopped.
+stays nonsingular across folds and hands its LU on to the next step,
+factoring again only when the chord stalls; one more back-solve of that LU
+gives the next tangent), re-converges branches across a decreasing sequence
+of regularization strengths at a fixed branch coordinate, and classifies
+why a trace stopped.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -41,6 +42,7 @@ __all__ = [
     "Caps",
     "Branch",
     "HomotopyResult",
+    "LUSlot",
     "surface_mode_amplitude",
     "initial_nontrivial_guess",
     "factor_bordered",
@@ -118,34 +120,63 @@ def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
 # -- bordered linear algebra -----------------------------------------------------
 
 
-# fill-reducing order of each Jacobian sparsity pattern seen so far; the
-# lock keeps pipeline threads from computing the same order twice
-_ORDERS: dict = {}
-_ORDERS_LOCK = threading.Lock()
+# bordered layout of each Jacobian sparsity pattern seen so far; the lock
+# keeps pipeline threads from computing the same layout twice
+_LAYOUTS: dict = {}
+_LAYOUTS_LOCK = threading.Lock()
 
 
-def _fill_order(J) -> np.ndarray:
-    """Symmetric fill-reducing order of the pattern of the CSC matrix ``J``.
+def _bordered_layout(J):
+    """Cached layout (ob, indptr, indices, gather) of J's bordered matrix.
 
-    The order is the MMD order on J^T + J of a surrogate with J's pattern
-    and a dominant diagonal, so it exists where J itself is singular (at a
-    fold).  It is computed once per pattern.  Applied to rows and columns
-    alike, ``argsort(perm_c)`` keeps the dominant entries on the diagonal,
-    where SuperLU's partial pivoting prefers them; ``perm_c`` itself, or a
-    column-only permutation, does not, and multiplies the fill.
+    ``ob`` is a symmetric fill-reducing order with the border last: the MMD
+    order on J^T + J of a surrogate with J's pattern and a dominant
+    diagonal, so it exists where J itself is singular (at a fold).  Applied
+    to rows and columns alike, ``argsort(perm_c)`` keeps the dominant
+    entries on the diagonal, where SuperLU's partial pivoting prefers them;
+    ``perm_c`` itself, or a column-only permutation, does not, and
+    multiplies the fill.  ``indptr`` and ``indices`` are the canonical CSC
+    pattern of the permuted [[J, f_lam], [c_row, c_lam]] with a full border
+    column and row, so it does not depend on the values, and the values are
+    ``concat(J.data, f_lam, c_row, [c_lam])[gather]``.  ``J`` must be
+    canonical CSC.  The layout is computed once per pattern; its arrays are
+    read-only, since `splu` would sort a non-canonical matrix's in place.
     """
     digest = hashlib.blake2b(J.indptr.tobytes())
     digest.update(J.indices.tobytes())
     key = (J.shape, digest.digest())
-    with _ORDERS_LOCK:
-        order = _ORDERS.get(key)
-        if order is None:
+    with _LAYOUTS_LOCK:
+        layout = _LAYOUTS.get(key)
+        if layout is None:
             n = J.shape[0]
             pattern = sp.csc_matrix((np.ones(J.nnz), J.indices, J.indptr), shape=J.shape)
             surrogate = (pattern + n * sp.identity(n, format="csc")).tocsc()
-            order = np.argsort(splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c)
-            _ORDERS[key] = order
-    return order
+            ob = np.append(np.argsort(splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c), n)
+            rank = np.empty(n + 1, dtype=np.intp)
+            rank[ob] = np.arange(n + 1)
+            edge, last = np.arange(n), np.full(n, n)
+            rows = rank[np.concatenate([J.indices, edge, last, [n]])]
+            cols = rank[np.concatenate([np.repeat(edge, np.diff(J.indptr)), last, edge, [n]])]
+            gather = np.lexsort((rows, cols))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n + 1))])
+            layout = (ob, indptr.astype(np.int32), rows[gather].astype(np.int32),
+                      gather.astype(np.int32))
+            for arr in layout:
+                arr.flags.writeable = False
+            _LAYOUTS[key] = layout
+    return layout
+
+
+def _bordered_matrix(J, f_lam, c_row, c_lam):
+    """The permuted bordered matrix in its cached layout, and its order ``ob``."""
+    n = J.shape[0]
+    J = sp.csc_matrix(J)
+    if not J.has_canonical_format:
+        J = J.copy()
+        J.sum_duplicates()
+    ob, indptr, indices, gather = _bordered_layout(J)
+    data = np.concatenate([J.data, np.ravel(f_lam), np.ravel(c_row), [c_lam]])[gather]
+    return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1)), ob
 
 
 def factor_bordered(J, f_lam, c_row, c_lam):
@@ -153,22 +184,12 @@ def factor_bordered(J, f_lam, c_row, c_lam):
 
     ``J`` may be singular on its own (fold points); the border keeps the
     extended matrix invertible along regular branch arcs.  The matrix is
-    factored in the cached fill-reducing order of J's pattern, with the
-    border last.  Returns (lu, order); the caller owns it and drops it
-    before the next factorization.
+    gathered straight into the cached layout of J's pattern (fill-reducing
+    order, border last) and factored there.  Returns (lu, order).  An LU
+    has one owner at a time: a caller that hands it on (an `LUSlot`) keeps
+    no reference, so no old LU is alive while the next one is built.
     """
-    n = J.shape[0]
-    J = sp.csc_matrix(J)
-    ob = np.append(_fill_order(J), n)
-    M = sp.bmat(
-        [
-            [J, sp.csc_matrix(np.asarray(f_lam).reshape(n, 1))],
-            [sp.csc_matrix(np.asarray(c_row).reshape(1, n)), sp.csc_matrix([[c_lam]])],
-        ],
-        format="csc",
-    )[ob][:, ob]
-    # splu would sort the row indices in place; hand it a canonical matrix
-    M.sort_indices()
+    M, ob = _bordered_matrix(J, f_lam, c_row, c_lam)
     try:
         lu = splu(M, permc_spec="NATURAL")
     except RuntimeError as exc:
@@ -190,32 +211,56 @@ def solve_bordered(factor, rhs_top, rhs_bot):
     return sol[:-1], sol[-1]
 
 
+class LUSlot:
+    """One-slot holder that hands a bordered LU from one solve to the next.
+
+    The caller that traces a branch or a homotopy owns the slot.  The solve
+    it is passed to empties it before it may factor, so no other frame
+    holds the old LU while the new one is built, and puts the LU it ended
+    with back on success.  An LU in the slot may be from an earlier iterate,
+    border row or epsilon: the receiving chord corrector refactors when it
+    stalls.
+    """
+
+    __slots__ = ("factor",)
+
+    def __init__(self):
+        self.factor = None
+
+    def take(self):
+        factor, self.factor = self.factor, None
+        return factor
+
+
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
-                     max_iter: int, label: str):
+                     max_iter: int, label: str, carry: LUSlot = None):
     """Damped chord Newton on {F = 0, one scalar constraint = 0} inside O_delta.
 
     ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
     w and in lambda, and a function giving its value at an iterate.  The
-    bordered matrix is factored at the first iterate and its LU reused for
-    later updates; it is factored again, at the current iterate, when the
-    residual has not halved since the previous iterate or when, at the
-    observed rate, the remaining updates would not reach ``tol``.  Each
-    update is halved (at most thirty times) until the iterate is admissible.
-    Returns (state, iterations, residual, factor); ``iterations`` counts
-    updates, ``residual`` is the larger of the sup-norm residual and the
-    constraint, and ``factor`` is the last LU used, or None when no update
-    was made.
+    bordered matrix is factored at the first iterate, unless ``carry`` holds
+    an LU to start from, and that LU is reused for later updates; it is
+    factored again, at the current iterate, when the residual has not halved
+    since the previous iterate or when, at the observed rate, the remaining
+    updates would not reach ``tol``.  Each update is halved (at most thirty
+    times) until the iterate is admissible.  Returns (state, iterations,
+    residual, factor); ``iterations`` counts updates, ``residual`` is the
+    larger of the sup-norm residual and the constraint, and ``factor`` is
+    the last LU used, or None when there was none to reuse and no update was
+    made.  ``carry`` is emptied on entry and given ``factor`` on success.
     """
     c_row, c_lam, constraint = border
+    factor = None if carry is None else carry.take()
     op.check_admissible(state)
     current = state.copy_with()
-    factor = None
     res_prev = math.inf
     for it in range(max_iter + 1):
         r = op.residual_vector(current)
         cons = constraint(current)
         res = max(float(np.max(np.abs(r))), abs(cons))
         if res <= tol:
+            if carry is not None:
+                carry.factor = factor
             return current, it, res, factor
         if it == max_iter:
             break
@@ -296,7 +341,7 @@ def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
 
 
 def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
-                   tol: float = 1e-10, max_iter: int = 15):
+                   tol: float = 1e-10, max_iter: int = 15, carry: LUSlot = None):
     """One predictor-corrector step of length ds along the branch.
 
     Returns (new_state, new_tangent).  The corrector's border row is the
@@ -304,9 +349,11 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     tangent, oriented by ``tangent``.  It is the exact tangent at the
     iterate where that LU was factored (the predicted point on a smooth
     step), not at new_state; a predictor and a border row need no more.
-    Only a corrector that made no update holds no LU; `branch_tangent`
-    factors there.  Raises on corrector failure so the caller can halve
-    the step.
+    Only a corrector that made no update and was handed no LU holds none;
+    `branch_tangent` factors there.  ``carry`` (see `LUSlot`) hands the
+    corrector an earlier step's LU, whose border row is an older tangent,
+    and receives this step's last LU.  Raises on corrector failure so the
+    caller can halve the step.
     """
     t_lam, t_w = tangent
     n = state.w.size
@@ -317,11 +364,13 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
         return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
 
     current, _, _, factor = _bordered_newton(
-        op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector")
+        op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector",
+        carry=carry)
     if factor is None:
         return current, branch_tangent(op, current, prev=tangent)
     dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
-    return current, _unit(dlam, dw)
+    sign = math.copysign(1.0, _branch_ip(dlam, dw, t_lam, t_w))
+    return current, _unit(sign * dlam, sign * dw)
 
 
 # the Termination of each clause of O_delta that check_admissible raises
@@ -362,7 +411,8 @@ class Branch:
             dlam, dw = state.lam - prev.lam, (state.w - prev.w).ravel()
             gap = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
             if gap > 1.5 * max_gap:
-                raise DomainError("consecutive branch points exceed the step bound")
+                raise DomainError(f"consecutive branch points are {gap:.3g} apart, "
+                                  f"more than 1.5 times the step {max_gap:.3g}")
         self.points.append(state)
 
     def record_rows(self, op):
@@ -390,11 +440,14 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     """Trace the nontrivial branch from the bifurcation point.
 
     The first point is produced by an amplitude-constrained solve at
-    s0 (default ds), subsequent points by pseudo-arclength steps.  The
-    trace stops at ``steps`` accepted points, on a termination clause, or
-    when step halving hits its floor; a floor reached on an
-    AdmissibilityError reports that error's clause.  Raises DomainError
-    for ``ds <= 0`` and for ``s0 == 0``, the trivial solution.
+    s0 (default ds), subsequent points by pseudo-arclength steps.  Each
+    accepted step hands its last LU to the next one (an `LUSlot`); a failed
+    step, including one that lands more than 1.5 step lengths away, drops
+    it, so the halved retry factors afresh.  The trace stops at ``steps``
+    accepted points, on a termination clause, or when step halving hits
+    its floor; a floor reached on an AdmissibilityError reports that
+    error's clause.  Raises DomainError for ``ds <= 0`` and for
+    ``s0 == 0``, the trivial solution.
     """
     if not ds > 0.0:
         raise DomainError(f"arclength step must be positive, got {ds!r}")
@@ -409,6 +462,9 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)))
     branch.append(first)
 
+    # the first step factors afresh: the LUs so far border with the seed
+    # tangent or the mode weights, not with a branch tangent
+    carry = LUSlot()
     step = ds
     state = first
     while len(branch.points) < steps:
@@ -417,8 +473,12 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
             branch.termination = term
             return branch
         try:
-            state_new, tangent_new = arclength_step(op, state, tangent, step, tol=tol)
-        except (AdmissibilityError, NewtonDivergenceError, SingularJacobianError) as exc:
+            state_new, tangent_new = arclength_step(op, state, tangent, step, tol=tol,
+                                                    carry=carry)
+            branch.append(state_new, max_gap=step)
+        except (AdmissibilityError, DomainError, NewtonDivergenceError,
+                SingularJacobianError) as exc:
+            carry.factor = None
             step *= 0.5
             if step < DS_FLOOR:
                 # a corrector that keeps leaving O_delta stops at that clause
@@ -431,7 +491,6 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
                 return branch
             continue
         state, tangent = state_new, tangent_new
-        branch.append(state, max_gap=step)
         step = min(ds, 2.0 * step)
     term = classify_termination(op, state, caps)
     branch.termination = Termination.MAX_STEPS if term is Termination.RUNNING else term
@@ -439,12 +498,17 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
 
 
 def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
-                       tol: float = 1e-10, max_iter: int = 20) -> WaveState:
-    """Solve {F = 0, surface mode amplitude = s_target} for (w, lambda)."""
+                       tol: float = 1e-10, max_iter: int = 20,
+                       carry: LUSlot = None) -> WaveState:
+    """Solve {F = 0, surface mode amplitude = s_target} for (w, lambda).
+
+    ``carry`` (see `LUSlot`) hands the solve an LU to start from and
+    receives its last one.
+    """
     border = (_mode_weights(op.grid), 0.0,
               lambda cur: surface_mode_amplitude(cur) - s_target)
     current, _, _, _ = _bordered_newton(op, state, border, tol, max_iter,
-                                        "amplitude-constrained solve")
+                                        "amplitude-constrained solve", carry=carry)
     return current
 
 
@@ -469,8 +533,11 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
     """Re-converge the wave of amplitude ``target_s`` along decreasing epsilon.
 
     The first entry is seeded from the local eigenmode; each later epsilon
-    restarts from the previous solution.  Emits the sup-norm differences of
-    consecutive solutions, which contract as the regularization is removed.
+    restarts from the previous solution and from the LU its amplitude solve
+    ended with (the Jacobian's pattern does not depend on epsilon), which
+    it refactors only if the chord stalls.  Emits the sup-norm differences
+    of consecutive solutions, which contract as the regularization is
+    removed.
     """
     sched = list(schedule)
     if not sched or any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
@@ -487,6 +554,7 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
             )
 
     res = HomotopyResult(epsilons=sched, states=[], lambdas=[], sup_diffs=[])
+    carry = LUSlot()
     prev_state = None
     for idx, eps in enumerate(sched):
         op = StripOperator(model, g, grid, epsilon=eps, delta=delta)
@@ -498,7 +566,7 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
                 seed = WaveState(lam=prev_state.lam, epsilon=eps, grid=grid,
                                  w=prev_state.w.copy())
             state = (
-                solve_at_amplitude(op, seed, target_s, tol=tol)
+                solve_at_amplitude(op, seed, target_s, tol=tol, carry=carry)
                 if target_s != 0.0
                 else _trivial_resolve(op, seed, bif_factory, eps)
             )

@@ -281,8 +281,8 @@ def test_step_floor_termination_names_the_cause(monkeypatch):
 
     # the first point converges; every corrector after it chases an
     # unreachable tolerance until the step halving hits its floor
-    def unreachable(op, state, tangent, ds, tol):
-        return real_step(op, state, tangent, ds, tol=1e-300)
+    def unreachable(op, state, tangent, ds, tol, **kwargs):
+        return real_step(op, state, tangent, ds, tol=1e-300, **kwargs)
 
     monkeypatch.setattr(continuation, "arclength_step", unreachable)
     branch = continue_branch(op, bp, steps=3, ds=0.004)
@@ -318,7 +318,7 @@ def test_step_floor_on_admissibility_reports_the_clause(small_zero, monkeypatch)
     # gives for a state above the surface cap
     bp, op = small_zero
 
-    def above_cap(op, state, tangent, ds, tol):
+    def above_cap(op, state, tangent, ds, tol, **kwargs):
         w = state.w.copy()
         w[-1] = (2.0 * state.lam) / (4.0 * G)
         op.check_admissible(state.copy_with(w=w))
@@ -344,11 +344,11 @@ def test_step_size_regrows_after_a_halving(small_zero, monkeypatch):
     real_step = continuation.arclength_step
     requested = []
 
-    def fail_once(op, state, tangent, ds, tol):
+    def fail_once(op, state, tangent, ds, tol, **kwargs):
         requested.append(ds)
         if len(requested) == 1:
             raise NewtonDivergenceError("forced failure", iterations=0)
-        return real_step(op, state, tangent, ds, tol=tol)
+        return real_step(op, state, tangent, ds, tol=tol, **kwargs)
 
     monkeypatch.setattr(continuation, "arclength_step", fail_once)
     branch = continue_branch(op, bp, steps=4, ds=0.004)
@@ -416,7 +416,7 @@ def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
         specs.append(permc_spec)
         return real_splu(A, permc_spec=permc_spec, **kwargs)
 
-    monkeypatch.setattr(continuation, "_ORDERS", {})
+    monkeypatch.setattr(continuation, "_LAYOUTS", {})
     monkeypatch.setattr(continuation, "splu", counting_splu)
     continue_branch(op, bp, steps=3, ds=0.004)
     assert specs.count("MMD_AT_PLUS_A") == 1
@@ -467,7 +467,7 @@ def test_homotopy_failure_names_its_cause(small_zero, monkeypatch):
     calls = []
 
     # the first entry converges at once; the second diverges
-    def solve(op, seed, s_target, tol):
+    def solve(op, seed, s_target, tol, **kwargs):
         calls.append(op.epsilon)
         if len(calls) == 2:
             raise NewtonDivergenceError("corrector stalled", residual=1.0, iterations=3)
@@ -530,3 +530,150 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
         state, _ = arclength_step(op, first, tangent, ds, tol=1e-10)
         assert factored.count("NATURAL") > 1
         assert op.residual_norm(state) <= 1e-10
+
+
+def _counting_splu(monkeypatch):
+    real_splu = continuation.splu
+    specs = []
+
+    def counting_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return real_splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(continuation, "splu", counting_splu)
+    return specs
+
+
+def test_a_step_that_lands_too_far_is_halved(small_zero, monkeypatch):
+    bp, op = small_zero
+    real_step = continuation.arclength_step
+    requested = []
+
+    # the first step lands 10 step lengths away, beyond the gap bound
+    def far_once(op, state, tangent, ds, tol, **kwargs):
+        requested.append(ds)
+        if len(requested) == 1:
+            return state.copy_with(lam=state.lam + 10.0 * ds), tangent
+        return real_step(op, state, tangent, ds, tol=tol, **kwargs)
+
+    monkeypatch.setattr(continuation, "arclength_step", far_once)
+    branch = continue_branch(op, bp, steps=3, ds=0.004)
+    assert branch.termination is Termination.MAX_STEPS
+    assert len(branch.points) == 3
+    assert requested == [0.004, 0.002, 0.004]
+
+    def always_far(op, state, tangent, ds, tol, **kwargs):
+        return state.copy_with(lam=state.lam + 10.0 * ds), tangent
+
+    monkeypatch.setattr(continuation, "arclength_step", always_far)
+    branch = continue_branch(op, bp, steps=3, ds=0.004)
+    assert branch.termination is Termination.STEP_FLOOR
+    assert len(branch.points) == 1
+    assert branch.diagnostics.startswith("step floor reached: DomainError: ")
+    assert "consecutive branch points are" in branch.diagnostics
+
+
+def test_carried_lu_saves_factorizations_along_a_branch(small_zero, monkeypatch):
+    bp, op = small_zero
+    specs = _counting_splu(monkeypatch)
+    ds = 0.004
+    branch = continue_branch(op, bp, steps=6, ds=ds)
+    assert len(branch.points) == 6
+    # one for the first point, one for its tangent, one for the first step,
+    # then 3 for the other 4 steps; each step factored once before (7)
+    assert specs.count("NATURAL") == 6
+    for prev, state in zip(branch.points, branch.points[1:]):
+        assert op.residual_norm(state) <= 1e-10
+        dlam, dw = state.lam - prev.lam, (state.w - prev.w).ravel()
+        assert math.sqrt(_branch_ip(dlam, dw, dlam, dw)) <= 1.5 * ds
+
+
+def test_a_failed_step_leaves_no_lu_behind(small_zero, monkeypatch):
+    bp, op = small_zero
+    real_step = continuation.arclength_step
+    held, factored = [], []
+    specs = _counting_splu(monkeypatch)
+
+    # the second step converges, hands its LU on, then fails
+    def fail_second(op, state, tangent, ds, tol, carry):
+        held.append(carry.factor is not None)
+        before = specs.count("NATURAL")
+        result = real_step(op, state, tangent, ds, tol=tol, carry=carry)
+        factored.append(specs.count("NATURAL") - before)
+        if len(held) == 2:
+            assert carry.factor is not None
+            raise NewtonDivergenceError("forced failure", iterations=0)
+        return result
+
+    monkeypatch.setattr(continuation, "arclength_step", fail_second)
+    branch = continue_branch(op, bp, steps=4, ds=0.004)
+    assert len(branch.points) == 4
+    assert held == [False, True, False, True]
+    assert factored[2] >= 1
+
+
+def test_homotopy_hands_its_lu_to_the_next_epsilon(small_zero, monkeypatch):
+    # lambda moves about 1e3 times the residual here, so both sides solve to
+    # 1e-12 for lambda to agree to 1e-9
+    bp, op = small_zero
+    sched, s, tol = [0.02, 0.01, 0.005], 0.02, 1e-12
+    specs = _counting_splu(monkeypatch)
+    res = epsilon_homotopy(op.model, G, op.grid, sched, target_s=s,
+                           bif_factory=lambda eps: bp, tol=tol)
+    assert res.failure_index == -1
+    assert specs.count("NATURAL") < len(sched)
+    # fresh solves, each factoring for itself, from the homotopy's seeds
+    prev = None
+    for eps, lam in zip(sched, res.lambdas):
+        eps_op = StripOperator(op.model, G, op.grid, epsilon=eps)
+        seed = (initial_nontrivial_guess(bp, eps_op, s) if prev is None
+                else WaveState(lam=prev.lam, epsilon=eps, grid=op.grid, w=prev.w.copy()))
+        prev = solve_at_amplitude(eps_op, seed, s, tol=tol)
+        assert prev.lam == pytest.approx(lam, abs=1e-9)
+
+
+def _layout_borders(op, state):
+    """(f_lam, c_row, c_lam) of three borders; the layout stores zeros too."""
+    n = state.w.size
+    f_lam = op.d_residual_d_lambda(state)  # zero on the bottom rows
+    assert not np.any(f_lam[:op.grid.nq])
+    rng = np.random.default_rng(5)
+    return {
+        "dense": (rng.standard_normal(n), rng.standard_normal(n), 0.7),
+        "mode weights": (rng.standard_normal(n), continuation._mode_weights(op.grid), 0.0),
+        "zero bottom block": (f_lam, rng.standard_normal(n), 1.3),
+    }
+
+
+def test_bordered_layout_equals_the_permuted_bmat(small_zero):
+    bp, op = small_zero
+    state = initial_nontrivial_guess(bp, op, 0.004)
+    J = op.jacobian(state)
+    n = J.shape[0]
+    for name, (f_lam, c_row, c_lam) in _layout_borders(op, state).items():
+        M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
+        ref = sp.bmat([[J, sp.csc_matrix(f_lam.reshape(n, 1))],
+                       [sp.csc_matrix(c_row.reshape(1, n)), sp.csc_matrix([[c_lam]])]],
+                      format="csc")[ob][:, ob]
+        assert M.has_canonical_format, name
+        assert np.array_equal(M.toarray(), ref.toarray()), name
+
+
+def test_cached_layout_outlives_its_factorizations(small_zero, monkeypatch):
+    # two factorizations in a row with different values share one layout,
+    # solve accurately and leave its index arrays as they were
+    bp, op = small_zero
+    monkeypatch.setattr(continuation, "_LAYOUTS", {})
+    n = op.grid.np * op.grid.nq
+    rhs = np.random.default_rng(2).standard_normal(n + 1)
+    borders = _layout_borders(op, initial_nontrivial_guess(bp, op, 0.004))
+    snapshots = []
+    for s, (f_lam, c_row, c_lam) in zip((0.004, 0.008), borders.values()):
+        J = op.jacobian(initial_nontrivial_guess(bp, op, s))
+        M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
+        dw, dlam = solve_bordered(factor_bordered(J, f_lam, c_row, c_lam), rhs[:-1], rhs[-1])
+        x = np.append(dw, dlam)
+        assert np.max(np.abs(M @ x[ob] - rhs[ob])) <= 1e-10 * np.max(np.abs(rhs))
+        (_, indptr, indices, _), = continuation._LAYOUTS.values()
+        snapshots.append((indptr.tobytes(), indices.tobytes()))
+    assert snapshots[0] == snapshots[1]
