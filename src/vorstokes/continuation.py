@@ -2,12 +2,18 @@
 
 From the bifurcation point (lambda_eps, 0) a branch of nontrivial waves
 emerges along s * Phi(p) cos(pi q / L) + O(s^2).  This module traces it by
-pseudo-arclength continuation with a bordered chord-Newton corrector (which
-stays nonsingular across folds and hands its LU on to the next step,
-factoring again only when the chord stalls; one more back-solve of that LU
-gives the next tangent), re-converges branches across a decreasing sequence
-of regularization strengths at a fixed branch coordinate, and classifies
-why a trace stopped.
+pseudo-arclength continuation with a bordered corrector that stays
+nonsingular across folds, re-converges branches across a decreasing
+sequence of regularization strengths at a fixed branch coordinate, and
+classifies why a trace stopped.
+
+The corrector factors the bordered matrix about once per branch or
+homotopy.  It takes chord updates on that LU while they at least halve the
+residual, then Newton-Krylov updates: GMRES on the current bordered system,
+right-preconditioned by the same LU, with a matrix-free J v.  It factors
+again only when GMRES stalls.  A one-slot holder hands the LU from solve to
+solve, and the next tangent is a back-solve of it or, when it is older than
+the step, a GMRES solve on it.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import logging
 import math
 import threading
 from dataclasses import dataclass, field
@@ -57,6 +64,8 @@ __all__ = [
 ]
 
 DS_FLOOR = 1e-6
+
+_LOG = logging.getLogger("vorstokes")
 
 
 class Termination(enum.Enum):
@@ -218,8 +227,8 @@ class LUSlot:
     it is passed to empties it before it may factor, so no other frame
     holds the old LU while the new one is built, and puts the LU it ended
     with back on success.  An LU in the slot may be from an earlier iterate,
-    border row or epsilon: the receiving chord corrector refactors when it
-    stalls.
+    border row or epsilon: the receiving solve uses it as a preconditioner
+    (see `_bordered_newton`) and factors again only when GMRES on it stalls.
     """
 
     __slots__ = ("factor",)
@@ -232,28 +241,99 @@ class LUSlot:
         return factor
 
 
+# GMRES iterations a Krylov update may take before the kernel factors again
+KRYLOV_MAX = 10
+# relative bordered residual of a tangent solved by GMRES on an older LU
+TANGENT_RTOL = 1e-4
+
+
+def _gmres(matvec, precond, b, rtol, maxiter=KRYLOV_MAX):
+    """Right-preconditioned GMRES from x = 0 for A x = b, with A = ``matvec``, M^-1 = ``precond``.
+
+    Arnoldi with modified Gram-Schmidt on A M^-1, then a small least-squares
+    solve.  With the preconditioner on the right, the least-squares residual
+    is the true residual |b - A x|, not a preconditioned one; iteration
+    stops when it is at most ``rtol * |b|`` (2-norms).  The preconditioned
+    basis is kept, so x costs no further M^-1.  ``matvec`` must return a new
+    array.  Returns (x, iterations, converged).
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0, True
+    basis, pre = [b / beta], []
+    hess = np.zeros((maxiter + 1, maxiter))
+    for k in range(maxiter):
+        pre.append(precond(basis[k]))
+        v = matvec(pre[k])
+        for i, u in enumerate(basis):
+            hess[i, k] = u @ v
+            v -= hess[i, k] * u
+        hess[k + 1, k] = np.linalg.norm(v)
+        rhs = np.zeros(k + 2)
+        rhs[0] = beta
+        y = np.linalg.lstsq(hess[:k + 2, :k + 1], rhs, rcond=None)[0]
+        converged = np.linalg.norm(hess[:k + 2, :k + 1] @ y - rhs) <= rtol * beta
+        if converged or hess[k + 1, k] == 0.0:
+            break
+        basis.append(v / hess[k + 1, k])
+    return np.column_stack(pre) @ y, k + 1, bool(converged)
+
+
+def _krylov_solve(op, state, border, factor, top, bot, rtol):
+    """GMRES on the bordered system at ``state``, preconditioned by ``factor``.
+
+    ``border`` is (c_row, c_lam).  J v is `StripOperator.jacobian_action`,
+    so J is not assembled; every M^-1 is one `solve_bordered`.  Returns
+    (dw, dlam, iterations, converged).
+    """
+    c_row, c_lam = border
+    jv, f_lam = op.jacobian_action(state), op.d_residual_d_lambda(state)
+
+    def matvec(x):
+        return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
+
+    def precond(x):
+        dw, dlam = solve_bordered(factor, x[:-1], x[-1])
+        return np.append(dw, dlam)
+
+    x, iterations, converged = _gmres(matvec, precond, np.append(top, bot), rtol)
+    return x[:-1], x[-1], iterations, converged
+
+
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
                      max_iter: int, label: str, carry: LUSlot = None):
-    """Damped chord Newton on {F = 0, one scalar constraint = 0} inside O_delta.
+    """Damped chord / Newton-Krylov on {F = 0, one scalar constraint = 0} inside O_delta.
 
     ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
     w and in lambda, and a function giving its value at an iterate.  The
-    bordered matrix is factored at the first iterate, unless ``carry`` holds
-    an LU to start from, and that LU is reused for later updates; it is
-    factored again, at the current iterate, when the residual has not halved
-    since the previous iterate or when, at the observed rate, the remaining
-    updates would not reach ``tol``.  Each update is halved (at most thirty
-    times) until the iterate is admissible.  Returns (state, iterations,
-    residual, factor); ``iterations`` counts updates, ``residual`` is the
-    larger of the sup-norm residual and the constraint, and ``factor`` is
-    the last LU used, or None when there was none to reuse and no update was
-    made.  ``carry`` is emptied on entry and given ``factor`` on success.
+    LU M of the bordered matrix comes from ``carry`` or, when that is
+    empty, is factored at the first iterate.  Each update is one of:
+
+    - chord: one back-solve of M, while the residual at least halves per
+      update and, at that rate, reaches ``tol`` in the updates left;
+    - Krylov: from the first update where the chord fails that test,
+      GMRES on the bordered system at the current iterate, right-
+      preconditioned by M, to the forcing term min(1e-2, rate^2) clamped
+      to [0.1 tol / residual, 0.5] (Eisenstat & Walker), with ``rate`` the
+      last update's contraction;
+    - fresh LU: when GMRES misses that in `KRYLOV_MAX` iterations, or there
+      is no M, M is factored at the current iterate and back-solved, and
+      the chord starts again on it.
+
+    So M is kept across updates, steps and epsilons until a preconditioned
+    solve stalls.  Each update is halved (at most thirty times) until the
+    iterate is admissible, and logs one DEBUG record on the ``vorstokes``
+    logger.  Returns (state, iterations, residual, fresh); ``iterations``
+    counts updates, ``residual`` is the larger of the sup-norm residual and
+    the constraint, and ``fresh`` tells whether M was factored in this call.
+    ``carry`` is emptied on entry and given M on success.
     """
     c_row, c_lam, constraint = border
     factor = None if carry is None else carry.take()
+    fresh = False
     op.check_admissible(state)
     current = state.copy_with()
-    res_prev = math.inf
+    res_prev, chord = math.inf, True
     for it in range(max_iter + 1):
         r = op.residual_vector(current)
         cons = constraint(current)
@@ -261,16 +341,29 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         if res <= tol:
             if carry is not None:
                 carry.factor = factor
-            return current, it, res, factor
+            return current, it, res, fresh
         if it == max_iter:
             break
         rate = res / res_prev
-        if factor is None or rate > 0.5 or res * rate ** (max_iter - it) > tol:
+        res_prev = res
+        if rate > 0.5 or res * rate ** (max_iter - it) > tol:
+            chord = False
+        krylov = 0
+        path = "fresh LU" if factor is None else "chord" if chord else "Krylov"
+        if path == "Krylov":
+            eta = min(max(min(1e-2, rate**2), 0.1 * tol / res), 0.5)
+            dw, dlam, krylov, converged = _krylov_solve(op, current, (c_row, c_lam), factor,
+                                                        -r, -cons, eta)
+            path = "Krylov" if converged else "fresh LU"
+        if path == "fresh LU":
             factor = None  # release the old LU before the new one is built
             factor = factor_bordered(op.jacobian(current), op.d_residual_d_lambda(current),
                                      c_row, c_lam)
-        res_prev = res
-        dw, dlam = solve_bordered(factor, -r, -cons)
+            fresh, chord = True, True
+        if path != "Krylov":
+            dw, dlam = solve_bordered(factor, -r, -cons)
+        _LOG.debug("%s update %d: %s, residual %.3e, %d GMRES iterations",
+                   label, it + 1, path, res, krylov)
         alpha = 1.0
         for _ in range(30):
             cand = current.copy_with(
@@ -300,19 +393,33 @@ def _unit(dlam, dw):
     return dlam / norm, dw / norm
 
 
-def branch_tangent(op: StripOperator, state: WaveState, prev=None):
+def branch_tangent(op: StripOperator, state: WaveState, prev=None, carry: LUSlot = None):
     """Unit tangent (t_lam, t_w) of the solution curve at ``state``.
 
     Solves the bordered system with the previous tangent as border row,
-    which both regularizes folds and preserves orientation.
+    which both regularizes folds and preserves orientation.  With an LU in
+    ``carry`` (see `LUSlot`), GMRES preconditioned by it solves that system
+    to `TANGENT_RTOL`; the bordered matrix is factored only when ``carry``
+    is empty or GMRES stalls, and ``carry`` gets the LU back.
     """
     n = state.w.size
     if prev is None:
         raise DomainError("an orientation tangent is required")
     t_lam_prev, t_w_prev = prev
-    factor = factor_bordered(op.jacobian(state), op.d_residual_d_lambda(state),
-                             t_w_prev / n, t_lam_prev)
-    dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+    border = (t_w_prev / n, t_lam_prev)
+    factor = None if carry is None else carry.take()
+    path, krylov = "fresh LU", 0
+    if factor is not None:
+        dw, dlam, krylov, converged = _krylov_solve(op, state, border, factor, np.zeros(n), 1.0,
+                                                    TANGENT_RTOL)
+        path = "Krylov" if converged else path
+    if path != "Krylov":
+        factor = None
+        factor = factor_bordered(op.jacobian(state), op.d_residual_d_lambda(state), *border)
+        dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+    _LOG.debug("branch tangent: %s, %d GMRES iterations", path, krylov)
+    if carry is not None:
+        carry.factor = factor
     return _unit(dlam, dw)
 
 
@@ -344,16 +451,17 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
                    tol: float = 1e-10, max_iter: int = 15, carry: LUSlot = None):
     """One predictor-corrector step of length ds along the branch.
 
-    Returns (new_state, new_tangent).  The corrector's border row is the
-    tangent system's, so one back-solve of its last LU gives the new
-    tangent, oriented by ``tangent``.  It is the exact tangent at the
-    iterate where that LU was factored (the predicted point on a smooth
-    step), not at new_state; a predictor and a border row need no more.
-    Only a corrector that made no update and was handed no LU holds none;
-    `branch_tangent` factors there.  ``carry`` (see `LUSlot`) hands the
-    corrector an earlier step's LU, whose border row is an older tangent,
-    and receives this step's last LU.  Raises on corrector failure so the
-    caller can halve the step.
+    Returns (new_state, new_tangent).  ``carry`` (see `LUSlot`) hands the
+    corrector an earlier solve's LU, whose border row may be an older
+    tangent, and receives the LU this step ends with.  The corrector's
+    border row is the tangent system's, so when the corrector factored its
+    own LU, one back-solve of it gives the new tangent, oriented by
+    ``tangent``: the exact tangent at the iterate where that LU was factored
+    (the predicted point on a smooth step), not at new_state, which a
+    predictor and a border row do not need.  When the LU is older, or there
+    is none, `branch_tangent` solves at new_state (GMRES on that LU, or a
+    factorization).  Raises on corrector failure so the caller can halve
+    the step.
     """
     t_lam, t_w = tangent
     n = state.w.size
@@ -363,12 +471,13 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     def constraint(cur):
         return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
 
-    current, _, _, factor = _bordered_newton(
+    slot = LUSlot() if carry is None else carry
+    current, _, _, fresh = _bordered_newton(
         op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector",
-        carry=carry)
-    if factor is None:
-        return current, branch_tangent(op, current, prev=tangent)
-    dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+        carry=slot)
+    if not fresh:
+        return current, branch_tangent(op, current, prev=tangent, carry=slot)
+    dw, dlam = solve_bordered(slot.factor, np.zeros(n), 1.0)
     sign = math.copysign(1.0, _branch_ip(dlam, dw, t_lam, t_w))
     return current, _unit(sign * dlam, sign * dw)
 
@@ -440,14 +549,17 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     """Trace the nontrivial branch from the bifurcation point.
 
     The first point is produced by an amplitude-constrained solve at
-    s0 (default ds), subsequent points by pseudo-arclength steps.  Each
-    accepted step hands its last LU to the next one (an `LUSlot`); a failed
-    step, including one that lands more than 1.5 step lengths away, drops
-    it, so the halved retry factors afresh.  The trace stops at ``steps``
-    accepted points, on a termination clause, or when step halving hits
-    its floor; a floor reached on an AdmissibilityError reports that
-    error's clause.  Raises DomainError for ``ds <= 0`` and for
-    ``s0 == 0``, the trivial solution.
+    s0 (default ds), subsequent points by pseudo-arclength steps.  One
+    `LUSlot` carries the LU from the first solve through its tangent and
+    from each accepted step to the next, so a smooth branch factors about
+    once; a failed step, including one that lands more than 1.5 step
+    lengths away, drops it, so the halved retry factors afresh.  The trace
+    stops at ``steps`` accepted points, on a termination clause, or when
+    step halving hits its floor; a floor reached on an AdmissibilityError
+    reports that error's clause, and ``diagnostics`` lists the ds and
+    "Type: message" of every failed attempt of that halving cascade.
+    Raises DomainError for ``ds <= 0`` and for ``s0 == 0``, the trivial
+    solution.
     """
     if not ds > 0.0:
         raise DomainError(f"arclength step must be positive, got {ds!r}")
@@ -457,16 +569,16 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     caps = Caps.default(op.g, op.grid.L) if caps is None else caps
     branch = Branch(epsilon=op.epsilon)
 
+    carry = LUSlot()
     seed = initial_nontrivial_guess(bp, op, s_first)
-    first = solve_at_amplitude(op, seed, s_first, tol=tol)
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)))
+    first = solve_at_amplitude(op, seed, s_first, tol=tol, carry=carry)
+    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)),
+                             carry=carry)
     branch.append(first)
 
-    # the first step factors afresh: the LUs so far border with the seed
-    # tangent or the mode weights, not with a branch tangent
-    carry = LUSlot()
     step = ds
     state = first
+    failures = []  # (ds, error) of each failed attempt since the last accepted step
     while len(branch.points) < steps:
         term = classify_termination(op, state, caps)
         if term is not Termination.RUNNING:
@@ -479,17 +591,20 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
         except (AdmissibilityError, DomainError, NewtonDivergenceError,
                 SingularJacobianError) as exc:
             carry.factor = None
+            failures.append((step, exc))
             step *= 0.5
             if step < DS_FLOOR:
                 # a corrector that keeps leaving O_delta stops at that clause
                 branch.termination = (_CLAUSE_TERMINATIONS[exc.clause]
                                       if isinstance(exc, AdmissibilityError)
                                       else Termination.STEP_FLOOR)
-                branch.diagnostics = (
-                    f"step floor reached: {type(exc).__name__}: {exc}"
-                )
+                attempts = "; ".join(f"ds={tried:.6g} {type(err).__name__}: {err}"
+                                     for tried, err in failures)
+                branch.diagnostics = (f"step floor reached: {type(exc).__name__}: {exc}"
+                                      f" [failed attempts: {attempts}]")
                 return branch
             continue
+        failures.clear()
         state, tangent = state_new, tangent_new
         step = min(ds, 2.0 * step)
     term = classify_termination(op, state, caps)
@@ -533,11 +648,11 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
     """Re-converge the wave of amplitude ``target_s`` along decreasing epsilon.
 
     The first entry is seeded from the local eigenmode; each later epsilon
-    restarts from the previous solution and from the LU its amplitude solve
-    ended with (the Jacobian's pattern does not depend on epsilon), which
-    it refactors only if the chord stalls.  Emits the sup-norm differences
-    of consecutive solutions, which contract as the regularization is
-    removed.
+    restarts from the previous solution and preconditions with the LU the
+    first amplitude solve factored (the Jacobian's pattern does not depend
+    on epsilon), factoring again only if GMRES on it stalls.  Emits the
+    sup-norm differences of consecutive solutions, which contract as the
+    regularization is removed.
     """
     sched = list(schedule)
     if not sched or any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):

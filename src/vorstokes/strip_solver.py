@@ -385,6 +385,21 @@ class StripOperator:
 
     # -- linearization ----------------------------------------------------------------
 
+    def _partials(self, state):
+        """{row class: {field: d(row)/d(field)}} at ``state``, from one `_coefficients`.
+
+        The field order sets the summation order, and so the rounding, of J's
+        entries per shift.
+        """
+        c = self._coefficients(state)
+        return {
+            "bottom": {"w": 1.0},
+            "interior": {"wpp": c.c_pp, "wp": c.c_p, "wqq": c.c_qq, "wq": c.c_q,
+                         "wpq": c.c_pq, "w": -self.epsilon},
+            "top": {"wp": 2.0 * c.bern * c.hp_top, "wq": 2.0 * c.wq_top,
+                    "w": 2.0 * self.g * c.hp_top**2},
+        }
+
     def jacobian(self, state: WaveState):
         """Sparse derivative of the residual vector in w (CSC).
 
@@ -394,18 +409,10 @@ class StripOperator:
         q-ends stay stored: ``continuation`` caches its fill order per pattern.
         """
         nq, n_p = self.grid.nq, self.grid.np
-        table, spans, c = _stencils(self.grid), _row_spans(n_p), self._coefficients(state)
-        # the field order sets the summation order, and so the rounding, per shift
-        partials = {
-            "bottom": {"w": 1.0},
-            "interior": {"wpp": c.c_pp, "wp": c.c_p, "wqq": c.c_qq, "wq": c.c_q,
-                         "wpq": c.c_pq, "w": -self.epsilon},
-            "top": {"wp": 2.0 * c.bern * c.hp_top, "wq": 2.0 * c.wq_top,
-                    "w": 2.0 * self.g * c.hp_top**2},
-        }
+        table, spans = _stencils(self.grid), _row_spans(n_p)
         rows, cols, vals = [], [], []
         jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
-        for row_class, row_partials in partials.items():
+        for row_class, row_partials in self._partials(state).items():
             lo, hi = spans[row_class]
             ii = np.arange(lo, hi, dtype=np.int32)[:, None]
             eq, shifts = (ii * nq + jj).ravel(), {}
@@ -421,6 +428,31 @@ class StripOperator:
                 vals.append(np.broadcast_to(val, (hi - lo, nq)).ravel())
         rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
         return sp.coo_matrix((vals, (rows, cols)), shape=(n_p * nq, n_p * nq)).tocsc()
+
+    def jacobian_action(self, state: WaveState):
+        """The map v -> J v of `jacobian` at ``state``, without assembling J.
+
+        The same chain rule: one `_coefficients` pass here, then each product
+        is one `derivative_fields` pass of v (the fields are linear in w)
+        weighted by the rows' partials.  ``v`` is a flattened field.
+        """
+        partials, spans = self._partials(state), _row_spans(self.grid.np)
+        shape = state.w.shape
+
+        def apply(v):
+            v = np.reshape(v, shape)
+            fields = derivative_fields(self.grid, v)
+            fields["w"] = v
+            out = np.empty(shape)
+            for row_class, row_partials in partials.items():
+                lo, hi = spans[row_class]
+                (name, coeff), *rest = row_partials.items()
+                acc = np.multiply(coeff, fields[name][lo:hi], out=out[lo:hi])
+                for name, coeff in rest:
+                    acc += coeff * fields[name][lo:hi]
+            return out.ravel()
+
+        return apply
 
     def d_residual_d_lambda(self, state: WaveState):
         """Analytic derivative of the residual vector in lambda.

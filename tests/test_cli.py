@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import re
@@ -291,6 +292,25 @@ def test_pipeline_concurrent_jobs_byte_identical(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_debug_logging_leaves_the_artifacts_unchanged(tmp_path, caplog):
+    from vorstokes.pipeline import run_pipeline
+
+    cfg = parse_config(write_config(
+        tmp_path,
+        "vorticity.kind = zero\ngrid.nq = 24\n"
+        "epsilon_schedule = 0.05, 0.025\nseeds.s0 = 0.008\nseeds.step = 0.003\n",
+    ))
+    quiet, logged = tmp_path / "quiet", tmp_path / "logged"
+    assert run_pipeline(cfg, str(quiet), steps=2, jobs=1) == 0
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        assert run_pipeline(cfg, str(logged), steps=2, jobs=1) == 0
+    assert any(" update 1: fresh LU, " in rec.getMessage() for rec in caplog.records)
+    names = sorted(p.name for p in quiet.iterdir())
+    assert names == sorted(p.name for p in logged.iterdir())
+    for name in names:
+        assert (quiet / name).read_bytes() == (logged / name).read_bytes(), name
 
 
 def test_cli_error_reporting(tmp_path):

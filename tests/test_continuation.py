@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -22,7 +23,12 @@ from vorstokes.continuation import (
     solve_bordered,
     surface_mode_amplitude,
 )
-from vorstokes.errors import AdmissibilityError, DomainError, NewtonDivergenceError
+from vorstokes.errors import (
+    AdmissibilityError,
+    DomainError,
+    NewtonDivergenceError,
+    SingularJacobianError,
+)
 from vorstokes.strip_solver import StripGrid, StripOperator, WaveState, linear_strip_mode
 from vorstokes.sturm_liouville import SLProblem, find_bifurcation_point
 from vorstokes.vorticity import ZeroVorticity
@@ -419,14 +425,14 @@ def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
     monkeypatch.setattr(continuation, "_LAYOUTS", {})
     monkeypatch.setattr(continuation, "splu", counting_splu)
     continue_branch(op, bp, steps=3, ds=0.004)
-    assert specs.count("MMD_AT_PLUS_A") == 1
-    assert len(specs) > 3
-    assert specs.count("NATURAL") == len(specs) - 1
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
     other = StripOperator(ZeroVorticity(), G, StripGrid(L=L, P=4 * L, nq=12, np=40),
                           epsilon=0.01)
     continue_branch(other, bp, steps=3, ds=0.004)
     continue_branch(op, bp, steps=2, ds=0.004)
+    # the third branch factors in the order the first one computed
     assert specs.count("MMD_AT_PLUS_A") == 2
+    assert specs.count("NATURAL") == 3
 
 
 def test_step_tangent_is_the_tangent_at_the_predicted_point(small_zero):
@@ -522,13 +528,14 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
     assert len(jacobians) == 1
     assert updates[0] > 0 and len(solves) == updates[0] + 1
     # long steps: the first chord update contracts the residual less than
-    # twice, so the corrector factors again and still reaches tol; at 0.08
-    # the chord then contracts by about 0.4 per update, too slowly to reach
-    # tol within max_iter, so it factors a third time
+    # twice, so the corrector goes on by GMRES on the same LU instead of
+    # factoring again, and still reaches tol
     for ds in (0.03, 0.08):
         factored.clear()
+        jacobians.clear()
         state, _ = arclength_step(op, first, tangent, ds, tol=1e-10)
-        assert factored.count("NATURAL") > 1
+        assert factored.count("NATURAL") == 1
+        assert len(jacobians) == 1
         assert op.residual_norm(state) <= 1e-10
 
 
@@ -579,9 +586,9 @@ def test_carried_lu_saves_factorizations_along_a_branch(small_zero, monkeypatch)
     ds = 0.004
     branch = continue_branch(op, bp, steps=6, ds=ds)
     assert len(branch.points) == 6
-    # one for the first point, one for its tangent, one for the first step,
-    # then 3 for the other 4 steps; each step factored once before (7)
-    assert specs.count("NATURAL") == 6
+    # one for the first point; its tangent and every step precondition GMRES
+    # with that LU
+    assert specs.count("NATURAL") == 1
     for prev, state in zip(branch.points, branch.points[1:]):
         assert op.residual_norm(state) <= 1e-10
         dlam, dw = state.lam - prev.lam, (state.w - prev.w).ravel()
@@ -608,8 +615,10 @@ def test_a_failed_step_leaves_no_lu_behind(small_zero, monkeypatch):
     monkeypatch.setattr(continuation, "arclength_step", fail_second)
     branch = continue_branch(op, bp, steps=4, ds=0.004)
     assert len(branch.points) == 4
-    assert held == [False, True, False, True]
-    assert factored[2] >= 1
+    # the first step gets the LU of the first point; the retry after the
+    # failure factors afresh and hands its LU on
+    assert held == [True, True, False, True]
+    assert factored == [0, 0, 1, 0]
 
 
 def test_homotopy_hands_its_lu_to_the_next_epsilon(small_zero, monkeypatch):
@@ -677,3 +686,94 @@ def test_cached_layout_outlives_its_factorizations(small_zero, monkeypatch):
         (_, indptr, indices, _), = continuation._LAYOUTS.values()
         snapshots.append((indptr.tobytes(), indices.tobytes()))
     assert snapshots[0] == snapshots[1]
+
+
+def test_gmres_against_a_dense_solve():
+    rng = np.random.default_rng(7)
+    n = 12
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    exact = np.linalg.solve(A, b)
+    inv = np.linalg.inv(A)
+
+    def matvec(v):
+        return A @ v
+
+    # an exact preconditioner: one iteration gives the solution
+    x, iterations, converged = continuation._gmres(matvec, lambda v: inv @ v, b, 1e-12)
+    assert (iterations, converged) == (1, True)
+    assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # no preconditioner: at most n iterations, and the residual is the true one
+    x, iterations, converged = continuation._gmres(matvec, lambda v: v, b, 1e-10, maxiter=n)
+    assert converged and iterations <= n
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.max(np.abs(x - exact)) <= 1e-8 * np.max(np.abs(exact))
+    x, iterations, converged = continuation._gmres(matvec, lambda v: v, np.zeros(n), 1e-10)
+    assert (iterations, converged) == (0, True) and not np.any(x)
+    # an exhausted budget says so, and x is the best it found
+    x, iterations, converged = continuation._gmres(matvec, lambda v: v, b, 1e-10, maxiter=3)
+    assert (iterations, converged) == (3, False)
+    assert 1e-10 * np.linalg.norm(b) < np.linalg.norm(A @ x - b) < np.linalg.norm(b)
+
+
+def test_a_branch_and_a_homotopy_each_factor_once(small_zero, monkeypatch):
+    bp, op = small_zero
+    specs = _counting_splu(monkeypatch)
+    tol = 1e-10
+    branch = continue_branch(op, bp, steps=6, ds=0.004, tol=tol)
+    assert len(branch.points) == 6
+    assert specs.count("NATURAL") <= 1
+    for state in branch.points:
+        assert op.residual_norm(state) <= tol
+    specs.clear()
+    sched, s = [0.02, 0.01, 0.005], 0.02
+    res = epsilon_homotopy(op.model, G, op.grid, sched, target_s=s,
+                           bif_factory=lambda eps: bp, tol=tol)
+    assert res.failure_index == -1
+    assert specs.count("NATURAL") <= 1
+    for eps, state in zip(sched, res.states):
+        eps_op = StripOperator(op.model, G, op.grid, epsilon=eps)
+        assert eps_op.residual_norm(state) <= tol
+        assert abs(surface_mode_amplitude(state) - s) <= tol
+
+
+def test_step_floor_diagnostics_list_every_failed_attempt(small_zero, monkeypatch):
+    bp, op = small_zero
+    requested = []
+
+    def fail_two_ways(op, state, tangent, ds, tol, **kwargs):
+        requested.append(ds)
+        if len(requested) == 1:
+            raise NewtonDivergenceError("corrector stalled", residual=1.0, iterations=15)
+        raise SingularJacobianError("bordered factorization failed: singular")
+
+    monkeypatch.setattr(continuation, "arclength_step", fail_two_ways)
+    # two attempts, at 3e-6 and 1.5e-6, before the halving passes the floor
+    branch = continue_branch(op, bp, steps=3, ds=3e-6, s0=0.004)
+    assert requested == [3e-6, 1.5e-6]
+    assert branch.termination is Termination.STEP_FLOOR
+    assert len(branch.points) == 1
+    assert branch.diagnostics == (
+        "step floor reached: SingularJacobianError: bordered factorization failed: singular"
+        " [failed attempts: ds=3e-06 NewtonDivergenceError: corrector stalled;"
+        " ds=1.5e-06 SingularJacobianError: bordered factorization failed: singular]")
+
+
+def test_each_kernel_update_logs_its_path(small_zero, caplog):
+    bp, op = small_zero
+    assert logging.getLogger("vorstokes").handlers == []
+    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        state, _ = arclength_step(op, first, tangent, 0.03, tol=1e-10)
+    updates = [rec.getMessage() for rec in caplog.records
+               if rec.getMessage().startswith("arclength corrector update")]
+    assert all(rec.name == "vorstokes" and rec.levelno == logging.DEBUG
+               for rec in caplog.records)
+    # a fresh LU, a chord update on it, then GMRES on that LU to tol
+    assert updates[0].startswith("arclength corrector update 1: fresh LU, residual ")
+    assert updates[0].endswith(", 0 GMRES iterations")
+    assert updates[1].startswith("arclength corrector update 2: chord, ")
+    assert updates[2].startswith("arclength corrector update 3: Krylov, ")
+    assert not updates[2].endswith(" 0 GMRES iterations")
+    assert op.residual_norm(state) <= 1e-10

@@ -288,6 +288,27 @@ def test_jacobian_directional_derivative(model):
     assert 4.0 < errors[1e-4] / errors[1e-5] < 25.0
 
 
+@pytest.mark.parametrize("model", [ZeroVorticity(), ExpDecayVorticity(0.4, 1.0),
+                                   GerstnerVorticity(m=0.5)],
+                         ids=["zero", "expdecay", "gerstner"])
+def test_jacobian_action_equals_the_assembled_jacobian(model):
+    # the same chain rule, summed in another order: equal to rounding, on
+    # rough vectors that load every stencil tap and both reflections
+    grid = StripGrid(L=L, P=4 * L, nq=32, np=80)
+    op = StripOperator(model, G, grid, epsilon=0.01)
+    p = grid.p_nodes[:, None]
+    q = grid.q_nodes[None, :]
+    w0 = 0.01 * np.exp(0.5 * p) * np.cos(math.pi * q / L)
+    w0[0] = 0.0
+    st = WaveState(9.0, 0.01, grid, w0)
+    J, jv = op.jacobian(st), op.jacobian_action(st)
+    rng = np.random.default_rng(3)
+    for v in [smooth_random_field(grid, rng).ravel()] + [rng.standard_normal(grid.np * grid.nq)
+                                                         for _ in range(3)]:
+        ref = J @ v
+        assert np.max(np.abs(jv(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_d_residual_d_lambda_matches_finite_difference():
     grid = StripGrid(L=L, P=4 * L, nq=24, np=64)
     op = StripOperator(ExpDecayVorticity(0.4, 1.0), G, grid, epsilon=0.02)
