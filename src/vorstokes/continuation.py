@@ -12,8 +12,10 @@ homotopy.  It takes chord updates on that LU while they at least halve the
 residual, then Newton-Krylov updates: GMRES on the current bordered system,
 right-preconditioned by the same LU, with a matrix-free J v.  It factors
 again only when GMRES stalls.  A one-slot holder hands the LU from solve to
-solve, and the next tangent is a back-solve of it or, when it is older than
-the step, a GMRES solve on it.
+solve.  Only a branch's first point solves for its tangent (GMRES on that
+LU); each later tangent, the predictor direction and border row of the next
+step, is the derivative of the quadratic through the last three accepted
+points (Allgower & Georg 1990, ch. 6), which costs no solve.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -282,12 +284,12 @@ def _gmres(matvec, precond, b, rtol, maxiter=KRYLOV_MAX):
 def _krylov_solve(op, state, border, factor, top, bot, rtol):
     """GMRES on the bordered system at ``state``, preconditioned by ``factor``.
 
-    ``border`` is (c_row, c_lam).  J v is `StripOperator.jacobian_action`,
-    so J is not assembled; every M^-1 is one `solve_bordered`.  Returns
-    (dw, dlam, iterations, converged).
+    ``border`` is (c_row, c_lam).  J v and dF/dlambda come from one
+    `StripOperator.linearization`, so J is not assembled; every M^-1 is one
+    `solve_bordered`.  Returns (dw, dlam, iterations, converged).
     """
     c_row, c_lam = border
-    jv, f_lam = op.jacobian_action(state), op.d_residual_d_lambda(state)
+    jv, f_lam = op.linearization(state)
 
     def matvec(x):
         return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
@@ -323,14 +325,12 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
     iterate is admissible, and logs one DEBUG record on the ``vorstokes``
-    logger.  Returns (state, iterations, residual, fresh); ``iterations``
-    counts updates, ``residual`` is the larger of the sup-norm residual and
-    the constraint, and ``fresh`` tells whether M was factored in this call.
-    ``carry`` is emptied on entry and given M on success.
+    logger.  Returns (state, iterations, residual); ``iterations`` counts
+    updates and ``residual`` is the larger of the sup-norm residual and the
+    constraint.  ``carry`` is emptied on entry and given M on success.
     """
     c_row, c_lam, constraint = border
     factor = None if carry is None else carry.take()
-    fresh = False
     op.check_admissible(state)
     current = state.copy_with()
     res_prev, chord = math.inf, True
@@ -341,7 +341,7 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         if res <= tol:
             if carry is not None:
                 carry.factor = factor
-            return current, it, res, fresh
+            return current, it, res
         if it == max_iter:
             break
         rate = res / res_prev
@@ -359,7 +359,7 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
             factor = None  # release the old LU before the new one is built
             factor = factor_bordered(op.jacobian(current), op.d_residual_d_lambda(current),
                                      c_row, c_lam)
-            fresh, chord = True, True
+            chord = True
         if path != "Krylov":
             dw, dlam = solve_bordered(factor, -r, -cons)
         _LOG.debug("%s update %d: %s, residual %.3e, %d GMRES iterations",
@@ -391,6 +391,12 @@ def _branch_ip(dlam1, dw1, dlam2, dw2):
 def _unit(dlam, dw):
     norm = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
     return dlam / norm, dw / norm
+
+
+def _chord(a, b):
+    """(dlam, dw, branch-norm length) of the chord from state ``a`` to state ``b``."""
+    dlam, dw = b.lam - a.lam, (b.w - a.w).ravel()
+    return dlam, dw, math.sqrt(_branch_ip(dlam, dw, dlam, dw))
 
 
 def branch_tangent(op: StripOperator, state: WaveState, prev=None, carry: LUSlot = None):
@@ -442,8 +448,8 @@ def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
     """
     lam0 = state.lam
     border = (np.zeros(state.w.size), 1.0, lambda cur: cur.lam - lam0)
-    current, iterations, res, _ = _bordered_newton(op, state, border, tol, max_iter,
-                                                   "fixed-lambda Newton")
+    current, iterations, res = _bordered_newton(op, state, border, tol, max_iter,
+                                                "fixed-lambda Newton")
     return current, {"iterations": iterations, "residual": res}
 
 
@@ -451,16 +457,12 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
                    tol: float = 1e-10, max_iter: int = 15, carry: LUSlot = None):
     """One predictor-corrector step of length ds along the branch.
 
-    Returns (new_state, new_tangent).  ``carry`` (see `LUSlot`) hands the
-    corrector an earlier solve's LU, whose border row may be an older
-    tangent, and receives the LU this step ends with.  The corrector's
-    border row is the tangent system's, so when the corrector factored its
-    own LU, one back-solve of it gives the new tangent, oriented by
-    ``tangent``: the exact tangent at the iterate where that LU was factored
-    (the predicted point on a smooth step), not at new_state, which a
-    predictor and a border row do not need.  When the LU is older, or there
-    is none, `branch_tangent` solves at new_state (GMRES on that LU, or a
-    factorization).  Raises on corrector failure so the caller can halve
+    Predicts along the unit ``tangent`` and corrects on the hyperplane
+    normal to it at distance ``ds``; returns the corrected state.  ``carry``
+    (see `LUSlot`) hands the corrector an earlier solve's LU, whose border
+    row may be an older tangent, and receives the LU this step ends with.
+    The next tangent is the caller's (`_history_tangent` in
+    `continue_branch`).  Raises on corrector failure so the caller can halve
     the step.
     """
     t_lam, t_w = tangent
@@ -471,15 +473,30 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     def constraint(cur):
         return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
 
-    slot = LUSlot() if carry is None else carry
-    current, _, _, fresh = _bordered_newton(
-        op, predicted, (t_w / n, t_lam, constraint), tol, max_iter, "arclength corrector",
-        carry=slot)
-    if not fresh:
-        return current, branch_tangent(op, current, prev=tangent, carry=slot)
-    dw, dlam = solve_bordered(slot.factor, np.zeros(n), 1.0)
-    sign = math.copysign(1.0, _branch_ip(dlam, dw, t_lam, t_w))
-    return current, _unit(sign * dlam, sign * dw)
+    current, _, _ = _bordered_newton(op, predicted, (t_w / n, t_lam, constraint), tol,
+                                     max_iter, "arclength corrector", carry=carry)
+    return current
+
+
+def _history_tangent(points):
+    """Unit tangent at the last of the accepted ``points`` of a branch, without a solve.
+
+    With three or more points, the derivative at x2 of the quadratic through
+    the last three, x0, x1, x2, parameterized by branch-norm chord length
+    h1 = |x1 - x0|, h2 = |x2 - x1| (unequal after a halved step):
+    c0 x0 + c1 x1 + c2 x2 with c0 = h2 / (h1 (h1 + h2)), c1 = -(h1 + h2) /
+    (h1 h2), c2 = (h1 + 2 h2) / (h2 (h1 + h2)), accurate to second order in
+    the step (Allgower & Georg 1990, ch. 6).  It is evaluated as
+    e + h2 / (h1 + h2) (e - d) with the secants d = (x1 - x0) / h1 and
+    e = (x2 - x1) / h2, so no large values cancel.  With two points, the
+    secant e.  Either way it points along the direction of travel.
+    """
+    dlam2, dw2, h2 = _chord(*points[-2:])
+    if len(points) == 2:
+        return _unit(dlam2, dw2)
+    dlam1, dw1, h1 = _chord(*points[-3:-1])
+    e_lam, e_w, k = dlam2 / h2, dw2 / h2, h2 / (h1 + h2)
+    return _unit(e_lam + k * (e_lam - dlam1 / h1), e_w + k * (e_w - dw1 / h1))
 
 
 # the Termination of each clause of O_delta that check_admissible raises
@@ -516,9 +533,7 @@ class Branch:
 
     def append(self, state, max_gap=None):
         if self.points and max_gap is not None:
-            prev = self.points[-1]
-            dlam, dw = state.lam - prev.lam, (state.w - prev.w).ravel()
-            gap = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
+            gap = _chord(self.points[-1], state)[2]
             if gap > 1.5 * max_gap:
                 raise DomainError(f"consecutive branch points are {gap:.3g} apart, "
                                   f"more than 1.5 times the step {max_gap:.3g}")
@@ -549,7 +564,10 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     """Trace the nontrivial branch from the bifurcation point.
 
     The first point is produced by an amplitude-constrained solve at
-    s0 (default ds), subsequent points by pseudo-arclength steps.  One
+    s0 (default ds), subsequent points by pseudo-arclength steps.  The first
+    point's tangent is solved (`branch_tangent`, oriented by the seed
+    eigenmode); after each accepted step the next tangent is
+    `_history_tangent` of the accepted points, which costs no solve.  One
     `LUSlot` carries the LU from the first solve through its tangent and
     from each accepted step to the next, so a smooth branch factors about
     once; a failed step, including one that lands more than 1.5 step
@@ -585,8 +603,7 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
             branch.termination = term
             return branch
         try:
-            state_new, tangent_new = arclength_step(op, state, tangent, step, tol=tol,
-                                                    carry=carry)
+            state_new = arclength_step(op, state, tangent, step, tol=tol, carry=carry)
             branch.append(state_new, max_gap=step)
         except (AdmissibilityError, DomainError, NewtonDivergenceError,
                 SingularJacobianError) as exc:
@@ -605,7 +622,7 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
                 return branch
             continue
         failures.clear()
-        state, tangent = state_new, tangent_new
+        state, tangent = state_new, _history_tangent(branch.points)
         step = min(ds, 2.0 * step)
     term = classify_termination(op, state, caps)
     branch.termination = Termination.MAX_STEPS if term is Termination.RUNNING else term
@@ -622,8 +639,8 @@ def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
     """
     border = (_mode_weights(op.grid), 0.0,
               lambda cur: surface_mode_amplitude(cur) - s_target)
-    current, _, _, _ = _bordered_newton(op, state, border, tol, max_iter,
-                                        "amplitude-constrained solve", carry=carry)
+    current, _, _ = _bordered_newton(op, state, border, tol, max_iter,
+                                     "amplitude-constrained solve", carry=carry)
     return current
 
 

@@ -385,13 +385,12 @@ class StripOperator:
 
     # -- linearization ----------------------------------------------------------------
 
-    def _partials(self, state):
-        """{row class: {field: d(row)/d(field)}} at ``state``, from one `_coefficients`.
+    def _partials(self, c):
+        """{row class: {field: d(row)/d(field)}} from the coefficients ``c``.
 
         The field order sets the summation order, and so the rounding, of J's
         entries per shift.
         """
-        c = self._coefficients(state)
         return {
             "bottom": {"w": 1.0},
             "interior": {"wpp": c.c_pp, "wp": c.c_p, "wqq": c.c_qq, "wq": c.c_q,
@@ -412,7 +411,7 @@ class StripOperator:
         table, spans = _stencils(self.grid), _row_spans(n_p)
         rows, cols, vals = [], [], []
         jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
-        for row_class, row_partials in self._partials(state).items():
+        for row_class, row_partials in self._partials(self._coefficients(state)).items():
             lo, hi = spans[row_class]
             ii = np.arange(lo, hi, dtype=np.int32)[:, None]
             eq, shifts = (ii * nq + jj).ravel(), {}
@@ -436,8 +435,10 @@ class StripOperator:
         is one `derivative_fields` pass of v (the fields are linear in w)
         weighted by the rows' partials.  ``v`` is a flattened field.
         """
-        partials, spans = self._partials(state), _row_spans(self.grid.np)
-        shape = state.w.shape
+        return self._action(self._coefficients(state), state.w.shape)
+
+    def _action(self, c, shape):
+        partials, spans = self._partials(c), _row_spans(self.grid.np)
 
         def apply(v):
             v = np.reshape(v, shape)
@@ -461,10 +462,17 @@ class StripOperator:
         (lambda + 2 Gamma)^-1/2, with d(a^-1)/dlambda = -a^-3/2; the top row
         through lambda^-1/2 and bern = 2 g w - lambda.
         """
-        c = self._coefficients(state)
+        return self._d_lambda(self._coefficients(state), state.lam)
+
+    def _d_lambda(self, c, lam):
         interior = -0.5 * c.a3 * c.c_p + 1.5 * c.gam * c.ainv**5 * c.c_pp
-        top = -c.hp_top**2 - c.bern * c.hp_top * state.lam**-1.5
+        top = -c.hp_top**2 - c.bern * c.hp_top * lam**-1.5
         return np.concatenate([np.zeros(self.grid.nq), interior.ravel(), top])
+
+    def linearization(self, state: WaveState):
+        """(`jacobian_action`, `d_residual_d_lambda`) at ``state``, one `_coefficients` pass."""
+        c = self._coefficients(state)
+        return self._action(c, state.w.shape), self._d_lambda(c, state.lam)
 
 
 def linear_strip_mode(op: StripOperator, lam_hint: float):

@@ -11,6 +11,7 @@ from vorstokes.continuation import (
     Termination,
     _bordered_newton,
     _branch_ip,
+    _history_tangent,
     arclength_step,
     branch_tangent,
     classify_termination,
@@ -100,7 +101,7 @@ def test_first_arclength_step_follows_tangent(zero_setup):
     tangent = branch_tangent(op, start, prev=seed_tangent(bp, op))
     gaps = {}
     for ds in (0.002, 0.001):
-        stepped, _ = arclength_step(op, start, tangent, ds, tol=1e-11)
+        stepped = arclength_step(op, start, tangent, ds, tol=1e-11)
         predictor = start.w + ds * tangent[1].reshape(start.w.shape)
         gaps[ds] = float(np.max(np.abs(stepped.w - predictor)))
     assert 3.0 < gaps[0.002] / gaps[0.001] < 5.0
@@ -435,30 +436,89 @@ def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
     assert specs.count("NATURAL") == 3
 
 
-def test_step_tangent_is_the_tangent_at_the_predicted_point(small_zero):
-    # at ds = 0.004 one LU, factored at the predicted point, serves the whole
-    # step, so its back-solve is the exact tangent there
+def test_history_tangent_is_exact_on_a_parabola():
+    # x(tau) = a + b tau + c tau^2 with b.c = -2.5 |c|^2 in the branch metric:
+    # its chord lengths from tau = 0, 1, 3 are h and 2 h, so chord length is
+    # affine in tau, and the quadratic through the three points is x itself
+    rng = np.random.default_rng(11)
+    n = 64
+    a_lam, a_w = 9.4, rng.standard_normal(n)
+    c_lam, c_w = 0.3, rng.standard_normal(n)
+    c_norm2 = _branch_ip(c_lam, c_w, c_lam, c_w)
+    b_lam, b_w = rng.standard_normal(), rng.standard_normal(n)
+    shift = (_branch_ip(b_lam, b_w, c_lam, c_w) + 2.5 * c_norm2) / c_norm2
+    b_lam, b_w = b_lam - shift * c_lam, b_w - shift * c_w
+    grid = StripGrid(L=L, P=4 * L, nq=8, np=8)
+
+    def point(tau):
+        w = a_w + b_w * tau + c_w * tau**2
+        return WaveState(a_lam + b_lam * tau + c_lam * tau**2, 0.01, grid, w.reshape(8, 8))
+
+    points = [point(tau) for tau in (0.0, 1.0, 3.0)]
+    gaps = [continuation._chord(x, y)[2] for x, y in zip(points, points[1:])]
+    assert gaps[1] == pytest.approx(2.0 * gaps[0], rel=1e-12)
+    t_lam, t_w = _history_tangent(points)
+    exact = continuation._unit(b_lam + 6.0 * c_lam, b_w + 6.0 * c_w)
+    assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, abs=1e-12)
+    assert abs(t_lam - exact[0]) <= 1e-12
+    assert np.max(np.abs(t_w - exact[1])) <= 1e-12
+    # two points give the secant
+    dlam, dw, _ = continuation._chord(*points[1:])
+    assert _branch_ip(*_history_tangent(points[1:]), dlam, dw) == pytest.approx(gaps[1],
+                                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("ds", [0.004, 0.03])
+def test_history_tangent_matches_the_solved_tangent(small_zero, ds):
+    # from the third point on, the quadratic through the last three points
+    # is within 0.99 in branch-norm cosine of the tangent solved there
     bp, op = small_zero
-    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
-    ds = 0.004
-    _, (t_lam, t_w) = arclength_step(op, first, tangent, ds)
-    predicted = first.copy_with(lam=first.lam + ds * tangent[0],
-                                w=first.w + ds * tangent[1].reshape(first.w.shape))
-    fresh = branch_tangent(op, predicted, prev=tangent)
-    assert _branch_ip(t_lam, t_w, *fresh) == pytest.approx(1.0, abs=1e-12)
+    branch = continue_branch(op, bp, steps=6, ds=ds)
+    assert len(branch.points) == 6
+    for k in range(3, 7):
+        history = _history_tangent(branch.points[:k])
+        solved = branch_tangent(op, branch.points[k - 1], prev=history)
+        assert _branch_ip(*history, *solved) >= 0.99
+
+
+def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
+    bp, op = small_zero
+    real_tangent, real_solve = continuation.branch_tangent, continuation.solve_bordered
+    tangents, solves = [], []
+
+    def counting_tangent(*args, **kwargs):
+        tangents.append(1)
+        return real_tangent(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "branch_tangent", counting_tangent)
+    monkeypatch.setattr(continuation, "solve_bordered", counting_solve)
+    branch = continue_branch(op, bp, steps=6, ds=0.004)
+    assert len(branch.points) == 6
+    assert len(tangents) == 1
+    # the correctors and one GMRES tangent; a solved tangent per step made it 115
+    assert len(solves) == 89
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
 def test_step_tangent_is_unit_and_keeps_the_orientation(small_zero, ds):
+    # two steps, each predicted along the history tangent of the points so far
     bp, op = small_zero
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    points = [first]
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
-    state, (t_lam, t_w) = arclength_step(op, first, tangent, ds)
-    secant = (state.lam - first.lam, (state.w - first.w).ravel())
-    assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
-    assert _branch_ip(t_lam, t_w, *tangent) > 0.0
-    assert _branch_ip(t_lam, t_w, *secant) > 0.0
+    for _ in range(2):
+        state = arclength_step(op, points[-1], tangent, ds)
+        secant = (state.lam - points[-1].lam, (state.w - points[-1].w).ravel())
+        points.append(state)
+        t_lam, t_w = _history_tangent(points)
+        assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
+        assert _branch_ip(t_lam, t_w, *tangent) > 0.0
+        assert _branch_ip(t_lam, t_w, *secant) > 0.0
+        tangent = (t_lam, t_w)
 
 
 @pytest.mark.parametrize("ds, s0", [(0.0, 0.004), (-0.004, 0.004), (0.004, 0.0)])
@@ -521,19 +581,19 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
     monkeypatch.setattr(continuation, "_bordered_newton", recording_newton)
     monkeypatch.setattr(continuation, "solve_bordered", counting_solve)
     monkeypatch.setattr(op, "jacobian", counting_jacobian)
-    # a smooth step: one LU serves the whole corrector and the new tangent,
-    # which costs one back-solve beyond the chord updates
+    # a smooth step: one LU serves the whole corrector, one back-solve per
+    # chord update and none for a tangent
     arclength_step(op, first, tangent, 0.004)
     assert factored.count("NATURAL") == 1
     assert len(jacobians) == 1
-    assert updates[0] > 0 and len(solves) == updates[0] + 1
+    assert updates[0] > 0 and len(solves) == updates[0]
     # long steps: the first chord update contracts the residual less than
     # twice, so the corrector goes on by GMRES on the same LU instead of
     # factoring again, and still reaches tol
     for ds in (0.03, 0.08):
         factored.clear()
         jacobians.clear()
-        state, _ = arclength_step(op, first, tangent, ds, tol=1e-10)
+        state = arclength_step(op, first, tangent, ds, tol=1e-10)
         assert factored.count("NATURAL") == 1
         assert len(jacobians) == 1
         assert op.residual_norm(state) <= 1e-10
@@ -560,7 +620,7 @@ def test_a_step_that_lands_too_far_is_halved(small_zero, monkeypatch):
     def far_once(op, state, tangent, ds, tol, **kwargs):
         requested.append(ds)
         if len(requested) == 1:
-            return state.copy_with(lam=state.lam + 10.0 * ds), tangent
+            return state.copy_with(lam=state.lam + 10.0 * ds)
         return real_step(op, state, tangent, ds, tol=tol, **kwargs)
 
     monkeypatch.setattr(continuation, "arclength_step", far_once)
@@ -570,7 +630,7 @@ def test_a_step_that_lands_too_far_is_halved(small_zero, monkeypatch):
     assert requested == [0.004, 0.002, 0.004]
 
     def always_far(op, state, tangent, ds, tol, **kwargs):
-        return state.copy_with(lam=state.lam + 10.0 * ds), tangent
+        return state.copy_with(lam=state.lam + 10.0 * ds)
 
     monkeypatch.setattr(continuation, "arclength_step", always_far)
     branch = continue_branch(op, bp, steps=3, ds=0.004)
@@ -765,7 +825,7 @@ def test_each_kernel_update_logs_its_path(small_zero, caplog):
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
     with caplog.at_level(logging.DEBUG, logger="vorstokes"):
-        state, _ = arclength_step(op, first, tangent, 0.03, tol=1e-10)
+        state = arclength_step(op, first, tangent, 0.03, tol=1e-10)
     updates = [rec.getMessage() for rec in caplog.records
                if rec.getMessage().startswith("arclength corrector update")]
     assert all(rec.name == "vorstokes" and rec.levelno == logging.DEBUG

@@ -309,6 +309,31 @@ def test_jacobian_action_equals_the_assembled_jacobian(model):
         assert np.max(np.abs(jv(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_linearization_is_one_coefficient_pass(monkeypatch):
+    # a Krylov update takes J v and dF/dlambda from one pass; both are
+    # bit-identical to the entry points that take a pass each
+    op = make_op(GerstnerVorticity(m=0.5))
+    grid = op.grid
+    p = grid.p_nodes[:, None]
+    q = grid.q_nodes[None, :]
+    w0 = 0.01 * np.exp(0.5 * p) * np.cos(math.pi * q / L)
+    w0[0] = 0.0
+    st = WaveState(9.0, 0.01, grid, w0)
+    real = StripOperator._coefficients
+    passes = []
+
+    def counting(self, state):
+        passes.append(1)
+        return real(self, state)
+
+    monkeypatch.setattr(StripOperator, "_coefficients", counting)
+    jv, f_lam = op.linearization(st)
+    assert len(passes) == 1
+    assert np.array_equal(f_lam, op.d_residual_d_lambda(st))
+    v = np.random.default_rng(4).standard_normal(grid.np * grid.nq)
+    assert np.array_equal(jv(v), op.jacobian_action(st)(v))
+
+
 def test_d_residual_d_lambda_matches_finite_difference():
     grid = StripGrid(L=L, P=4 * L, nq=24, np=64)
     op = StripOperator(ExpDecayVorticity(0.4, 1.0), G, grid, epsilon=0.02)
