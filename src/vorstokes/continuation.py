@@ -43,7 +43,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .shear_flow import wave_speed
-from .strip_solver import StripOperator, WaveState, derivative_fields
+from .strip_solver import StripOperator, WaveState
 from .sturm_liouville import BifurcationPoint
 
 __all__ = [
@@ -113,18 +113,23 @@ def _mode_weights(grid) -> np.ndarray:
     return row
 
 
+def _eigenmode(bp: BifurcationPoint, grid, s: float) -> np.ndarray:
+    """The field s * Phi(p) cos(pi q / L) on ``grid``, with a zero bottom row."""
+    phi = bp.phi_at(grid.p_nodes)
+    w = s * phi[:, None] * np.cos(math.pi * grid.q_nodes / grid.L)[None, :]
+    w[0] = 0.0
+    return w
+
+
 def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
                              s: float) -> WaveState:
     """Local-theory seed w = s * Phi(p) cos(pi q / L) at lambda_eps.
 
     Raises AdmissibilityError when |s| is too large for the admissible set.
     """
-    grid = op.grid
-    phi = bp.phi_at(grid.p_nodes)
-    w = s * phi[:, None] * np.cos(math.pi * grid.q_nodes / grid.L)[None, :]
-    w[0] = 0.0
-    state = WaveState(lam=bp.lambda_star, epsilon=op.epsilon, grid=grid, w=w)
-    op.check_admissible(state)
+    state = WaveState(lam=bp.lambda_star, epsilon=op.epsilon, grid=op.grid,
+                      w=_eigenmode(bp, op.grid, s))
+    op.check_admissible(op.evaluate(state))
     return state
 
 
@@ -281,15 +286,15 @@ def _gmres(matvec, precond, b, rtol, maxiter=KRYLOV_MAX):
     return np.column_stack(pre) @ y, k + 1, bool(converged)
 
 
-def _krylov_solve(op, state, border, factor, top, bot, rtol):
-    """GMRES on the bordered system at ``state``, preconditioned by ``factor``.
+def _krylov_solve(op, ev, border, factor, top, bot, rtol):
+    """GMRES on the bordered system at the evaluation ``ev``, preconditioned by ``factor``.
 
-    ``border`` is (c_row, c_lam).  J v and dF/dlambda come from one
-    `StripOperator.linearization`, so J is not assembled; every M^-1 is one
-    `solve_bordered`.  Returns (dw, dlam, iterations, converged).
+    ``border`` is (c_row, c_lam).  J v and dF/dlambda read ``ev``, so J is
+    not assembled; every M^-1 is one `solve_bordered`.  Returns (dw, dlam,
+    iterations, converged).
     """
     c_row, c_lam = border
-    jv, f_lam = op.linearization(state)
+    jv, f_lam = op.jacobian_action(ev), op.d_residual_d_lambda(ev)
 
     def matvec(x):
         return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
@@ -325,17 +330,20 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
     iterate is admissible, and logs one DEBUG record on the ``vorstokes``
-    logger.  Returns (state, iterations, residual); ``iterations`` counts
-    updates and ``residual`` is the larger of the sup-norm residual and the
-    constraint.  ``carry`` is emptied on entry and given M on success.
+    logger.  Each iterate is evaluated once: its O_delta test, residual,
+    J v, dF/dlambda and J read that `StripOperator.evaluate`, which is
+    released before M is factored.  Returns (state, iterations, residual);
+    ``iterations`` counts updates and ``residual`` is the larger of the
+    sup-norm residual and the constraint.  ``carry`` is emptied on entry and given M on success.
     """
     c_row, c_lam, constraint = border
     factor = None if carry is None else carry.take()
-    op.check_admissible(state)
     current = state.copy_with()
+    ev = op.evaluate(current)
+    op.check_admissible(ev)
     res_prev, chord = math.inf, True
     for it in range(max_iter + 1):
-        r = op.residual_vector(current)
+        r = op.residual_vector(ev)
         cons = constraint(current)
         res = max(float(np.max(np.abs(r))), abs(cons))
         if res <= tol:
@@ -352,13 +360,13 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         path = "fresh LU" if factor is None else "chord" if chord else "Krylov"
         if path == "Krylov":
             eta = min(max(min(1e-2, rate**2), 0.1 * tol / res), 0.5)
-            dw, dlam, krylov, converged = _krylov_solve(op, current, (c_row, c_lam), factor,
+            dw, dlam, krylov, converged = _krylov_solve(op, ev, (c_row, c_lam), factor,
                                                         -r, -cons, eta)
             path = "Krylov" if converged else "fresh LU"
         if path == "fresh LU":
-            factor = None  # release the old LU before the new one is built
-            factor = factor_bordered(op.jacobian(current), op.d_residual_d_lambda(current),
-                                     c_row, c_lam)
+            factor = None  # release the old LU and the evaluation before the new LU is built
+            J, f_lam, ev = op.jacobian(ev), op.d_residual_d_lambda(ev), None
+            factor = factor_bordered(J, f_lam, c_row, c_lam)
             chord = True
         if path != "Krylov":
             dw, dlam = solve_bordered(factor, -r, -cons)
@@ -370,12 +378,13 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
                 lam=current.lam + alpha * dlam,
                 w=current.w + alpha * dw.reshape(current.w.shape),
             )
-            if op.is_admissible(cand):
+            ev = op.evaluate(cand)
+            if op.is_admissible(ev):
                 break
             alpha *= 0.5
         else:
             # raises AdmissibilityError naming the clause and node
-            op.check_admissible(cand)
+            op.check_admissible(ev)
         current = cand
     raise NewtonDivergenceError(
         f"{label} did not reach tol {tol:.2g} in {max_iter} iterations",
@@ -399,7 +408,7 @@ def _chord(a, b):
     return dlam, dw, math.sqrt(_branch_ip(dlam, dw, dlam, dw))
 
 
-def branch_tangent(op: StripOperator, state: WaveState, prev=None, carry: LUSlot = None):
+def branch_tangent(op: StripOperator, state: WaveState, prev, carry: LUSlot = None):
     """Unit tangent (t_lam, t_w) of the solution curve at ``state``.
 
     Solves the bordered system with the previous tangent as border row,
@@ -409,19 +418,19 @@ def branch_tangent(op: StripOperator, state: WaveState, prev=None, carry: LUSlot
     is empty or GMRES stalls, and ``carry`` gets the LU back.
     """
     n = state.w.size
-    if prev is None:
-        raise DomainError("an orientation tangent is required")
     t_lam_prev, t_w_prev = prev
     border = (t_w_prev / n, t_lam_prev)
     factor = None if carry is None else carry.take()
+    ev = op.evaluate(state)
     path, krylov = "fresh LU", 0
     if factor is not None:
-        dw, dlam, krylov, converged = _krylov_solve(op, state, border, factor, np.zeros(n), 1.0,
+        dw, dlam, krylov, converged = _krylov_solve(op, ev, border, factor, np.zeros(n), 1.0,
                                                     TANGENT_RTOL)
         path = "Krylov" if converged else path
     if path != "Krylov":
         factor = None
-        factor = factor_bordered(op.jacobian(state), op.d_residual_d_lambda(state), *border)
+        J, f_lam, ev = op.jacobian(ev), op.d_residual_d_lambda(ev), None
+        factor = factor_bordered(J, f_lam, *border)
         dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
     _LOG.debug("branch tangent: %s, %d GMRES iterations", path, krylov)
     if carry is not None:
@@ -431,11 +440,7 @@ def branch_tangent(op: StripOperator, state: WaveState, prev=None, carry: LUSlot
 
 def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
     """Tangent at the bifurcation point, along the eigenmode, zero in lambda."""
-    grid = op.grid
-    phi = bp.phi_at(grid.p_nodes)
-    t_w = phi[:, None] * np.cos(math.pi * grid.q_nodes / grid.L)[None, :]
-    t_w[0] = 0.0
-    return _unit(0.0, sign * t_w.ravel())
+    return _unit(0.0, _eigenmode(bp, op.grid, sign).ravel())
 
 
 def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
@@ -512,11 +517,11 @@ def classify_termination(op: StripOperator, state: WaveState,
         return Termination.LAMBDA_BLOWUP
     if float(np.max(np.abs(state.w))) >= caps.w_cap:
         return Termination.SUP_W_BLOWUP
-    wp = derivative_fields(op.grid, state.w)["wp"]
-    if float(np.max(wp)) >= caps.wp_cap:
+    ev = op.evaluate(state)
+    if float(np.max(ev.fields["wp"])) >= caps.wp_cap:
         return Termination.SUP_WP_BLOWUP
     try:
-        op.check_admissible(state)
+        op.check_admissible(ev)
     except AdmissibilityError as exc:
         return _CLAUSE_TERMINATIONS[exc.clause]
     return Termination.RUNNING
@@ -543,7 +548,7 @@ class Branch:
         """Summary rows (s, lambda, c, crest, trough, min relative speed)."""
         rows = []
         for state in self.points:
-            hp = op._clause_margins(state)[1]
+            hp = op.evaluate(state).hp
             rows.append(
                 {
                     "s": surface_mode_amplitude(state),

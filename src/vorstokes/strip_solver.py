@@ -19,10 +19,11 @@ the top-row residual is
 
     F2 = 1 + (2 g w - lambda) (lambda^-1/2 + wp)^2 + wq^2.
 
-The operator supplies the residual, its analytic linearization in w and
-lambda, and the test for the admissible set O_delta (parameter above the
-critical floor, no stagnation, surface Bernoulli inequality); the damped
-Newton solves live in ``continuation``.
+The operator's residual, its analytic linearization in w and lambda, and
+the test for the admissible set O_delta (parameter above the critical floor,
+no stagnation, surface Bernoulli inequality) all read one evaluation of a
+state (`StripOperator.evaluate`); the damped Newton solves live in
+``continuation``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +44,8 @@ from scipy.optimize import brentq
 from .errors import AdmissibilityError, DomainError, StagnationDomainError
 from .vorticity import VorticityModel, functionals
 
-__all__ = ["StripGrid", "WaveState", "StripOperator", "default_grid", "linear_strip_mode"]
+__all__ = ["StripGrid", "WaveState", "StripEvaluation", "StripOperator", "default_grid",
+           "linear_strip_mode"]
 
 DELTA_DEFAULT = 1e-3
 
@@ -250,11 +253,62 @@ def derivative_fields(grid: StripGrid, w: np.ndarray):
     return {name: field for name, field in fields.items() if name != "w"}
 
 
+class StripEvaluation:
+    """One look at a state, made by `StripOperator.evaluate`; read-only.
+
+    ``fields`` are its `derivative_fields` (the one pass).  ``lam_margin`` =
+    lambda + 2 inf Gamma, ``hp`` = a^-1 + wp and ``cap_margin`` = 2 lambda -
+    4 g max w(q, 0) are the O_delta margins (all above delta inside it).
+    ``hp`` and ``coefficients`` are formed on first read; below the lambda
+    floor, where a^-1 is not formed, reading them raises that clause.
+    """
+
+    def __init__(self, op: StripOperator, state: WaveState):
+        self.op, self.state = op, state
+        self.fields = derivative_fields(op.grid, state.w)
+        self.lam_margin = state.lam + 2.0 * op.fn.gamma_inf_bound
+        self.cap_margin = 2.0 * state.lam - 4.0 * op.g * float(np.max(state.w[-1]))
+
+    @cached_property
+    def hp(self):
+        if not self.lam_margin > self.op.delta:
+            raise AdmissibilityError(StripOperator.CLAUSES[0], value=self.state.lam)
+        return self.op.ainv_rows(self.state.lam)[:, None] + self.fields["wp"]
+
+    @cached_property
+    def coefficients(self):
+        """The strip equation's coefficients at the state.
+
+        Interior rows (1 .. np-2) read c_pp wpp + c_pq wpq + c_qq wqq +
+        gamma hp^3 - gamma a^-3 c_pp - eps w with hp = a^-1 + wp; c_p and
+        c_q are the derivatives of that row in wp and wq.  The top row
+        reads 1 + bern hp_top^2 + wq_top^2 with bern = 2 g w - lambda.
+        """
+        op, lam, d, sl = self.op, self.state.lam, self.fields, slice(1, -1)
+        hp = self.hp[sl]
+        ainv, gam = op.ainv_rows(lam)[sl, None], op.gamma_p[sl, None]
+        wq, wqq, wpp, wpq = d["wq"][sl], d["wqq"][sl], d["wpp"][sl], d["wpq"][sl]
+        a3 = ainv**3
+        return SimpleNamespace(
+            ainv=ainv, gam=gam, a3=a3, hp=hp,
+            wq=wq, wqq=wqq, wpp=wpp, wpq=wpq,
+            c_pp=1.0 + wq**2,
+            c_pq=-2.0 * hp * wq,
+            c_qq=hp**2,
+            c_p=-2.0 * wq * wpq + 2.0 * hp * wqq + 3.0 * gam * hp**2,
+            c_q=2.0 * wq * wpp - 2.0 * hp * wpq - 2.0 * gam * a3 * wq,
+            hp_top=lam**-0.5 + d["wp"][-1],
+            bern=2.0 * op.g * self.state.w[-1] - lam,
+            wq_top=d["wq"][-1],
+        )
+
+
 class StripOperator:
     """Residual, linearization and admissibility test for one model and grid.
 
-    Holds the cached vorticity samples on the grid; immutable after
-    construction, so distinct solves can share it across threads.
+    All read a `StripEvaluation` from `evaluate`; only `residual_norm` takes
+    a state.  Holds the cached vorticity samples on the grid; immutable
+    after construction, so distinct solves can share it across threads.
     """
 
     def __init__(self, model: VorticityModel, g: float, grid: StripGrid,
@@ -273,7 +327,7 @@ class StripOperator:
         self.big_gamma_p = np.asarray(model.big_gamma(p))
         self.gamma_p = np.asarray(model.gamma(-p))
 
-    # -- coefficient rows --------------------------------------------------------
+    # -- evaluation --------------------------------------------------------------
 
     def ainv_rows(self, lam):
         """1 / sqrt(lambda + 2 Gamma(p)) at the p nodes, the laminar h_p."""
@@ -284,6 +338,10 @@ class StripOperator:
             )
         return 1.0 / np.sqrt(a_sq)
 
+    def evaluate(self, state: WaveState) -> StripEvaluation:
+        """One look at ``state``: its residual, J v, dF/dlambda, J and O_delta test read it."""
+        return StripEvaluation(self, state)
+
     # -- admissibility -------------------------------------------------------------
 
     # the clauses of O_delta, in the order check_admissible tests them
@@ -293,95 +351,36 @@ class StripOperator:
         "surface clause w < (2*lambda - delta)/(4g)",
     )
 
-    def _clause_margins(self, state: WaveState):
-        """(lambda + 2 inf Gamma, h_p = a^-1 + wp, 2 lambda - 4 g max w(q, 0)).
-
-        The state lies in O_delta when all three exceed delta, h_p at every
-        node.  h_p needs a^-1, which exists above the lambda floor, so the
-        lambda clause is raised here.
-        """
-        lam, w = state.lam, state.w
-        lam_margin = lam + 2.0 * self.fn.gamma_inf_bound
-        if not lam_margin > self.delta:
-            raise AdmissibilityError(self.CLAUSES[0], value=lam)
-        hp = self.ainv_rows(lam)[:, None] + derivative_fields(self.grid, w)["wp"]
-        cap_margin = 2.0 * lam - 4.0 * self.g * float(np.max(w[-1]))
-        return lam_margin, hp, cap_margin
-
-    def check_admissible(self, state: WaveState):
+    def check_admissible(self, ev: StripEvaluation):
         """Raise AdmissibilityError naming the clause and node on violation."""
-        _, hp, cap_margin = self._clause_margins(state)
+        hp = ev.hp  # raises the lambda clause below the floor
         if np.any(hp <= self.delta):
             i, j = np.unravel_index(int(np.argmin(hp)), hp.shape)
             raise AdmissibilityError(self.CLAUSES[1], node=(i, j), value=float(hp[i, j]))
-        if not cap_margin > self.delta:
-            j = int(np.argmax(state.w[-1]))
+        if not ev.cap_margin > self.delta:
+            j = int(np.argmax(ev.state.w[-1]))
             raise AdmissibilityError(self.CLAUSES[2], node=(self.grid.np - 1, j),
-                                     value=float(state.w[-1, j]))
+                                     value=float(ev.state.w[-1, j]))
 
-    def is_admissible(self, state: WaveState) -> bool:
+    def is_admissible(self, ev: StripEvaluation) -> bool:
         try:
-            self.check_admissible(state)
+            self.check_admissible(ev)
         except AdmissibilityError:
             return False
         return True
 
     # -- residual -------------------------------------------------------------------
 
-    def residual_f1(self, state: WaveState):
-        """Interior residual F1 - eps*w on rows 1 .. np-2 (all columns)."""
-        self.check_admissible(state)
-        return self._residual_fields(state)[0]
-
-    def residual_f2(self, state: WaveState):
-        """Top-row residual F2 (Bernoulli) along the surface."""
-        self.check_admissible(state)
-        return self._residual_fields(state)[1]
-
-    def _coefficients(self, state):
-        """The strip equation's coefficients at ``state``, built once.
-
-        Interior rows (1 .. np-2) read c_pp wpp + c_pq wpq + c_qq wqq +
-        gamma hp^3 - gamma a^-3 c_pp - eps w with hp = a^-1 + wp; c_p and
-        c_q are the derivatives of that row in wp and wq.  The top row
-        reads 1 + bern hp_top^2 + wq_top^2 with bern = 2 g w - lambda.
-        """
-        lam, w = state.lam, state.w
-        d = derivative_fields(self.grid, w)
-        sl = slice(1, -1)
-        ainv = self.ainv_rows(lam)[sl, None]
-        gam = self.gamma_p[sl, None]
-        wq, wqq, wpp, wpq = d["wq"][sl], d["wqq"][sl], d["wpp"][sl], d["wpq"][sl]
-        hp = ainv + d["wp"][sl]
-        a3 = ainv**3
-        return SimpleNamespace(
-            ainv=ainv, gam=gam, a3=a3, hp=hp,
-            wq=wq, wqq=wqq, wpp=wpp, wpq=wpq,
-            c_pp=1.0 + wq**2,
-            c_pq=-2.0 * hp * wq,
-            c_qq=hp**2,
-            c_p=-2.0 * wq * wpq + 2.0 * hp * wqq + 3.0 * gam * hp**2,
-            c_q=2.0 * wq * wpp - 2.0 * hp * wpq - 2.0 * gam * a3 * wq,
-            hp_top=lam**-0.5 + d["wp"][-1],
-            bern=2.0 * self.g * w[-1] - lam,
-            wq_top=d["wq"][-1],
-        )
-
-    def _residual_fields(self, state):
-        c = self._coefficients(state)
-        f1 = (c.c_pp * c.wpp + c.c_pq * c.wpq + c.c_qq * c.wqq + c.gam * c.hp**3
-              - c.gam * c.a3 * c.c_pp - self.epsilon * state.w[1:-1])
-        f2 = 1.0 + c.bern * c.hp_top**2 + c.wq_top**2
-        return f1, f2
-
-    def residual_vector(self, state: WaveState):
+    def residual_vector(self, ev: StripEvaluation):
         """Full residual with bottom Dirichlet rows, flattened row-major."""
-        f1, f2 = self._residual_fields(state)
-        return np.concatenate([state.w[0], f1.ravel(), f2])
+        c = ev.coefficients
+        f1 = (c.c_pp * c.wpp + c.c_pq * c.wpq + c.c_qq * c.wqq + c.gam * c.hp**3
+              - c.gam * c.a3 * c.c_pp - self.epsilon * ev.state.w[1:-1])
+        f2 = 1.0 + c.bern * c.hp_top**2 + c.wq_top**2
+        return np.concatenate([ev.state.w[0], f1.ravel(), f2])
 
     def residual_norm(self, state: WaveState) -> float:
-        f1, f2 = self._residual_fields(state)
-        return float(max(np.max(np.abs(f1)), np.max(np.abs(f2)), np.max(np.abs(state.w[0]))))
+        return float(np.max(np.abs(self.residual_vector(self.evaluate(state)))))
 
     # -- linearization ----------------------------------------------------------------
 
@@ -399,7 +398,7 @@ class StripOperator:
                     "w": 2.0 * self.g * c.hp_top**2},
         }
 
-    def jacobian(self, state: WaveState):
+    def jacobian(self, ev: StripEvaluation):
         """Sparse derivative of the residual vector in w (CSC).
 
         The chain rule through `_stencils`: each row's derivative in each field
@@ -411,7 +410,7 @@ class StripOperator:
         table, spans = _stencils(self.grid), _row_spans(n_p)
         rows, cols, vals = [], [], []
         jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
-        for row_class, row_partials in self._partials(self._coefficients(state)).items():
+        for row_class, row_partials in self._partials(ev.coefficients).items():
             lo, hi = spans[row_class]
             ii = np.arange(lo, hi, dtype=np.int32)[:, None]
             eq, shifts = (ii * nq + jj).ravel(), {}
@@ -428,17 +427,15 @@ class StripOperator:
         rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
         return sp.coo_matrix((vals, (rows, cols)), shape=(n_p * nq, n_p * nq)).tocsc()
 
-    def jacobian_action(self, state: WaveState):
-        """The map v -> J v of `jacobian` at ``state``, without assembling J.
+    def jacobian_action(self, ev: StripEvaluation):
+        """The map v -> J v of `jacobian`, without assembling J.
 
-        The same chain rule: one `_coefficients` pass here, then each product
-        is one `derivative_fields` pass of v (the fields are linear in w)
-        weighted by the rows' partials.  ``v`` is a flattened field.
+        The same chain rule: each product is one `derivative_fields` pass of
+        v (the fields are linear in w) weighted by the rows' partials.  ``v``
+        is a flattened field.
         """
-        return self._action(self._coefficients(state), state.w.shape)
-
-    def _action(self, c, shape):
-        partials, spans = self._partials(c), _row_spans(self.grid.np)
+        shape = ev.state.w.shape
+        partials, spans = self._partials(ev.coefficients), _row_spans(self.grid.np)
 
         def apply(v):
             v = np.reshape(v, shape)
@@ -455,24 +452,17 @@ class StripOperator:
 
         return apply
 
-    def d_residual_d_lambda(self, state: WaveState):
+    def d_residual_d_lambda(self, ev: StripEvaluation):
         """Analytic derivative of the residual vector in lambda.
 
         The interior rows depend on lambda only through a^-1 =
         (lambda + 2 Gamma)^-1/2, with d(a^-1)/dlambda = -a^-3/2; the top row
         through lambda^-1/2 and bern = 2 g w - lambda.
         """
-        return self._d_lambda(self._coefficients(state), state.lam)
-
-    def _d_lambda(self, c, lam):
+        c, lam = ev.coefficients, ev.state.lam
         interior = -0.5 * c.a3 * c.c_p + 1.5 * c.gam * c.ainv**5 * c.c_pp
         top = -c.hp_top**2 - c.bern * c.hp_top * lam**-1.5
         return np.concatenate([np.zeros(self.grid.nq), interior.ravel(), top])
-
-    def linearization(self, state: WaveState):
-        """(`jacobian_action`, `d_residual_d_lambda`) at ``state``, one `_coefficients` pass."""
-        c = self._coefficients(state)
-        return self._action(c, state.w.shape), self._d_lambda(c, state.lam)
 
 
 def linear_strip_mode(op: StripOperator, lam_hint: float):

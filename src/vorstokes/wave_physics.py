@@ -269,10 +269,10 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     envelope, e.g. when e^(-beta L) underflows).
     """
     grid = state.grid
-    d = derivative_fields(grid, state.w)
+    ev = op.evaluate(state)
+    d, hp = ev.fields, ev.hp
     ainv = op.ainv_rows(state.lam)[:, None]
     gam = op.gamma_p[:, None]
-    lam_margin, hp, cap_margin = op._clause_margins(state)
     if M is None:
         M = max(
             float(np.max(np.abs(state.w))),
@@ -288,7 +288,7 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     # the state lies in O_delta for every delta up to its own margins; the
     # largest such delta gives the strongest envelope constants
     delta_env = max(op.delta,
-                    0.99 * min(float(np.min(hp)), lam_margin, cap_margin))
+                    0.99 * min(float(np.min(hp)), ev.lam_margin, ev.cap_margin))
     beta = max(1.0, km2 / (2.0 * delta_env**2))
 
     def excess(sigma):

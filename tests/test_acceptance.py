@@ -207,12 +207,12 @@ def test_criterion_08_jacobian_correctness(zero_setup, zero_branch):
     worst = {1e-4: 0.0, 1e-5: 0.0}
     for idx in indices:
         st = zero_branch.points[idx]
-        J = op.jacobian(st)
-        r0 = op.residual_vector(st)
+        ev = op.evaluate(st)
+        J, r0 = op.jacobian(ev), op.residual_vector(ev)
         for t in worst:
             for _ in range(10):
                 phi = smooth_field()
-                fd = (op.residual_vector(st.copy_with(w=st.w + t * phi)) - r0) / t
+                fd = (op.residual_vector(op.evaluate(st.copy_with(w=st.w + t * phi))) - r0) / t
                 ref = J @ phi.ravel()
                 rel = float(np.max(np.abs(fd - ref)) / np.max(np.abs(ref)))
                 worst[t] = max(worst[t], rel)

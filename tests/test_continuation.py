@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vorstokes import continuation
+from vorstokes import continuation, strip_solver
 from vorstokes.continuation import (
     Caps,
     Termination,
@@ -251,7 +251,7 @@ def test_every_accepted_point_strictly_admissible(zero_branch, zero_setup):
     _, _, _, op = zero_setup
     caps = Caps.default(G, L)
     for st in zero_branch.points:
-        assert op.is_admissible(st)
+        assert op.is_admissible(op.evaluate(st))
         assert classify_termination(op, st, caps) is Termination.RUNNING
 
 
@@ -328,7 +328,7 @@ def test_step_floor_on_admissibility_reports_the_clause(small_zero, monkeypatch)
     def above_cap(op, state, tangent, ds, tol, **kwargs):
         w = state.w.copy()
         w[-1] = (2.0 * state.lam) / (4.0 * G)
-        op.check_admissible(state.copy_with(w=w))
+        op.check_admissible(op.evaluate(state.copy_with(w=w)))
 
     monkeypatch.setattr(continuation, "arclength_step", above_cap)
     branch = continue_branch(op, bp, steps=3, ds=0.004)
@@ -371,9 +371,8 @@ def test_solve_bordered_matches_dense_solve(small_zero):
     state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     state = state.copy_with(w=1.01 * state.w)  # off the solution set: r != 0
     n = state.w.size
-    r = op.residual_vector(state)
-    J = op.jacobian(state)
-    f_lam = op.d_residual_d_lambda(state)
+    ev = op.evaluate(state)
+    r, J, f_lam = op.residual_vector(ev), op.jacobian(ev), op.d_residual_d_lambda(ev)
     t_lam, t_w = branch_tangent(op, state, prev=seed_tangent(bp, op))
     borders = {
         "tangent": (t_w / n, t_lam, np.column_stack([-r, np.zeros(n)]), np.array([0.3, 1.0])),
@@ -573,9 +572,9 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
         solves.append(1)
         return real_solve(*args, **kwargs)
 
-    def counting_jacobian(state):
+    def counting_jacobian(ev):
         jacobians.append(1)
-        return StripOperator.jacobian(op, state)
+        return StripOperator.jacobian(op, ev)
 
     monkeypatch.setattr(continuation, "splu", counting_splu)
     monkeypatch.setattr(continuation, "_bordered_newton", recording_newton)
@@ -597,6 +596,34 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
         assert factored.count("NATURAL") == 1
         assert len(jacobians) == 1
         assert op.residual_norm(state) <= 1e-10
+
+
+def test_each_iterate_is_differentiated_once(small_zero, monkeypatch):
+    # one evaluation per iterate feeds its residual, its O_delta test, J v,
+    # dF/dlambda and J; every J v differentiates a new Krylov vector, so no
+    # field reaches derivative_fields twice within one solve
+    bp, op = small_zero
+    carry = continuation.LUSlot()
+    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004, carry=carry)
+    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op), carry=carry)
+    seed = initial_nontrivial_guess(bp, op, 0.006)
+    real = strip_solver.derivative_fields
+    seen = []
+
+    def recording(grid, w):
+        seen.append(np.asarray(w).tobytes())
+        return real(grid, w)
+
+    monkeypatch.setattr(strip_solver, "derivative_fields", recording)
+    solves = [lambda: solve_at_amplitude(op, seed, 0.006)]
+    # a chord step on the carried LU, then long steps that go on by GMRES
+    solves += [lambda ds=ds: arclength_step(op, first, tangent, ds, carry=carry)
+               for ds in (0.004, 0.03, 0.08)]
+    for solve in solves:
+        seen.clear()
+        solve()
+        assert len(seen) > 1
+        assert len(set(seen)) == len(seen)
 
 
 def _counting_splu(monkeypatch):
@@ -704,7 +731,7 @@ def test_homotopy_hands_its_lu_to_the_next_epsilon(small_zero, monkeypatch):
 def _layout_borders(op, state):
     """(f_lam, c_row, c_lam) of three borders; the layout stores zeros too."""
     n = state.w.size
-    f_lam = op.d_residual_d_lambda(state)  # zero on the bottom rows
+    f_lam = op.d_residual_d_lambda(op.evaluate(state))  # zero on the bottom rows
     assert not np.any(f_lam[:op.grid.nq])
     rng = np.random.default_rng(5)
     return {
@@ -717,7 +744,7 @@ def _layout_borders(op, state):
 def test_bordered_layout_equals_the_permuted_bmat(small_zero):
     bp, op = small_zero
     state = initial_nontrivial_guess(bp, op, 0.004)
-    J = op.jacobian(state)
+    J = op.jacobian(op.evaluate(state))
     n = J.shape[0]
     for name, (f_lam, c_row, c_lam) in _layout_borders(op, state).items():
         M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
@@ -738,7 +765,7 @@ def test_cached_layout_outlives_its_factorizations(small_zero, monkeypatch):
     borders = _layout_borders(op, initial_nontrivial_guess(bp, op, 0.004))
     snapshots = []
     for s, (f_lam, c_row, c_lam) in zip((0.004, 0.008), borders.values()):
-        J = op.jacobian(initial_nontrivial_guess(bp, op, s))
+        J = op.jacobian(op.evaluate(initial_nontrivial_guess(bp, op, s)))
         M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
         dw, dlam = solve_bordered(factor_bordered(J, f_lam, c_row, c_lam), rhs[:-1], rhs[-1])
         x = np.append(dw, dlam)
