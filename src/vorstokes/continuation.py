@@ -330,11 +330,11 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
     iterate is admissible, and logs one DEBUG record on the ``vorstokes``
-    logger.  Each iterate is evaluated once: its O_delta test, residual,
-    J v, dF/dlambda and J read that `StripOperator.evaluate`, which is
-    released before M is factored.  Returns (state, iterations, residual);
-    ``iterations`` counts updates and ``residual`` is the larger of the
-    sup-norm residual and the constraint.  ``carry`` is emptied on entry and given M on success.
+    logger.  Each iterate is evaluated once (`StripOperator.evaluate`), and
+    the evaluation released before M is factored.  Returns (state,
+    iterations, residual); ``iterations`` counts updates and ``residual`` is
+    the larger of the sup-norm residual and the constraint.  ``carry`` is
+    emptied on entry and given M on success.
     """
     c_row, c_lam, constraint = border
     factor = None if carry is None else carry.take()
@@ -483,7 +483,7 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     return current
 
 
-def _history_tangent(points):
+def _history_tangent(points, first_tangent):
     """Unit tangent at the last of the accepted ``points`` of a branch, without a solve.
 
     With three or more points, the derivative at x2 of the quadratic through
@@ -493,15 +493,21 @@ def _history_tangent(points):
     (h1 h2), c2 = (h1 + 2 h2) / (h2 (h1 + h2)), accurate to second order in
     the step (Allgower & Georg 1990, ch. 6).  It is evaluated as
     e + h2 / (h1 + h2) (e - d) with the secants d = (x1 - x0) / h1 and
-    e = (x2 - x1) / h2, so no large values cancel.  With two points, the
+    e = (x2 - x1) / h2, so no large values cancel.  With two points, x1 and
+    x2, it is 2 e - t0 (d = t0, h1 -> 0), the slope at x2 of the quadratic
+    with slope ``first_tangent`` t0 at x1, while e . t0 > 1/2; a step that
+    turns further is too long for t0 to tell the curvature and gets the
     secant e.  Either way it points along the direction of travel.
     """
     dlam2, dw2, h2 = _chord(*points[-2:])
-    if len(points) == 2:
-        return _unit(dlam2, dw2)
-    dlam1, dw1, h1 = _chord(*points[-3:-1])
-    e_lam, e_w, k = dlam2 / h2, dw2 / h2, h2 / (h1 + h2)
-    return _unit(e_lam + k * (e_lam - dlam1 / h1), e_w + k * (e_w - dw1 / h1))
+    e_lam, e_w = dlam2 / h2, dw2 / h2
+    if len(points) > 2:
+        dlam1, dw1, h1 = _chord(*points[-3:-1])
+        d_lam, d_w, k = dlam1 / h1, dw1 / h1, h2 / (h1 + h2)
+    else:
+        d_lam, d_w = first_tangent
+        k = 1.0 if _branch_ip(e_lam, e_w, d_lam, d_w) > 0.5 else 0.0
+    return _unit(e_lam + k * (e_lam - d_lam), e_w + k * (e_w - d_w))
 
 
 # the Termination of each clause of O_delta that check_admissible raises
@@ -572,17 +578,17 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     s0 (default ds), subsequent points by pseudo-arclength steps.  The first
     point's tangent is solved (`branch_tangent`, oriented by the seed
     eigenmode); after each accepted step the next tangent is
-    `_history_tangent` of the accepted points, which costs no solve.  One
-    `LUSlot` carries the LU from the first solve through its tangent and
-    from each accepted step to the next, so a smooth branch factors about
-    once; a failed step, including one that lands more than 1.5 step
-    lengths away, drops it, so the halved retry factors afresh.  The trace
-    stops at ``steps`` accepted points, on a termination clause, or when
-    step halving hits its floor; a floor reached on an AdmissibilityError
-    reports that error's clause, and ``diagnostics`` lists the ds and
-    "Type: message" of every failed attempt of that halving cascade.
-    Raises DomainError for ``ds <= 0`` and for ``s0 == 0``, the trivial
-    solution.
+    `_history_tangent` of the accepted points and that first tangent,
+    which costs no solve.  One `LUSlot` carries the LU from the first solve
+    through its tangent and from each accepted step to the next, so a
+    smooth branch factors about once; a failed step, including one that
+    lands more than 1.5 step lengths away, drops it, so the halved retry
+    factors afresh.  The trace stops at ``steps`` accepted points, on a
+    termination clause, or when step halving hits its floor; a floor
+    reached on an AdmissibilityError reports that error's clause, and
+    ``diagnostics`` lists the ds and "Type: message" of every failed
+    attempt of that halving cascade.  Raises DomainError for ``ds <= 0``
+    and for ``s0 == 0``, the trivial solution.
     """
     if not ds > 0.0:
         raise DomainError(f"arclength step must be positive, got {ds!r}")
@@ -595,8 +601,8 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     carry = LUSlot()
     seed = initial_nontrivial_guess(bp, op, s_first)
     first = solve_at_amplitude(op, seed, s_first, tol=tol, carry=carry)
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)),
-                             carry=carry)
+    first_tangent = tangent = branch_tangent(
+        op, first, prev=seed_tangent(bp, op, sign=math.copysign(1.0, s_first)), carry=carry)
     branch.append(first)
 
     step = ds
@@ -627,7 +633,7 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
                 return branch
             continue
         failures.clear()
-        state, tangent = state_new, _history_tangent(branch.points)
+        state, tangent = state_new, _history_tangent(branch.points, first_tangent)
         step = min(ds, 2.0 * step)
     term = classify_termination(op, state, caps)
     branch.termination = Termination.MAX_STEPS if term is Termination.RUNNING else term

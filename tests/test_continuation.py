@@ -456,26 +456,31 @@ def test_history_tangent_is_exact_on_a_parabola():
     points = [point(tau) for tau in (0.0, 1.0, 3.0)]
     gaps = [continuation._chord(x, y)[2] for x, y in zip(points, points[1:])]
     assert gaps[1] == pytest.approx(2.0 * gaps[0], rel=1e-12)
-    t_lam, t_w = _history_tangent(points)
+    t_lam, t_w = _history_tangent(points, None)
     exact = continuation._unit(b_lam + 6.0 * c_lam, b_w + 6.0 * c_w)
     assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, abs=1e-12)
     assert abs(t_lam - exact[0]) <= 1e-12
     assert np.max(np.abs(t_w - exact[1])) <= 1e-12
-    # two points give the secant
-    dlam, dw, _ = continuation._chord(*points[1:])
-    assert _branch_ip(*_history_tangent(points[1:]), dlam, dw) == pytest.approx(gaps[1],
-                                                                               rel=1e-12)
+    # two points and the slope at the first, dx/dh = b / h at tau = 0 with
+    # chord length h = h1 tau, give the quadratic's derivative at the second
+    h1 = gaps[0]
+    t_lam, t_w = _history_tangent(points[:2], (b_lam / h1, b_w / h1))
+    exact = continuation._unit(b_lam + 2.0 * c_lam, b_w + 2.0 * c_w)
+    assert abs(t_lam - exact[0]) <= 1e-12
+    assert np.max(np.abs(t_w - exact[1])) <= 1e-12
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.03])
 def test_history_tangent_matches_the_solved_tangent(small_zero, ds):
-    # from the third point on, the quadratic through the last three points
-    # is within 0.99 in branch-norm cosine of the tangent solved there
+    # from the second point on, the quadratic through the last three points,
+    # or through two with the first point's solved slope, is within 0.99 in
+    # branch-norm cosine of the tangent solved there
     bp, op = small_zero
     branch = continue_branch(op, bp, steps=6, ds=ds)
     assert len(branch.points) == 6
-    for k in range(3, 7):
-        history = _history_tangent(branch.points[:k])
+    first_tangent = branch_tangent(op, branch.points[0], prev=seed_tangent(bp, op))
+    for k in range(2, 7):
+        history = _history_tangent(branch.points[:k], first_tangent)
         solved = branch_tangent(op, branch.points[k - 1], prev=history)
         assert _branch_ip(*history, *solved) >= 0.99
 
@@ -498,8 +503,9 @@ def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
     branch = continue_branch(op, bp, steps=6, ds=0.004)
     assert len(branch.points) == 6
     assert len(tangents) == 1
-    # the correctors and one GMRES tangent; a solved tangent per step made it 115
-    assert len(solves) == 89
+    # the correctors and one GMRES tangent; a solved tangent per step made it
+    # 115, and the secant in place of the second point's quadratic 89
+    assert len(solves) == 87
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
@@ -508,12 +514,12 @@ def test_step_tangent_is_unit_and_keeps_the_orientation(small_zero, ds):
     bp, op = small_zero
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     points = [first]
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    first_tangent = tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
     for _ in range(2):
         state = arclength_step(op, points[-1], tangent, ds)
         secant = (state.lam - points[-1].lam, (state.w - points[-1].w).ravel())
         points.append(state)
-        t_lam, t_w = _history_tangent(points)
+        t_lam, t_w = _history_tangent(points, first_tangent)
         assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
         assert _branch_ip(t_lam, t_w, *tangent) > 0.0
         assert _branch_ip(t_lam, t_w, *secant) > 0.0
