@@ -7,15 +7,16 @@ nonsingular across folds, re-converges branches across a decreasing
 sequence of regularization strengths at a fixed branch coordinate, and
 classifies why a trace stopped.
 
-The corrector factors the bordered matrix about once per branch or
-homotopy.  It takes chord updates on that LU while they at least halve the
-residual, then Newton-Krylov updates: GMRES on the current bordered system,
+The corrector factors the bordered matrix about once per branch or homotopy.
+It takes chord updates on that LU while they at least halve the residual,
+then Newton-Krylov updates: GMRES on the current bordered system,
 right-preconditioned by the same LU, with a matrix-free J v.  It factors
 again only when GMRES stalls.  A one-slot holder hands the LU from solve to
 solve.  Only a branch's first point solves for its tangent (GMRES on that
-LU); each later tangent, the predictor direction and border row of the next
-step, is the derivative of the quadratic through the last three accepted
-points (Allgower & Georg 1990, ch. 6), which costs no solve.
+LU); each later tangent, the next step's predictor and border row, is the
+derivative of the quadratic through the last three accepted points, or of
+the last two and that first tangent (Allgower & Georg 1990, ch. 6), which
+costs no solve.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -127,8 +128,7 @@ def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
 
     Raises AdmissibilityError when |s| is too large for the admissible set.
     """
-    state = WaveState(lam=bp.lambda_star, epsilon=op.epsilon, grid=op.grid,
-                      w=_eigenmode(bp, op.grid, s))
+    state = WaveState(bp.lambda_star, op.epsilon, op.grid, _eigenmode(bp, op.grid, s))
     op.check_admissible(op.evaluate(state))
     return state
 

@@ -19,11 +19,10 @@ the top-row residual is
 
     F2 = 1 + (2 g w - lambda) (lambda^-1/2 + wp)^2 + wq^2.
 
-The operator's residual, its analytic linearization in w and lambda, and
-the test for the admissible set O_delta (parameter above the critical floor,
-no stagnation, surface Bernoulli inequality) all read one evaluation of a
-state (`StripOperator.evaluate`); the damped Newton solves live in
-``continuation``.
+The residual, its analytic linearization in w and lambda, and the test for
+the admissible set O_delta (parameter above the critical floor, no
+stagnation, surface Bernoulli inequality) all read one evaluation of a state,
+`StripOperator.evaluate`; the damped Newton solves live in ``continuation``.
 """
 
 from __future__ import annotations
@@ -306,9 +305,8 @@ class StripEvaluation:
 class StripOperator:
     """Residual, linearization and admissibility test for one model and grid.
 
-    All read a `StripEvaluation` from `evaluate`; only `residual_norm` takes
-    a state.  Holds the cached vorticity samples on the grid; immutable
-    after construction, so distinct solves can share it across threads.
+    Each reads a `StripEvaluation` from `evaluate`.  Holds the cached
+    vorticity samples on the grid; immutable, so threads may share it.
     """
 
     def __init__(self, model: VorticityModel, g: float, grid: StripGrid,
