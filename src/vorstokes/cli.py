@@ -39,7 +39,6 @@ from .pipeline import (
 )
 from .shear_flow import ShearFlow
 from .strip_solver import StripOperator, WaveState
-from .vorticity import functionals
 from .wave_physics import physical_grid, reconstruct, verify_all
 
 
@@ -73,9 +72,8 @@ def _emit_json(args, obj, default_name):
 def cmd_trivial(args):
     cfg = parse_config(args.config)
     model = cfg.model()
-    fn = functionals(model)
     lam = args.lam if args.lam is not None else cfg.g * cfg.L / math.pi
-    flow = ShearFlow(model, lam=lam, g=cfg.g, fn=fn)
+    flow = ShearFlow(model, lam=lam, g=cfg.g)
     p = -np.linspace(0.0, max(4.0 * cfg.L, 10.0), args.samples)
     rows = [(float(pp), float(flow.h_tr(pp)), float(flow.h_tr_p(pp))) for pp in p]
     lines = [f"# lambda,{lam!r}", f"# c,{flow.c!r}", "p,h_tr,h_tr_p"]

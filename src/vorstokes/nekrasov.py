@@ -254,7 +254,7 @@ def strip_wave_to_angles(wave, g: float, n_quad: int = 256):
     grid = state.grid
     # reverse the columns: x = -q runs crest (0) to trough (L)
     hp_top = wave.hp[-1][::-1]
-    hq_top = wave.hq[-1][::-1]
+    hq_top = wave.fields["wq"][-1][::-1]
     x = -grid.q_nodes[::-1]
     slope = -hq_top          # eta'(x) for x in (0, L)
     theta = -np.arctan(slope)

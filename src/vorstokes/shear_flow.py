@@ -17,7 +17,7 @@ condition grad h -> (0, 1/c), giving c^2 = lambda + 2*Gamma_total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -70,13 +70,11 @@ class ShearFlow:
     model: VorticityModel
     lam: float
     g: float = 9.81
-    fn: VorticityFunctionals = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.g <= 0:
             raise DomainError("gravity must be positive")
-        if self.fn is None:
-            self.fn = functionals(self.model)
+        self.fn = functionals(self.model)
         if self.lam + 2.0 * self.fn.gamma_inf_bound <= 0.0:
             raise StagnationDomainError(
                 f"lambda = {self.lam:.6g} is not above the critical floor "

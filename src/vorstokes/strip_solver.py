@@ -253,18 +253,19 @@ def derivative_fields(grid: StripGrid, w: np.ndarray):
 
 
 class StripEvaluation:
-    """One look at a state, made by `StripOperator.evaluate`; read-only.
+    """One look at a state; read-only.
 
-    ``fields`` are its `derivative_fields` (the one pass).  ``lam_margin`` =
-    lambda + 2 inf Gamma, ``hp`` = a^-1 + wp and ``cap_margin`` = 2 lambda -
-    4 g max w(q, 0) are the O_delta margins (all above delta inside it).
-    ``hp`` and ``coefficients`` are formed on first read; below the lambda
-    floor, where a^-1 is not formed, reading them raises that clause.
+    ``fields`` are the state's `derivative_fields`, made once by the caller:
+    `StripOperator.evaluate`, or `wave_physics.reconstruct` for a verified
+    state.  ``lam_margin`` = lambda + 2 inf Gamma, ``hp`` = a^-1 + wp and
+    ``cap_margin`` = 2 lambda - 4 g max w(q, 0) are the O_delta margins (all
+    above delta inside it).  ``hp`` and ``coefficients`` are formed on first
+    read; below the lambda floor, where a^-1 is not formed, reading them
+    raises that clause.
     """
 
-    def __init__(self, op: StripOperator, state: WaveState):
-        self.op, self.state = op, state
-        self.fields = derivative_fields(op.grid, state.w)
+    def __init__(self, op: StripOperator, state: WaveState, fields: dict):
+        self.op, self.state, self.fields = op, state, fields
         self.lam_margin = state.lam + 2.0 * op.fn.gamma_inf_bound
         self.cap_margin = 2.0 * state.lam - 4.0 * op.g * float(np.max(state.w[-1]))
 
@@ -310,7 +311,7 @@ class StripOperator:
     """
 
     def __init__(self, model: VorticityModel, g: float, grid: StripGrid,
-                 epsilon: float, delta: float = DELTA_DEFAULT, fn=None):
+                 epsilon: float, delta: float = DELTA_DEFAULT):
         if not 0.0 <= epsilon < 1.0:
             raise DomainError("epsilon must lie in [0, 1)")
         if delta <= 0.0:
@@ -320,7 +321,7 @@ class StripOperator:
         self.grid = grid
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        self.fn = functionals(model) if fn is None else fn
+        self.fn = functionals(model)
         p = grid.p_nodes
         self.big_gamma_p = np.asarray(model.big_gamma(p))
         self.gamma_p = np.asarray(model.gamma(-p))
@@ -338,7 +339,7 @@ class StripOperator:
 
     def evaluate(self, state: WaveState) -> StripEvaluation:
         """One look at ``state``: its residual, J v, dF/dlambda, J and O_delta test read it."""
-        return StripEvaluation(self, state)
+        return StripEvaluation(self, state, derivative_fields(self.grid, state.w))
 
     # -- admissibility -------------------------------------------------------------
 

@@ -19,7 +19,10 @@ relative-speed bounds, the sign of the Bernoulli-type pressure function B,
 surface monotonicity of psi_y and its global min-max form for nonpositive
 monotone vorticity, and the amplitude-speed chain.  Inequalities that are
 strict in the continuum are asserted with an explicit reported slack,
-never exactly.
+never exactly.  `verify_all` differentiates a state once: every check reads
+the `derivative_fields` pass that `reconstruct` keeps as
+`PhysicalWave.fields`, the strip-side ones through a `StripEvaluation` built
+on it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, StagnationDomainError
-from .shear_flow import ShearFlow, wave_speed
-from .strip_solver import StripOperator, WaveState, derivative_fields
-from .vorticity import VorticityModel, functionals
+from .shear_flow import ShearFlow
+from .strip_solver import StripEvaluation, StripOperator, WaveState, derivative_fields
+from .vorticity import VorticityModel
 
 __all__ = [
     "CheckResult",
@@ -105,7 +108,8 @@ class PhysicalWave:
     """Reconstructed traveling wave sampled at the strip nodes.
 
     The samples (x = q, y = height map) are transform-exact; no
-    interpolation is involved.
+    interpolation is involved.  ``fields`` are the `derivative_fields` of
+    ``source.w`` the reconstruction was made from.
     """
 
     c: float
@@ -116,9 +120,9 @@ class PhysicalWave:
     psi_y: np.ndarray           # at strip nodes
     pressure: np.ndarray        # at strip nodes, relative to the surface value
     big_gamma: np.ndarray       # Gamma(p) per row
-    source: WaveState = None
-    hp: np.ndarray = None
-    hq: np.ndarray = None
+    source: WaveState
+    hp: np.ndarray              # a^-1 + wp at strip nodes
+    fields: dict
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,7 @@ def reconstruct(state: WaveState, model: VorticityModel, g: float) -> PhysicalWa
     Velocities follow from the hodograph identities without interpolation.
     """
     grid = state.grid
-    fn = functionals(model)
-    flow = ShearFlow(model, lam=state.lam, g=g, fn=fn)
+    flow = ShearFlow(model, lam=state.lam, g=g)
     p = grid.p_nodes
 
     h = flow.h_tr(p)[:, None] + state.w
@@ -153,20 +156,18 @@ def reconstruct(state: WaveState, model: VorticityModel, g: float) -> PhysicalWa
     hp = ainv[:, None] + d["wp"]
     if np.any(hp <= 0.0):
         raise StagnationDomainError("height map is not monotone in p")
-    hq = d["wq"]
 
-    psi_x = hq / hp
+    psi_x = d["wq"] / hp
     psi_y = -1.0 / hp
     big_gamma = np.asarray(model.big_gamma(p))
     speed_sq = psi_x**2 + psi_y**2
     pressure = -(0.5 * speed_sq + g * h - big_gamma[:, None])
 
     eta = h[-1].copy()
-    c = wave_speed(state.lam, fn)
 
     return PhysicalWave(
-        c=c, x=grid.q_nodes, eta=eta, height=h, psi_x=psi_x, psi_y=psi_y,
-        pressure=pressure, big_gamma=big_gamma, source=state, hp=hp, hq=hq,
+        c=flow.c, x=grid.q_nodes, eta=eta, height=h, psi_x=psi_x, psi_y=psi_y,
+        pressure=pressure, big_gamma=big_gamma, source=state, hp=hp, fields=d,
     )
 
 
@@ -212,24 +213,23 @@ def _is_effectively_trivial(state: WaveState) -> bool:
 # -- nodal pattern ---------------------------------------------------------------
 
 
-def verify_nodal(state: WaveState, collar: int = 1) -> WaveReport:
+def verify_nodal(ev: StripEvaluation) -> WaveReport:
     """Strict sign pattern of wq and wqq characterizing one crest per period.
 
     With the crest at q = 0: wq > 0 strictly inside the half strip and on
     the interior of the surface row, wqq > 0 below the trough line and
     < 0 below the crest line, wqq > 0 at the trough corner and < 0 at the
-    crest corner.  A one-node collar near the truncated bottom is excluded.
+    crest corner.  Rows 0-1, the truncated bottom and a one-node collar
+    above it, are excluded.
     """
     report = WaveReport()
-    if _is_effectively_trivial(state):
+    if _is_effectively_trivial(ev.state):
         report.add("nodal_trivial", True, 0.0, 0.0,
                    "w = 0: nodal pattern vacuous", skipped=True,
                    reason="trivial state")
         return report
-    grid = state.grid
-    d = derivative_fields(grid, state.w)
-    wq, wqq = d["wq"], d["wqq"]
-    lo = 1 + collar
+    wq, wqq = ev.fields["wq"], ev.fields["wqq"]
+    lo = 2
 
     interior = wq[lo:, 1:-1]
     report.add("nodal_wq_interior", bool(np.all(interior > 0.0)),
@@ -250,10 +250,10 @@ def verify_nodal(state: WaveState, collar: int = 1) -> WaveReport:
 # -- exponential decay envelope -----------------------------------------------------
 
 
-def decay_envelope_constants(op: StripOperator, state: WaveState,
-                             M: float = None):
+def decay_envelope_constants(ev: StripEvaluation):
     """Constants (M, beta, sigma) of the decay envelope for wq.
 
+    M is the largest magnitude of w and its first and second differences.
     K*M^2 is estimated as the largest magnitude over the grid of the two
     lower-order coefficients produced by differentiating the interior
     equation in q; beta = max(1, K M^2 / (2 delta^2)); sigma is the largest
@@ -268,20 +268,17 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     envelope.  Returns sigma = 0 when no positive sigma exists (degenerate
     envelope, e.g. when e^(-beta L) underflows).
     """
-    grid = state.grid
-    ev = op.evaluate(state)
-    d, hp = ev.fields, ev.hp
+    op, state, d, hp = ev.op, ev.state, ev.fields, ev.hp
     ainv = op.ainv_rows(state.lam)[:, None]
     gam = op.gamma_p[:, None]
-    if M is None:
-        M = max(
-            float(np.max(np.abs(state.w))),
-            float(np.max(np.abs(d["wq"]))),
-            float(np.max(np.abs(d["wp"]))),
-            float(np.max(np.abs(d["wqq"]))),
-            float(np.max(np.abs(d["wpp"]))),
-            float(np.max(np.abs(d["wpq"]))),
-        )
+    M = max(
+        float(np.max(np.abs(state.w))),
+        float(np.max(np.abs(d["wq"]))),
+        float(np.max(np.abs(d["wp"]))),
+        float(np.max(np.abs(d["wqq"]))),
+        float(np.max(np.abs(d["wpp"]))),
+        float(np.max(np.abs(d["wpq"]))),
+    )
     b1 = -2.0 * d["wq"] * d["wpq"] + 3.0 * gam * hp**2
     b2 = 2.0 * d["wq"] * d["wpp"] - 2.0 * gam * ainv**3 * d["wq"]
     km2 = max(float(np.max(np.abs(b1))), float(np.max(np.abs(b2))))
@@ -294,7 +291,7 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     def excess(sigma):
         return (2.0 * sigma**2 * (1.0 + M**2)
                 + 4.0 * beta * sigma * km2
-                - 0.5 * math.exp(-beta * grid.L) * km2)
+                - 0.5 * math.exp(-beta * op.grid.L) * km2)
 
     if km2 <= 0.0 or excess(1e-16) >= 0.0:
         return M, beta, 0.0
@@ -310,17 +307,17 @@ def decay_envelope_constants(op: StripOperator, state: WaveState,
     return M, beta, lo
 
 
-def verify_decay(op: StripOperator, state: WaveState, M: float = None) -> WaveReport:
+def verify_decay(ev: StripEvaluation) -> WaveReport:
     """Pointwise envelope |wq| <= M (2 - e^(beta q)) e^(sigma p)."""
     report = WaveReport()
-    grid = state.grid
-    M, beta, sigma = decay_envelope_constants(op, state, M)
+    grid = ev.state.grid
+    M, beta, sigma = decay_envelope_constants(ev)
     if sigma == 0.0:
         report.add("decay_envelope", True, math.inf, 0.0,
                    "no positive decay rate satisfies the envelope inequality",
                    skipped=True, reason="degenerate envelope (K M^2 vanishes)")
         return report
-    wq = derivative_fields(grid, state.w)["wq"]
+    wq = ev.fields["wq"]
     qcol = grid.q_nodes[None, :]
     prow = grid.p_nodes[:, None]
     envelope = M * (2.0 - np.exp(beta * qcol)) * np.exp(sigma * prow)
@@ -516,7 +513,7 @@ def verify_bottom_flux(op: StripOperator, wave: PhysicalWave) -> WaveReport:
     state = wave.source
     a_bot = 1.0 / op.ainv_rows(state.lam)[0]
     trunc = abs(a_bot - wave.c)
-    wp_bot = float(np.max(np.abs(derivative_fields(state.grid, state.w)["wp"][0])))
+    wp_bot = float(np.max(np.abs(wave.fields["wp"][0])))
     tol = 2.0 * (trunc + wp_bot * a_bot**2) + 1e-12
     gap = float(np.max(np.abs(wave.psi_y[0] + wave.c)))
     report.add("bottom_flux", gap <= tol, tol - gap, tol,
@@ -560,12 +557,13 @@ def stagnation_descriptor(wave: PhysicalWave) -> str:
 
 def verify_all(op: StripOperator, state: WaveState, model: VorticityModel,
                solver_tol: float = 1e-10) -> WaveReport:
-    """Full verification suite for one accepted state."""
+    """Full verification suite for one accepted state, from one pass of its fields."""
     wave = reconstruct(state, model, op.g)
+    ev = StripEvaluation(op, state, wave.fields)
     tol = _base_tolerance(op, solver_tol)
     report = WaveReport()
-    report.extend(verify_nodal(state))
-    report.extend(verify_decay(op, state))
+    report.extend(verify_nodal(ev))
+    report.extend(verify_decay(ev))
     report.extend(verify_velocity_bounds(wave, tol=tol))
     report.extend(verify_pressure(wave, model, op.g, tol=tol))
     report.extend(verify_amplitude_speed(wave, model, op.g, tol=tol))

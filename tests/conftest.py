@@ -1,7 +1,11 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
+import vorstokes  # imports every module that may bind derivative_fields
+from vorstokes import strip_solver
 from vorstokes.continuation import continue_branch, epsilon_homotopy
 from vorstokes.strip_solver import StripOperator, default_grid
 from vorstokes.sturm_liouville import SLProblem, find_bifurcation_point
@@ -11,6 +15,26 @@ G = 9.81
 L = math.pi
 EPS_RUN = 0.01
 SCHEDULE = [0.1, 0.05, 0.025, 0.0125, 0.00625]
+
+
+@pytest.fixture
+def derivative_passes(monkeypatch):
+    """``w.tobytes()`` of every `derivative_fields` pass while the test runs.
+
+    The recorder replaces the name in every vorstokes module that bound it,
+    so a pass made through any module's own import is seen.
+    """
+    real, seen = strip_solver.derivative_fields, []
+
+    def recording(grid, w):
+        seen.append(np.asarray(w).tobytes())
+        return real(grid, w)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "derivative_fields", None) is real
+        if bound and name.partition(".")[0] == vorstokes.__name__:
+            monkeypatch.setattr(module, "derivative_fields", recording)
+    return seen
 
 
 @pytest.fixture(scope="session")

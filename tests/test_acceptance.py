@@ -99,7 +99,7 @@ def test_criterion_03_trivial_branch_exactness():
         fn = functionals(model)
         lam = -2.0 * fn.gamma_inf_bound + rng.uniform(1.0, 8.0)
         grid = StripGrid(L=L, P=4 * L, nq=48, np=160)
-        op = StripOperator(model, G, grid, epsilon=rng.uniform(0.0, 0.1), fn=fn)
+        op = StripOperator(model, G, grid, epsilon=rng.uniform(0.0, 0.1))
         st = WaveState(lam, op.epsilon, grid, np.zeros((grid.np, grid.nq)))
         worst = max(worst, op.residual_norm(st))
     report(3, worst <= 1e-13, f"max trivial residual over 5 pairs: {worst:.2e}")
@@ -136,11 +136,13 @@ def test_criterion_04_local_theory_agreement(zero_setup):
            f"{info['iterations']} its, remainder ratio {ratio:.2f}, {elapsed:.1f}s")
 
 
-def test_criterion_05_nodal_suite(zero_branch, gerstner_branch):
+def test_criterion_05_nodal_suite(zero_setup, gerstner_setup, zero_branch, gerstner_branch):
     violations = []
-    for name, branch in (("zero", zero_branch), ("gerstner", gerstner_branch)):
+    runs = (("zero", zero_setup[3], zero_branch),
+            ("gerstner", gerstner_setup[3], gerstner_branch))
+    for name, op, branch in runs:
         for k, st in enumerate(branch.points):
-            rep = verify_nodal(st)
+            rep = verify_nodal(op.evaluate(st))
             for c in rep.failures():
                 violations.append((name, k, c.name))
     report(5, not violations,
@@ -178,7 +180,7 @@ def test_criterion_07_decay_rates(zero_setup, zero_branch):
         fitted = fitted_wq_tail_rate(st)
         target = math.pi / (L * math.sqrt(st.lam))
         worst_rel = max(worst_rel, abs(fitted - target) / target)
-        _, _, sigma = decay_envelope_constants(op, st)
+        _, _, sigma = decay_envelope_constants(op.evaluate(st))
         if sigma > 0.0 and fitted <= sigma:
             sigma_ok = False
         checked += 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vorstokes import continuation, strip_solver
+from vorstokes import continuation
 from vorstokes.continuation import (
     Caps,
     Termination,
@@ -604,7 +604,7 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
         assert op.residual_norm(state) <= 1e-10
 
 
-def test_each_iterate_is_differentiated_once(small_zero, monkeypatch):
+def test_each_iterate_is_differentiated_once(small_zero, derivative_passes):
     # one evaluation per iterate feeds its residual, its O_delta test, J v,
     # dF/dlambda and J; every J v differentiates a new Krylov vector, so no
     # field reaches derivative_fields twice within one solve
@@ -613,14 +613,7 @@ def test_each_iterate_is_differentiated_once(small_zero, monkeypatch):
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004, carry=carry)
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op), carry=carry)
     seed = initial_nontrivial_guess(bp, op, 0.006)
-    real = strip_solver.derivative_fields
-    seen = []
-
-    def recording(grid, w):
-        seen.append(np.asarray(w).tobytes())
-        return real(grid, w)
-
-    monkeypatch.setattr(strip_solver, "derivative_fields", recording)
+    seen = derivative_passes
     solves = [lambda: solve_at_amplitude(op, seed, 0.006)]
     # a chord step on the carried LU, then long steps that go on by GMRES
     solves += [lambda ds=ds: arclength_step(op, first, tangent, ds, carry=carry)

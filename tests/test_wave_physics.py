@@ -86,7 +86,7 @@ def test_surface_bernoulli_identity_on_solved_state(solved_zero):
 def test_nodal_passes_for_local_theory_state(zero_setup):
     _, _, bp, op = zero_setup
     st = initial_nontrivial_guess(bp, op, 0.01)
-    rep = verify_nodal(st)
+    rep = verify_nodal(op.evaluate(st))
     assert rep.passed
     assert {c.name for c in rep.checks} >= {
         "nodal_wq_interior",
@@ -98,7 +98,7 @@ def test_nodal_passes_for_local_theory_state(zero_setup):
 def test_nodal_flags_sign_flipped_state(zero_setup):
     _, _, bp, op = zero_setup
     st = initial_nontrivial_guess(bp, op, -0.01)  # crest at the period ends
-    rep = verify_nodal(st)
+    rep = verify_nodal(op.evaluate(st))
     names = {c.name for c in rep.failures()}
     assert "nodal_wqq_crest_corner" in names
     assert "nodal_wq_interior" in names
@@ -106,25 +106,33 @@ def test_nodal_flags_sign_flipped_state(zero_setup):
 
 def test_nodal_trivial_is_vacuous(zero_setup):
     _, _, bp, op = zero_setup
-    rep = verify_nodal(trivial_state(op, bp.lambda_star))
+    rep = verify_nodal(op.evaluate(trivial_state(op, bp.lambda_star)))
     assert rep.checks[0].skipped
 
 
 def test_decay_degenerate_for_trivial_irrotational(zero_setup):
     _, _, bp, op = zero_setup
-    rep = verify_decay(op, trivial_state(op, bp.lambda_star))
+    rep = verify_decay(op.evaluate(trivial_state(op, bp.lambda_star)))
     assert rep.checks[0].skipped
 
 
 def test_decay_envelope_holds_on_solved_state(solved_zero):
     op, st = solved_zero
-    rep = verify_decay(op, st)
+    ev = op.evaluate(st)
+    rep = verify_decay(ev)
     assert rep.passed and not rep.checks[0].skipped
-    _, _, sigma = decay_envelope_constants(op, st)
+    _, _, sigma = decay_envelope_constants(ev)
     fitted = fitted_wq_tail_rate(st)
     assert sigma > 0.0
     assert fitted > sigma
     assert fitted == pytest.approx(math.pi / (L * math.sqrt(st.lam)), rel=0.1)
+
+
+def test_verify_all_differentiates_each_state_once(solved_zero, derivative_passes):
+    # every check reads the one pass reconstruct makes
+    op, st = solved_zero
+    assert verify_all(op, st, ZeroVorticity(), solver_tol=1e-11).passed
+    assert derivative_passes == [st.w.tobytes()]
 
 
 def test_velocity_bounds_trivial_equality_case(zero_setup):
