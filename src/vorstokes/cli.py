@@ -235,7 +235,7 @@ def build_parser():
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("nekrasov", help="irrotational angle equation")
-    common(p)
+    p.add_argument("--out", default=None, help="output file or directory")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-12)

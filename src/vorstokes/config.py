@@ -105,11 +105,10 @@ def _read_pairs(path):
     return pairs
 
 
-def parse_config(path=None, overrides=None) -> RunConfig:
-    """Read, override and validate a configuration.
+def parse_config(path=None) -> RunConfig:
+    """Read, override from the environment and validate a configuration.
 
-    ``path`` may be None to start from defaults; ``overrides`` is an
-    optional in-process dict applied after the environment.
+    ``path`` may be None to start from defaults.
     """
     values = dict(_DEFAULTS)
     if path is not None:
@@ -119,20 +118,13 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         env_name = ENV_PREFIX + key.replace(".", "_").upper()
         if env_name in os.environ:
             values[key] = _coerce(key, os.environ[env_name])
-    for key, val in (overrides or {}).items():
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown key {key!r}")
-        values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
     _check_finite(values)
 
     schedule_text = values["epsilon_schedule"]
-    if isinstance(schedule_text, str):
-        try:
-            schedule = [float(x) for x in schedule_text.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad epsilon_schedule {schedule_text!r}") from exc
-    else:
-        schedule = list(schedule_text)
+    try:
+        schedule = [float(x) for x in schedule_text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad epsilon_schedule {schedule_text!r}") from exc
 
     cfg = RunConfig(
         g=float(values["g"]),
@@ -161,7 +153,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
 
 
 def _check_finite(values):
-    # before any conversion: int() of a NaN override would raise a bare ValueError
+    # _coerce's float() accepts "nan" and "inf", which no key may take
     for key, val in values.items():
         if key not in _STR_KEYS and not math.isfinite(val):
             raise ConfigError(f"key {key}: expected a finite number, got {val!r}")

@@ -11,12 +11,13 @@ The corrector factors the bordered matrix about once per branch or homotopy.
 It takes chord updates on that LU while they at least halve the residual,
 then Newton-Krylov updates: GMRES on the current bordered system,
 right-preconditioned by the same LU, with a matrix-free J v.  It factors
-again only when GMRES stalls.  A one-slot holder hands the LU from solve to
-solve.  Only a branch's first point solves for its tangent (GMRES on that
-LU); each later tangent, the next step's predictor and border row, is the
-derivative of the quadratic through the last three accepted points, or of
-the last two and that first tangent (Allgower & Georg 1990, ch. 6), which
-costs no solve.
+again only when GMRES stalls.  A one-slot holder, `LUSlot`, owns the LU and
+carries it from solve to solve; its `solve` makes that choice between GMRES
+and a fresh LU for the corrector and the tangent alike.  Only a branch's
+first point solves for its tangent; each later tangent, the next step's
+predictor and border row, is the derivative of the quadratic through the
+last three accepted points, or of the last two and that first tangent
+(Allgower & Georg 1990, ch. 6), which costs no solve.
 
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
@@ -67,6 +68,9 @@ __all__ = [
 ]
 
 DS_FLOOR = 1e-6
+# corrector updates an arclength step, and a fixed-lambda Newton solve, may take
+ARCLENGTH_MAX_ITER = 15
+NEWTON_MAX_ITER = 25
 
 _LOG = logging.getLogger("vorstokes")
 
@@ -201,11 +205,13 @@ def factor_bordered(J, f_lam, c_row, c_lam):
     ``J`` may be singular on its own (fold points); the border keeps the
     extended matrix invertible along regular branch arcs.  The matrix is
     gathered straight into the cached layout of J's pattern (fill-reducing
-    order, border last) and factored there.  Returns (lu, order).  An LU
-    has one owner at a time: a caller that hands it on (an `LUSlot`) keeps
-    no reference, so no old LU is alive while the next one is built.
+    order, border last) and factored there.  Returns (lu, order).  J is
+    dropped once it is gathered, so a J passed as a temporary is freed
+    before the LU is built; a star-args call would keep it alive in its
+    argument tuple.
     """
     M, ob = _bordered_matrix(J, f_lam, c_row, c_lam)
+    del J
     try:
         lu = splu(M, permc_spec="NATURAL")
     except RuntimeError as exc:
@@ -227,28 +233,7 @@ def solve_bordered(factor, rhs_top, rhs_bot):
     return sol[:-1], sol[-1]
 
 
-class LUSlot:
-    """One-slot holder that hands a bordered LU from one solve to the next.
-
-    The caller that traces a branch or a homotopy owns the slot.  The solve
-    it is passed to empties it before it may factor, so no other frame
-    holds the old LU while the new one is built, and puts the LU it ended
-    with back on success.  An LU in the slot may be from an earlier iterate,
-    border row or epsilon: the receiving solve uses it as a preconditioner
-    (see `_bordered_newton`) and factors again only when GMRES on it stalls.
-    """
-
-    __slots__ = ("factor",)
-
-    def __init__(self):
-        self.factor = None
-
-    def take(self):
-        factor, self.factor = self.factor, None
-        return factor
-
-
-# GMRES iterations a Krylov update may take before the kernel factors again
+# GMRES iterations a Krylov solve may take before the slot factors again
 KRYLOV_MAX = 10
 # relative bordered residual of a tangent solved by GMRES on an older LU
 TANGENT_RTOL = 1e-4
@@ -286,25 +271,57 @@ def _gmres(matvec, precond, b, rtol, maxiter=KRYLOV_MAX):
     return np.column_stack(pre) @ y, k + 1, bool(converged)
 
 
-def _krylov_solve(op, ev, border, factor, top, bot, rtol):
-    """GMRES on the bordered system at the evaluation ``ev``, preconditioned by ``factor``.
+class LUSlot:
+    """The one owner of a bordered LU, carried from one solve to the next.
 
-    ``border`` is (c_row, c_lam).  J v and dF/dlambda read ``ev``, so J is
-    not assembled; every M^-1 is one `solve_bordered`.  Returns (dw, dlam,
-    iterations, converged).
+    The caller that traces a branch or a homotopy makes one slot and passes
+    it to each solve; a solve given none makes its own.  `solve` is the only
+    code that factors the bordered matrix for `_bordered_newton` and
+    `branch_tangent`.  The LU in the slot may be from an earlier iterate,
+    border row or epsilon: `solve` uses it as a preconditioner and factors
+    again only when GMRES on it stalls, dropping the old LU first, so one
+    LU is alive at a time.  A solve that raises leaves its last LU in the
+    slot; `continue_branch` empties the slot after a failed step, and
+    `epsilon_homotopy` stops at its first failure.
     """
-    c_row, c_lam = border
-    jv, f_lam = op.jacobian_action(ev), op.d_residual_d_lambda(ev)
 
-    def matvec(x):
-        return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
+    __slots__ = ("factor",)
 
-    def precond(x):
-        dw, dlam = solve_bordered(factor, x[:-1], x[-1])
-        return np.append(dw, dlam)
+    def __init__(self):
+        self.factor = None
 
-    x, iterations, converged = _gmres(matvec, precond, np.append(top, bot), rtol)
-    return x[:-1], x[-1], iterations, converged
+    def solve(self, op: StripOperator, ev, border, top, bot, rtol):
+        """Solve the bordered system at the evaluation ``ev`` for the right side (top, bot).
+
+        ``border`` is (c_row, c_lam).  With an LU in the slot, GMRES
+        right-preconditioned by it solves [[J, dF/dlambda], [c_row, c_lam]]
+        to the relative residual ``rtol``; J v and dF/dlambda read ``ev``,
+        so J is not assembled, and every M^-1 is one `solve_bordered`.
+        When the slot is empty or GMRES misses ``rtol`` in `KRYLOV_MAX`
+        iterations, the bordered matrix is factored at ``ev``, kept in the
+        slot and back-solved.  Returns (dw, dlam, path, iterations), with
+        ``path`` "Krylov" or "fresh LU" and ``iterations`` the GMRES
+        iterations taken.
+        """
+        c_row, c_lam = border
+        f_lam, iterations = op.d_residual_d_lambda(ev), 0
+        if self.factor is not None:
+            jv = op.jacobian_action(ev)
+
+            def matvec(x):
+                return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
+
+            def precond(x):
+                dw, dlam = solve_bordered(self.factor, x[:-1], x[-1])
+                return np.append(dw, dlam)
+
+            x, iterations, converged = _gmres(matvec, precond, np.append(top, bot), rtol)
+            if converged:
+                return x[:-1], x[-1], "Krylov", iterations
+        self.factor = None  # release the old LU before the new one is built
+        self.factor = factor_bordered(op.jacobian(ev), f_lam, c_row, c_lam)
+        dw, dlam = solve_bordered(self.factor, top, bot)
+        return dw, dlam, "fresh LU", iterations
 
 
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
@@ -312,32 +329,30 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     """Damped chord / Newton-Krylov on {F = 0, one scalar constraint = 0} inside O_delta.
 
     ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
-    w and in lambda, and a function giving its value at an iterate.  The
-    LU M of the bordered matrix comes from ``carry`` or, when that is
-    empty, is factored at the first iterate.  Each update is one of:
+    w and in lambda, and a function giving its value at an iterate.  M is
+    the LU of the bordered matrix held by ``carry`` (see `LUSlot`).  Each
+    update is one of:
 
     - chord: one back-solve of M, while the residual at least halves per
       update and, at that rate, reaches ``tol`` in the updates left;
-    - Krylov: from the first update where the chord fails that test,
-      GMRES on the bordered system at the current iterate, right-
-      preconditioned by M, to the forcing term min(1e-2, rate^2) clamped
-      to [0.1 tol / residual, 0.5] (Eisenstat & Walker), with ``rate`` the
-      last update's contraction;
-    - fresh LU: when GMRES misses that in `KRYLOV_MAX` iterations, or there
-      is no M, M is factored at the current iterate and back-solved, and
-      the chord starts again on it.
+    - `LUSlot.solve`, from the first update where the chord fails that
+      test or when there is no M: GMRES on the bordered system at the
+      current iterate, right-preconditioned by M, to the forcing term
+      min(1e-2, rate^2) clamped to [0.1 tol / residual, 0.5] (Eisenstat &
+      Walker), with ``rate`` the last update's contraction; or, when there
+      is no M or GMRES misses that, a fresh M factored at the current
+      iterate, on which the chord starts again.
 
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
     iterate is admissible, and logs one DEBUG record on the ``vorstokes``
-    logger.  Each iterate is evaluated once (`StripOperator.evaluate`), and
-    the evaluation released before M is factored.  Returns (state,
-    iterations, residual); ``iterations`` counts updates and ``residual`` is
-    the larger of the sup-norm residual and the constraint.  ``carry`` is
-    emptied on entry and given M on success.
+    logger.  Each iterate is evaluated once (`StripOperator.evaluate`).
+    Returns (state, iterations, residual); ``iterations`` counts updates
+    and ``residual`` is the larger of the sup-norm residual and the
+    constraint.
     """
     c_row, c_lam, constraint = border
-    factor = None if carry is None else carry.take()
+    carry = carry or LUSlot()
     current = state.copy_with()
     ev = op.evaluate(current)
     op.check_admissible(ev)
@@ -347,8 +362,6 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         cons = constraint(current)
         res = max(float(np.max(np.abs(r))), abs(cons))
         if res <= tol:
-            if carry is not None:
-                carry.factor = factor
             return current, it, res
         if it == max_iter:
             break
@@ -356,20 +369,13 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         res_prev = res
         if rate > 0.5 or res * rate ** (max_iter - it) > tol:
             chord = False
-        krylov = 0
-        path = "fresh LU" if factor is None else "chord" if chord else "Krylov"
-        if path == "Krylov":
+        if chord and carry.factor is not None:
+            dw, dlam = solve_bordered(carry.factor, -r, -cons)
+            path, krylov = "chord", 0
+        else:
             eta = min(max(min(1e-2, rate**2), 0.1 * tol / res), 0.5)
-            dw, dlam, krylov, converged = _krylov_solve(op, ev, (c_row, c_lam), factor,
-                                                        -r, -cons, eta)
-            path = "Krylov" if converged else "fresh LU"
-        if path == "fresh LU":
-            factor = None  # release the old LU and the evaluation before the new LU is built
-            J, f_lam, ev = op.jacobian(ev), op.d_residual_d_lambda(ev), None
-            factor = factor_bordered(J, f_lam, c_row, c_lam)
-            chord = True
-        if path != "Krylov":
-            dw, dlam = solve_bordered(factor, -r, -cons)
+            dw, dlam, path, krylov = carry.solve(op, ev, (c_row, c_lam), -r, -cons, eta)
+            chord = path == "fresh LU"
         _LOG.debug("%s update %d: %s, residual %.3e, %d GMRES iterations",
                    label, it + 1, path, res, krylov)
         alpha = 1.0
@@ -412,29 +418,15 @@ def branch_tangent(op: StripOperator, state: WaveState, prev, carry: LUSlot = No
     """Unit tangent (t_lam, t_w) of the solution curve at ``state``.
 
     Solves the bordered system with the previous tangent as border row,
-    which both regularizes folds and preserves orientation.  With an LU in
-    ``carry`` (see `LUSlot`), GMRES preconditioned by it solves that system
-    to `TANGENT_RTOL`; the bordered matrix is factored only when ``carry``
-    is empty or GMRES stalls, and ``carry`` gets the LU back.
+    which both regularizes folds and preserves orientation, by one
+    `LUSlot.solve` on ``carry`` to `TANGENT_RTOL`: GMRES on its LU, or a
+    fresh LU that it keeps when it is empty or GMRES stalls.
     """
     n = state.w.size
     t_lam_prev, t_w_prev = prev
-    border = (t_w_prev / n, t_lam_prev)
-    factor = None if carry is None else carry.take()
-    ev = op.evaluate(state)
-    path, krylov = "fresh LU", 0
-    if factor is not None:
-        dw, dlam, krylov, converged = _krylov_solve(op, ev, border, factor, np.zeros(n), 1.0,
-                                                    TANGENT_RTOL)
-        path = "Krylov" if converged else path
-    if path != "Krylov":
-        factor = None
-        J, f_lam, ev = op.jacobian(ev), op.d_residual_d_lambda(ev), None
-        factor = factor_bordered(J, f_lam, *border)
-        dw, dlam = solve_bordered(factor, np.zeros(n), 1.0)
+    dw, dlam, path, krylov = (carry or LUSlot()).solve(
+        op, op.evaluate(state), (t_w_prev / n, t_lam_prev), np.zeros(n), 1.0, TANGENT_RTOL)
     _LOG.debug("branch tangent: %s, %d GMRES iterations", path, krylov)
-    if carry is not None:
-        carry.factor = factor
     return _unit(dlam, dw)
 
 
@@ -443,8 +435,8 @@ def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
     return _unit(0.0, _eigenmode(bp, op.grid, sign).ravel())
 
 
-def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
-                 max_iter: int = 25) -> tuple[WaveState, dict]:
+def newton_solve(op: StripOperator, state: WaveState,
+                 tol: float = 1e-10) -> tuple[WaveState, dict]:
     """Solve F(lambda, w) = 0 at the fixed lambda of ``state``.
 
     The border pins lambda (zero row, unit lambda coefficient).  Returns
@@ -453,13 +445,13 @@ def newton_solve(op: StripOperator, state: WaveState, tol: float = 1e-10,
     """
     lam0 = state.lam
     border = (np.zeros(state.w.size), 1.0, lambda cur: cur.lam - lam0)
-    current, iterations, res = _bordered_newton(op, state, border, tol, max_iter,
+    current, iterations, res = _bordered_newton(op, state, border, tol, NEWTON_MAX_ITER,
                                                 "fixed-lambda Newton")
     return current, {"iterations": iterations, "residual": res}
 
 
 def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
-                   tol: float = 1e-10, max_iter: int = 15, carry: LUSlot = None):
+                   tol: float = 1e-10, carry: LUSlot = None):
     """One predictor-corrector step of length ds along the branch.
 
     Predicts along the unit ``tangent`` and corrects on the hyperplane
@@ -479,7 +471,7 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
         return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
 
     current, _, _ = _bordered_newton(op, predicted, (t_w / n, t_lam, constraint), tol,
-                                     max_iter, "arclength corrector", carry=carry)
+                                     ARCLENGTH_MAX_ITER, "arclength corrector", carry=carry)
     return current
 
 

@@ -42,6 +42,10 @@ __all__ = [
     "strip_wave_to_angles",
 ]
 
+# Picard iterations before the solve gives up, and the weight of each new map
+PICARD_MAX_ITER = 4000
+PICARD_DAMPING = 0.5
+
 
 def kernel(s, t):
     """log|sin((s+t)/2) / sin((s-t)/2)| for s, t in (0, pi), s != t."""
@@ -162,7 +166,6 @@ def _picard_map(nu, t, W, theta):
 
 
 def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
-                   max_iter: int = 4000, damping: float = 0.5,
                    theta0=None) -> NekrasovState:
     """Damped Picard iteration for the angle equation.
 
@@ -183,8 +186,8 @@ def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
 
     _, W = kernel_weights(t[1:-1], n_quad)
     update = math.inf
-    for it in range(1, max_iter + 1):
-        new = (1.0 - damping) * theta + damping * _picard_map(nu, t, W, theta)
+    for it in range(1, PICARD_MAX_ITER + 1):
+        new = (1.0 - PICARD_DAMPING) * theta + PICARD_DAMPING * _picard_map(nu, t, W, theta)
         update = float(np.max(np.abs(new - theta)))
         theta = new
         if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > 0.5 * math.pi:
@@ -196,8 +199,8 @@ def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
             return NekrasovState(nu=nu, t=t, theta=theta, n_quad=n_quad,
                                  iterations=it, update=update)
     raise NewtonDivergenceError(
-        f"Picard did not reach tol {tol:.2g} in {max_iter} iterations",
-        residual=update, iterations=max_iter,
+        f"Picard did not reach tol {tol:.2g} in {PICARD_MAX_ITER} iterations",
+        residual=update, iterations=PICARD_MAX_ITER,
     )
 
 

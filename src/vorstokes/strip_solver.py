@@ -47,6 +47,8 @@ __all__ = ["StripGrid", "WaveState", "StripEvaluation", "StripOperator", "defaul
            "linear_strip_mode"]
 
 DELTA_DEFAULT = 1e-3
+# product of the expected vertical decay rate and dp in `default_grid`
+GRID_RESOLUTION = 0.025
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,15 @@ def _base64_bytes(text):
         raise DomainError(f"not base64 ({exc}); {regenerate}") from exc
 
 
-def default_grid(L, lam_hint, epsilon, nq=64, resolution=0.025):
+def default_grid(L, lam_hint, epsilon, nq=64):
     """Grid with the truncation at ten decay lengths of the slowest mode.
 
-    ``resolution`` fixes the product of the expected vertical decay rate
+    `GRID_RESOLUTION` fixes the product of the expected vertical decay rate
     and the spacing dp, which controls the relative discretization error.
     """
     k_est = math.sqrt(max(epsilon, 0.0) + (math.pi / L) ** 2 / lam_hint)
     P = max(4.0 * L, 10.0 / k_est)
-    n_p = max(64, int(round(P * k_est / resolution)) + 1)
+    n_p = max(64, int(round(P * k_est / GRID_RESOLUTION)) + 1)
     return StripGrid(L=L, P=P, nq=nq, np=n_p)
 
 

@@ -53,6 +53,9 @@ __all__ = [
     "verify_all",
 ]
 
+# max_q |wq| below which a depth row is left out of the tail-rate fit
+WQ_TAIL_FLOOR = 1e-12
+
 
 @dataclass
 class CheckResult:
@@ -201,7 +204,7 @@ def physical_grid(wave: PhysicalWave, n_y: int = 60) -> PhysicalGrid:
     return PhysicalGrid(x=gx, y=gy, psi=g_psi, psi_x=g_px, psi_y=g_py, pressure=g_pr)
 
 
-def _base_tolerance(op: StripOperator, solver_tol: float = 1e-10) -> float:
+def _base_tolerance(op: StripOperator, solver_tol: float) -> float:
     grid = op.grid
     return max(10.0 * solver_tol, 10.0 * (grid.dq**2 + grid.dp**2) * 1e-3)
 
@@ -327,13 +330,13 @@ def verify_decay(ev: StripEvaluation) -> WaveReport:
     return report
 
 
-def fitted_wq_tail_rate(state: WaveState, floor: float = 1e-12) -> float:
+def fitted_wq_tail_rate(state: WaveState) -> float:
     """Exponential rate of max_q |wq| over the mid-depth window."""
     grid = state.grid
     wq = derivative_fields(grid, state.w)["wq"]
     prof = np.max(np.abs(wq), axis=1)
     p = grid.p_nodes
-    usable = prof > floor
+    usable = prof > WQ_TAIL_FLOOR
     window = usable & (p >= -0.55 * grid.P) & (p <= -0.2 * grid.P)
     if window.sum() < 6:
         raise DomainError("tail window too short for a decay fit")
@@ -521,16 +524,16 @@ def verify_bottom_flux(op: StripOperator, wave: PhysicalWave) -> WaveReport:
     return report
 
 
-def verify_crest_trough_ordering(wave: PhysicalWave, tol: float = 0.0) -> WaveReport:
+def verify_crest_trough_ordering(wave: PhysicalWave) -> WaveReport:
     """eta is strictly monotone from crest to trough."""
     report = WaveReport()
     if _is_effectively_trivial(wave.source):
-        report.add("surface_ordering", True, 0.0, tol, "flat surface",
+        report.add("surface_ordering", True, 0.0, 0.0, "flat surface",
                    skipped=True, reason="trivial state")
         return report
     diffs = np.diff(wave.eta)  # from trough (q=-L) to crest (q=0)
-    report.add("surface_ordering", bool(np.all(diffs > tol)),
-               float(np.min(diffs)), tol,
+    report.add("surface_ordering", bool(np.all(diffs > 0.0)),
+               float(np.min(diffs)), 0.0,
                "eta(trough) < eta(x) < eta(crest), strictly monotone between")
     return report
 

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import logging
 import math
@@ -8,7 +11,8 @@ import sys
 
 import pytest
 
-from vorstokes.config import ENV_PREFIX, parse_config
+from vorstokes import cli
+from vorstokes.config import _DEFAULTS, ENV_PREFIX, parse_config
 from vorstokes.errors import ConfigError
 
 
@@ -93,15 +97,13 @@ def test_non_finite_number_rejected_naming_its_key(tmp_path, monkeypatch, key, v
     path = None
     if source == "file":
         path = write_config(tmp_path, f"{key} = {text}\n")
-    elif source == "env":
+    else:
         monkeypatch.setenv(ENV_PREFIX + key.replace(".", "_").upper(), text)
-    overrides = None
     if source == "override":
-        # a non-string override skips the text parsing
-        num = float(value)
-        overrides = {key: [0.1, num] if key == "epsilon_schedule" else num}
+        # the environment overrides a valid value from the file
+        path = write_config(tmp_path, f"{key} = {_DEFAULTS[key]}\n")
     with pytest.raises(ConfigError, match=re.escape(key)):
-        parse_config(path, overrides=overrides)
+        parse_config(path)
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -110,6 +112,22 @@ def test_comments_and_blank_lines(tmp_path):
 
 
 # -- subcommands --------------------------------------------------------------------
+
+
+def test_every_subcommand_flag_is_read():
+    # a flag that is parsed must do something: each subcommand's handler reads
+    # every flag of its parser, --out also through _emit, _emit_json or _out_path
+    subparsers, = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        nodes = list(ast.walk(ast.parse(inspect.getsource(parser.get_default("func")))))
+        read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in ("_emit", "_emit_json", "_out_path") for node in nodes):
+            read.add("out")
+        flags = {action.dest for action in parser._actions if action.dest != "help"}
+        assert flags <= read, f"{name} never reads {sorted(flags - read)}"
 
 
 def test_cli_trivial_prints_table():

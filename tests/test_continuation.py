@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -705,6 +706,35 @@ def test_a_failed_step_leaves_no_lu_behind(small_zero, monkeypatch):
     # failure factors afresh and hands its LU on
     assert held == [True, True, False, True]
     assert factored == [0, 0, 1, 0]
+
+
+def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
+    # GMRES held to one iteration stalls, so solves fall back to a fresh LU
+    # mid-branch; each J is freed once its bordered matrix is gathered
+    bp, op = small_zero
+    real_gmres, real_splu = continuation._gmres, continuation.splu
+    jacobians, alive = [], []
+
+    def one_iteration(matvec, precond, b, rtol, maxiter=None):
+        return real_gmres(matvec, precond, b, rtol, maxiter=1)
+
+    def recording_jacobian(ev):
+        J = StripOperator.jacobian(op, ev)
+        jacobians.append(weakref.ref(J.data))
+        return J
+
+    def checking_splu(A, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL":
+            alive.append(sum(ref() is not None for ref in jacobians))
+        return real_splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(continuation, "_gmres", one_iteration)
+    monkeypatch.setattr(op, "jacobian", recording_jacobian)
+    monkeypatch.setattr(continuation, "splu", checking_splu)
+    branch = continue_branch(op, bp, steps=3, ds=0.004)
+    assert len(branch.points) == 3
+    assert len(alive) > 1
+    assert alive == [0] * len(alive)
 
 
 def test_homotopy_hands_its_lu_to_the_next_epsilon(small_zero, monkeypatch):
