@@ -7,13 +7,16 @@ nonsingular across folds, re-converges branches across a decreasing
 sequence of regularization strengths at a fixed branch coordinate, and
 classifies why a trace stopped.
 
-The corrector factors the bordered matrix about once per branch or homotopy.
-It takes chord updates on that LU while they at least halve the residual,
-then Newton-Krylov updates: GMRES on the current bordered system,
-right-preconditioned by the same LU, with a matrix-free J v.  It factors
-again only when GMRES stalls.  A one-slot holder, `LUSlot`, owns the LU and
-carries it from solve to solve; its `solve` makes that choice between GMRES
-and a fresh LU for the corrector and the tangent alike.  Only a branch's
+The corrector factors a bordered preconditioner about once per branch or
+homotopy: P, the strip linearization averaged over q, which cosine modes in
+q split into one banded system in p per mode (Concus & Golub 1973).  It
+takes chord updates on P while they at least halve the residual, then
+Newton-Krylov updates: GMRES on the exact bordered system,
+right-preconditioned by P, with a matrix-free J v.  It builds P again only
+when GMRES stalls, and factors the exact bordered matrix only when GMRES on
+a fresh P stalls too.  A one-slot holder, `LUSlot`, owns the factor and
+carries it from solve to solve; its `solve` makes those choices for the
+corrector and the tangent alike.  Only a branch's
 first point solves for its tangent; each later tangent, the next step's
 predictor and border row, is the derivative of the quadratic through the
 last three accepted points, or of the last two and that first tangent
@@ -33,6 +36,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +49,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .shear_flow import wave_speed
-from .strip_solver import StripOperator, WaveState
+from .strip_solver import StripOperator, WaveState, from_modes, to_modes
 from .sturm_liouville import BifurcationPoint
 
 __all__ = [
@@ -57,6 +61,7 @@ __all__ = [
     "surface_mode_amplitude",
     "initial_nontrivial_guess",
     "factor_bordered",
+    "factor_modes",
     "solve_bordered",
     "branch_tangent",
     "arclength_step",
@@ -101,11 +106,12 @@ class Caps:
 
 
 def surface_mode_amplitude(state: WaveState) -> float:
-    """Signed first-cosine coefficient of the surface trace."""
-    grid = state.grid
-    q = grid.q_nodes
-    mode = np.cos(math.pi * q / grid.L)
-    return float((2.0 / grid.L) * np.trapezoid(state.w[-1] * mode, q))
+    """Signed first-cosine coefficient of the surface trace, a trapezoid sum.
+
+    Summed exactly (`math.fsum`), so an amplitude-constrained solve meets
+    its target to about one ulp; a pairwise sum left it up to three off.
+    """
+    return math.fsum(_mode_weights(state.grid)[-state.grid.nq:] * state.w[-1])
 
 
 def _mode_weights(grid) -> np.ndarray:
@@ -205,37 +211,53 @@ def factor_bordered(J, f_lam, c_row, c_lam):
     ``J`` may be singular on its own (fold points); the border keeps the
     extended matrix invertible along regular branch arcs.  The matrix is
     gathered straight into the cached layout of J's pattern (fill-reducing
-    order, border last) and factored there.  Returns (lu, order).  J is
-    dropped once it is gathered, so a J passed as a temporary is freed
-    before the LU is built; a star-args call would keep it alive in its
-    argument tuple.
+    order, border last) and factored there.  J is dropped once it is
+    gathered, so a J passed as a temporary is freed before the LU is built;
+    a star-args call would keep it alive in its argument tuple.
     """
     M, ob = _bordered_matrix(J, f_lam, c_row, c_lam)
     del J
-    try:
-        lu = splu(M, permc_spec="NATURAL")
+    order, inverse = ob[:-1], np.argsort(ob[:-1])
+    return _splu(M), lambda top: top[order], lambda x: x[inverse]
+
+
+def factor_modes(lin, f_lam, c_row, c_lam):
+    """LU of the bordered preconditioner [[P, f_lam], [c_row, c_lam]], for `solve_bordered`.
+
+    With Q = `from_modes` and P-hat = ``lin.modes``, block-diagonal in
+    mode-major order, it factors [[P-hat, Q^-1 f_lam], [c_row Q, c_lam]],
+    border last, under SuperLU's partial pivoting.
+    """
+    grid = lin.grid
+    M = sp.bmat([[lin.modes, sp.csc_matrix(to_modes(grid, f_lam)[:, None])],
+                 [sp.csc_matrix(to_modes(grid, c_row, transpose=True)[None, :]), [[c_lam]]]],
+                format="csc")
+    return _splu(M), partial(to_modes, grid), partial(from_modes, grid)
+
+
+def _splu(M):
+    try:  # `splu` is looked up here, where the benchmark's hook replaces it
+        return splu(M, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularJacobianError(f"bordered factorization failed: {exc}") from exc
-    return lu, ob
 
 
 def solve_bordered(factor, rhs_top, rhs_bot):
-    """Back-solve the bordered system of ``factor`` (from `factor_bordered`).
+    """Back-solve the bordered system of ``factor`` (`factor_bordered` or `factor_modes`).
 
-    ``rhs_top`` may have k columns, with ``rhs_bot`` of length k, to solve k
-    right-hand sides at once.  Returns (dw, dlam).
+    A factor is (lu, into, back): ``into`` maps the top right side to the
+    LU's rows, ``back`` the LU's solution to the field.  ``rhs_top`` may
+    have k columns, with ``rhs_bot`` of length k.  Returns (dw, dlam).
     """
-    lu, ob = factor
-    rhs_top = np.asarray(rhs_top, dtype=float)
-    rhs = np.concatenate([rhs_top, np.reshape(rhs_bot, (1,) + rhs_top.shape[1:])])
-    sol = np.empty_like(rhs)
-    sol[ob] = lu.solve(rhs[ob])
-    return sol[:-1], sol[-1]
+    lu, into, back = factor
+    top = into(np.asarray(rhs_top, dtype=float))
+    sol = lu.solve(np.concatenate([top, np.reshape(rhs_bot, (1,) + top.shape[1:])]))
+    return back(sol[:-1]), sol[-1]
 
 
-# GMRES iterations a Krylov solve may take before the slot factors again
+# GMRES iterations a solve may take on one factor before the slot builds the next
 KRYLOV_MAX = 10
-# relative bordered residual of a tangent solved by GMRES on an older LU
+# relative bordered residual of a tangent solved by GMRES
 TANGENT_RTOL = 1e-4
 
 
@@ -272,15 +294,16 @@ def _gmres(matvec, precond, b, rtol, maxiter=KRYLOV_MAX):
 
 
 class LUSlot:
-    """The one owner of a bordered LU, carried from one solve to the next.
+    """The one owner of a bordered factor, carried from one solve to the next.
 
     The caller that traces a branch or a homotopy makes one slot and passes
     it to each solve; a solve given none makes its own.  `solve` is the only
-    code that factors the bordered matrix for `_bordered_newton` and
-    `branch_tangent`.  The LU in the slot may be from an earlier iterate,
-    border row or epsilon: `solve` uses it as a preconditioner and factors
-    again only when GMRES on it stalls, dropping the old LU first, so one
-    LU is alive at a time.  A solve that raises leaves its last LU in the
+    code that factors for `_bordered_newton` and `branch_tangent`, and
+    holds P (`factor_modes`) or, after a fallback, the exact LU
+    (`factor_bordered`).  The factor may be from an earlier iterate, border
+    row or epsilon: `solve` uses it as a preconditioner and builds another
+    only when GMRES on it stalls, dropping the old one first, so one factor
+    is alive at a time.  A solve that raises leaves its last factor in the
     slot; `continue_branch` empties the slot after a failed step, and
     `epsilon_homotopy` stops at its first failure.
     """
@@ -293,35 +316,48 @@ class LUSlot:
     def solve(self, op: StripOperator, ev, border, top, bot, rtol):
         """Solve the bordered system at the evaluation ``ev`` for the right side (top, bot).
 
-        ``border`` is (c_row, c_lam).  With an LU in the slot, GMRES
-        right-preconditioned by it solves [[J, dF/dlambda], [c_row, c_lam]]
-        to the relative residual ``rtol``; J v and dF/dlambda read ``ev``,
-        so J is not assembled, and every M^-1 is one `solve_bordered`.
-        When the slot is empty or GMRES misses ``rtol`` in `KRYLOV_MAX`
-        iterations, the bordered matrix is factored at ``ev``, kept in the
-        slot and back-solved.  Returns (dw, dlam, path, iterations), with
-        ``path`` "Krylov" or "fresh LU" and ``iterations`` the GMRES
-        iterations taken.
+        ``border`` is (c_row, c_lam).  GMRES solves [[J, dF/dlambda],
+        [c_row, c_lam]] to the relative residual ``rtol`` in `KRYLOV_MAX`
+        iterations, right-preconditioned by the slot's factor; J v and
+        dF/dlambda read ``ev``, and every M^-1 is one `solve_bordered`.
+        The paths, each taken when the one before misses ``rtol``:
+
+        - "Krylov": GMRES on the factor in the slot, if there is one;
+        - "fresh P": GMRES on P, built at ``ev`` (`factor_modes`);
+        - "exact LU": the exact bordered LU at ``ev``, also when P is singular.
+
+        The factor built last stays in the slot.  Returns (dw, dlam, path,
+        iterations), ``iterations`` counting the GMRES iterations taken.
         """
         c_row, c_lam = border
-        f_lam, iterations = op.d_residual_d_lambda(ev), 0
+        f_lam, jv, iterations = op.d_residual_d_lambda(ev), op.jacobian_action(ev), 0
+
+        def matvec(x):
+            return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
+
+        def precond(x):
+            return np.append(*solve_bordered(self.factor, x[:-1], x[-1]))
+
+        rhs = np.append(top, bot)
         if self.factor is not None:
-            jv = op.jacobian_action(ev)
-
-            def matvec(x):
-                return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
-
-            def precond(x):
-                dw, dlam = solve_bordered(self.factor, x[:-1], x[-1])
-                return np.append(dw, dlam)
-
-            x, iterations, converged = _gmres(matvec, precond, np.append(top, bot), rtol)
+            x, iterations, converged = _gmres(matvec, precond, rhs, rtol)
             if converged:
                 return x[:-1], x[-1], "Krylov", iterations
-        self.factor = None  # release the old LU before the new one is built
-        self.factor = factor_bordered(op.jacobian(ev), f_lam, c_row, c_lam)
+        self.factor = None  # release the old factor before the new one is built
+        lin = op.jacobian(ev)
+        try:
+            self.factor = factor_modes(lin, f_lam, c_row, c_lam)
+        except SingularJacobianError:
+            pass
+        else:
+            x, k, converged = _gmres(matvec, precond, rhs, rtol)
+            iterations += k
+            if converged:
+                return x[:-1], x[-1], "fresh P", iterations
+            self.factor = None
+        self.factor = factor_bordered(lin.tocsc(), f_lam, c_row, c_lam)
         dw, dlam = solve_bordered(self.factor, top, bot)
-        return dw, dlam, "fresh LU", iterations
+        return dw, dlam, "exact LU", iterations
 
 
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
@@ -330,8 +366,8 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
 
     ``border`` is (c_row, c_lam, constraint): the constraint's derivative in
     w and in lambda, and a function giving its value at an iterate.  M is
-    the LU of the bordered matrix held by ``carry`` (see `LUSlot`).  Each
-    update is one of:
+    the bordered factor held by ``carry`` (see `LUSlot`), P or, after a
+    fallback, the exact LU.  Each update is one of:
 
     - chord: one back-solve of M, while the residual at least halves per
       update and, at that rate, reaches ``tol`` in the updates left;
@@ -340,8 +376,8 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
       current iterate, right-preconditioned by M, to the forcing term
       min(1e-2, rate^2) clamped to [0.1 tol / residual, 0.5] (Eisenstat &
       Walker), with ``rate`` the last update's contraction; or, when there
-      is no M or GMRES misses that, a fresh M factored at the current
-      iterate, on which the chord starts again.
+      is no M or GMRES misses that, the same on a fresh P, or the exact LU
+      (`LUSlot.solve`), after which the chord starts again.
 
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
@@ -375,7 +411,7 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         else:
             eta = min(max(min(1e-2, rate**2), 0.1 * tol / res), 0.5)
             dw, dlam, path, krylov = carry.solve(op, ev, (c_row, c_lam), -r, -cons, eta)
-            chord = path == "fresh LU"
+            chord = path != "Krylov"
         _LOG.debug("%s update %d: %s, residual %.3e, %d GMRES iterations",
                    label, it + 1, path, res, krylov)
         alpha = 1.0
@@ -419,8 +455,7 @@ def branch_tangent(op: StripOperator, state: WaveState, prev, carry: LUSlot = No
 
     Solves the bordered system with the previous tangent as border row,
     which both regularizes folds and preserves orientation, by one
-    `LUSlot.solve` on ``carry`` to `TANGENT_RTOL`: GMRES on its LU, or a
-    fresh LU that it keeps when it is empty or GMRES stalls.
+    `LUSlot.solve` on ``carry`` to `TANGENT_RTOL`.
     """
     n = state.w.size
     t_lam_prev, t_w_prev = prev
@@ -456,8 +491,8 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
 
     Predicts along the unit ``tangent`` and corrects on the hyperplane
     normal to it at distance ``ds``; returns the corrected state.  ``carry``
-    (see `LUSlot`) hands the corrector an earlier solve's LU, whose border
-    row may be an older tangent, and receives the LU this step ends with.
+    (see `LUSlot`) hands the corrector an earlier solve's factor, whose
+    border row may be an older tangent, and receives the one it ends with.
     The next tangent is the caller's (`_history_tangent` in
     `continue_branch`).  Raises on corrector failure so the caller can halve
     the step.
@@ -571,7 +606,7 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     point's tangent is solved (`branch_tangent`, oriented by the seed
     eigenmode); after each accepted step the next tangent is
     `_history_tangent` of the accepted points and that first tangent,
-    which costs no solve.  One `LUSlot` carries the LU from the first solve
+    which costs no solve.  One `LUSlot` carries P from the first solve
     through its tangent and from each accepted step to the next, so a
     smooth branch factors about once; a failed step, including one that
     lands more than 1.5 step lengths away, drops it, so the halved retry
@@ -637,7 +672,7 @@ def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
                        carry: LUSlot = None) -> WaveState:
     """Solve {F = 0, surface mode amplitude = s_target} for (w, lambda).
 
-    ``carry`` (see `LUSlot`) hands the solve an LU to start from and
+    ``carry`` (see `LUSlot`) hands the solve a factor to start from and
     receives its last one.
     """
     border = (_mode_weights(op.grid), 0.0,
@@ -668,9 +703,9 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
     """Re-converge the wave of amplitude ``target_s`` along decreasing epsilon.
 
     The first entry is seeded from the local eigenmode; each later epsilon
-    restarts from the previous solution and preconditions with the LU the
-    first amplitude solve factored (the Jacobian's pattern does not depend
-    on epsilon), factoring again only if GMRES on it stalls.  Emits the
+    restarts from the previous solution and preconditions with the P the
+    first amplitude solve factored, factoring again only if GMRES on it
+    stalls.  Emits the
     sup-norm differences of consecutive solutions, which contract as the
     regularization is removed.
     """

@@ -23,11 +23,15 @@ The residual, its analytic linearization in w and lambda, and the test for
 the admissible set O_delta (parameter above the critical floor, no
 stagnation, surface Bernoulli inequality) all read one evaluation of a state,
 `StripOperator.evaluate`; the damped Newton solves live in ``continuation``.
+The folded q stencils are diagonal in the DCT-I's cosine modes (`to_modes`),
+so the q-averaged linearization is one banded p-operator per mode
+(`mode_blocks`): the solves' preconditioner and `linear_strip_mode`'s mode 1.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import itertools
 import json
 import math
@@ -37,14 +41,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
 from scipy.optimize import brentq
+from scipy.sparse.linalg import spsolve
 
 from .errors import AdmissibilityError, DomainError, StagnationDomainError
 from .vorticity import VorticityModel, functionals
 
-__all__ = ["StripGrid", "WaveState", "StripEvaluation", "StripOperator", "default_grid",
-           "linear_strip_mode"]
+__all__ = ["StripGrid", "WaveState", "StripEvaluation", "StripOperator", "StripLinearization",
+           "default_grid", "linear_strip_mode", "mode_blocks", "to_modes", "from_modes"]
 
 DELTA_DEFAULT = 1e-3
 # product of the expected vertical decay rate and dp in `default_grid`
@@ -254,6 +258,73 @@ def derivative_fields(grid: StripGrid, w: np.ndarray):
     return {name: field for name, field in fields.items() if name != "w"}
 
 
+@functools.lru_cache(maxsize=None)
+def _cosine_matrix(nq):
+    """(V, V^-1) of the DCT-I, V[j, k] = cos(pi j k / (nq - 1)), which is symmetric.
+
+    Column k of V is the k-th eigenvector of every folded q stencil
+    (`_stencils`).  Row 0 of V^-1 holds the trapezoid weights of the q-mean.
+    """
+    V = np.cos(np.pi * np.outer(np.arange(nq), np.arange(nq)) / (nq - 1))
+    d = np.r_[0.5, np.ones(nq - 2), 0.5]
+    V_inv = (2.0 / (nq - 1)) * np.outer(d, d) * V
+    V.flags.writeable = V_inv.flags.writeable = False
+    return V, V_inv
+
+
+def to_modes(grid: StripGrid, v, transpose=False):
+    """Cosine coefficients of a flattened field (or fields as columns), mode-major.
+
+    Entry k * np + i holds mode k of p row i; `from_modes` inverts it.
+    ``transpose`` applies the transpose of `from_modes` instead (c -> c Q).
+    """
+    V, V_inv = _cosine_matrix(grid.nq)
+    x = np.reshape(v, (grid.np, grid.nq, -1))
+    return np.tensordot(V if transpose else V_inv, x, axes=(1, 1)).reshape(np.shape(v))
+
+
+def from_modes(grid: StripGrid, x):
+    """The flattened field whose mode-major cosine coefficients are ``x``."""
+    y = np.tensordot(_cosine_matrix(grid.nq)[0], np.reshape(x, (grid.nq, grid.np, -1)),
+                     axes=(1, 0))
+    return y.transpose(1, 0, 2).reshape(np.shape(x))
+
+
+def mode_blocks(grid: StripGrid, partials: dict, modes):
+    """The q-averaged linearization on the cosine ``modes``, mode-major, as sparse CSC.
+
+    Each of the `StripOperator._partials` is averaged over q, and each
+    folded q stencil becomes its eigenvalue on mode k, sum(weight cos(k pi
+    offset / (nq - 1))) / divisor, which is 0 for the odd ones (wq, wpq).
+    Per mode that leaves a banded p-operator: the identity bottom row, three
+    points inside and the one-sided top row.
+    """
+    table, spans = _stencils(grid), _row_spans(grid.np)
+    theta = np.pi * np.asarray(modes, dtype=float) / (grid.nq - 1)
+    base, weights = grid.np * np.arange(theta.size), _cosine_matrix(grid.nq)[1][0]
+    rows, cols, vals = [], [], []
+    for row_class, row_partials in partials.items():
+        lo, hi = spans[row_class]
+        ii, shifts = np.arange(lo, hi)[:, None], {}
+        for name, coeff in row_partials.items():
+            (q_taps, q_div), p_stencils = table[name]
+            eig = sum(kq * np.cos(dj * theta) for dj, kq in q_taps) / q_div
+            if not np.any(eig):
+                continue
+            p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
+            mean = np.reshape(coeff @ weights if np.ndim(coeff) else coeff, (-1, 1))
+            for di, kp in p_taps:
+                term = mean * eig * (kp / p_div)
+                shifts[di] = shifts[di] + term if di in shifts else term
+        for di, val in shifts.items():
+            rows.append((base + ii).ravel())
+            cols.append((base + ii + di).ravel())
+            vals.append(np.broadcast_to(val, (hi - lo, theta.size)).ravel())
+    n = grid.np * theta.size
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsc()
+
+
 class StripEvaluation:
     """One look at a state; read-only.
 
@@ -400,33 +471,8 @@ class StripOperator:
         }
 
     def jacobian(self, ev: StripEvaluation):
-        """Sparse derivative of the residual vector in w (CSC).
-
-        The chain rule through `_stencils`: each row's derivative in each field
-        it reads, times that field's weights, summed per (p, q) shift.  Folded
-        shifts keep their own triplets, so the entries that cancel at the
-        q-ends stay stored: ``continuation`` caches its fill order per pattern.
-        """
-        nq, n_p = self.grid.nq, self.grid.np
-        table, spans = _stencils(self.grid), _row_spans(n_p)
-        rows, cols, vals = [], [], []
-        jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
-        for row_class, row_partials in self._partials(ev.coefficients).items():
-            lo, hi = spans[row_class]
-            ii = np.arange(lo, hi, dtype=np.int32)[:, None]
-            eq, shifts = (ii * nq + jj).ravel(), {}
-            for name, coeff in row_partials.items():
-                (q_taps, q_div), p_stencils = table[name]
-                p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
-                for (di, kp), (dj, kq) in itertools.product(p_taps, q_taps):
-                    term = (coeff if kp * kq == 1 else coeff * (kp * kq)) / (p_div * q_div)
-                    shifts[di, dj] = shifts[di, dj] + term if (di, dj) in shifts else term
-            for (di, dj), val in shifts.items():
-                rows.append(eq)
-                cols.append(((ii + di) * nq + _fold(jj + dj, nq)).ravel())
-                vals.append(np.broadcast_to(val, (hi - lo, nq)).ravel())
-        rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n_p * nq, n_p * nq)).tocsc()
+        """The `StripLinearization` at ``ev``: what a factorization is built from."""
+        return StripLinearization(self, self._partials(ev.coefficients))
 
     def jacobian_action(self, ev: StripEvaluation):
         """The map v -> J v of `jacobian`, without assembling J.
@@ -466,54 +512,71 @@ class StripOperator:
         return np.concatenate([np.zeros(self.grid.nq), interior.ravel(), top])
 
 
+class StripLinearization:
+    """J at one evaluation, in the two forms a factorization is built from.
+
+    ``modes``, formed here, is the preconditioner P in cosine modes
+    (`mode_blocks`); `tocsc` assembles J itself.  At w = 0 P is J.
+    """
+
+    def __init__(self, op: StripOperator, partials: dict):
+        self.grid, self._partials = op.grid, partials
+        self.modes = mode_blocks(op.grid, partials, np.arange(op.grid.nq))
+
+    def tocsc(self):
+        """Sparse J (CSC): each row's partials times its fields' `_stencils` weights.
+
+        Summed per (p, q) shift.  Folded shifts keep their own triplets, so
+        the entries that cancel at the q-ends stay stored: ``continuation``
+        caches its fill order per pattern.
+        """
+        nq, n_p = self.grid.nq, self.grid.np
+        table, spans = _stencils(self.grid), _row_spans(n_p)
+        rows, cols, vals = [], [], []
+        jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
+        for row_class, row_partials in self._partials.items():
+            lo, hi = spans[row_class]
+            ii = np.arange(lo, hi, dtype=np.int32)[:, None]
+            eq, shifts = (ii * nq + jj).ravel(), {}
+            for name, coeff in row_partials.items():
+                (q_taps, q_div), p_stencils = table[name]
+                p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
+                for (di, kp), (dj, kq) in itertools.product(p_taps, q_taps):
+                    term = (coeff if kp * kq == 1 else coeff * (kp * kq)) / (p_div * q_div)
+                    shifts[di, dj] = shifts[di, dj] + term if (di, dj) in shifts else term
+            for (di, dj), val in shifts.items():
+                rows.append(eq)
+                cols.append(((ii + di) * nq + _fold(jj + dj, nq)).ravel())
+                vals.append(np.broadcast_to(val, (hi - lo, nq)).ravel())
+        rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n_p * nq, n_p * nq)).tocsc()
+
+
 def linear_strip_mode(op: StripOperator, lam_hint: float):
     """Discrete bifurcation point of the strip operator itself.
 
-    The linearization about w = 0 separates in the first cosine mode; this
-    reduces it to a tridiagonal boundary value problem in p whose top-row
-    residual vanishes exactly at the discrete bifurcation parameter.
+    The linearization about w = 0 separates in cosine modes; its mode-1
+    block B (`mode_blocks`) is a banded operator in p.  Phi solves B's
+    interior rows with Phi = 0 at the bottom and 1 at the surface, and B's
+    top row at Phi vanishes exactly at the discrete bifurcation parameter.
     Returns (lambda, Phi) with Phi sampled on the grid's p nodes and
-    normalized to one at the surface.  Used for seeding and as a
-    consistency oracle against the half-line eigenvalue solver.
+    normalized to one at the surface; a consistency oracle for the
+    half-line eigenvalue solver.
     """
     grid = op.grid
-    dp, dq = grid.dp, grid.dq
-    n = grid.np - 1
-    sigma_q = (2.0 - 2.0 * math.cos(math.pi * dq / grid.L)) / dq**2
 
     def solve_phi(lam):
-        ainv = op.ainv_rows(lam)
-        gam = op.gamma_p
-        # rows i = 1 .. n-1 for unknowns Phi_1 .. Phi_{n-1}; Phi_0 = 0, Phi_n = 1
-        i = np.arange(1, n)
-        lower = 1.0 / dp**2 - 3.0 * gam[i] * ainv[i] ** 2 / (2.0 * dp)
-        diag = -2.0 / dp**2 - sigma_q * ainv[i] ** 2 - op.epsilon
-        upper = 1.0 / dp**2 + 3.0 * gam[i] * ainv[i] ** 2 / (2.0 * dp)
-        rhs = np.zeros(n - 1)
-        rhs[-1] = -upper[-1]
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = upper[:-1]
-        ab[1] = diag
-        ab[2, :-1] = lower[1:]
-        phi_int = solve_banded((1, 1), ab, rhs)
-        return np.concatenate([[0.0], phi_int, [1.0]])
+        ev = op.evaluate(WaveState(lam, op.epsilon, grid, np.zeros((grid.np, grid.nq))))
+        B = mode_blocks(grid, op._partials(ev.coefficients), [1]).tocsr()
+        phi = np.r_[0.0, spsolve(B[1:-1, 1:-1].tocsc(), -B[1:-1, -1].toarray().ravel()), 1.0]
+        return float((B[-1] @ phi)[0]), phi
 
-    def top_residual(lam):
-        phi = solve_phi(lam)
-        phi_p = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * dp)
-        return -2.0 * math.sqrt(lam) * phi_p + 2.0 * op.g / lam
-
-    width = 0.05 * lam_hint
-    lo, hi = lam_hint - width, lam_hint + width
-    f_lo, f_hi = top_residual(lo), top_residual(hi)
-    for _ in range(30):
-        if f_lo * f_hi < 0.0:
+    for doublings in range(31):
+        width = 0.05 * 2.0**doublings * lam_hint
+        lo, hi = max(lam_hint - width, -2.0 * op.fn.gamma_inf_bound + 1e-9), lam_hint + width
+        if solve_phi(lo)[0] * solve_phi(hi)[0] < 0.0:
             break
-        width *= 2.0
-        lo = max(lam_hint - width, -2.0 * op.fn.gamma_inf_bound + 1e-9)
-        hi = lam_hint + width
-        f_lo, f_hi = top_residual(lo), top_residual(hi)
     else:
         raise DomainError("no sign change for the discrete mode residual")
-    lam_d = brentq(top_residual, lo, hi, xtol=1e-12)
-    return lam_d, solve_phi(lam_d)
+    lam_d = brentq(lambda lam: solve_phi(lam)[0], lo, hi, xtol=1e-12)
+    return lam_d, solve_phi(lam_d)[1]

@@ -48,7 +48,9 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 2000
-BRACKET_SEED = 0.1
+# first bracket offset above the admissible floor, in units of g L / pi (the
+# zero-vorticity lambda*), so the search does not start above a small lambda*
+BRACKET_SEED = 1e-3
 BISECTION_RTOL = 1e-10
 
 
@@ -237,7 +239,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
 
     # coarse bracket on a cheap grid
     n_coarse = max(256, prob.n // 4)
-    offset = BRACKET_SEED
+    offset = BRACKET_SEED * prob.g * prob.L / math.pi
     lo = floor + offset
     f_lo = value(lo, n_coarse)
     if f_lo >= 0.0:

@@ -210,7 +210,7 @@ def test_criterion_08_jacobian_correctness(zero_setup, zero_branch):
     for idx in indices:
         st = zero_branch.points[idx]
         ev = op.evaluate(st)
-        J, r0 = op.jacobian(ev), op.residual_vector(ev)
+        J, r0 = op.jacobian(ev).tocsc(), op.residual_vector(ev)
         for t in worst:
             for _ in range(10):
                 phi = smooth_field()

@@ -324,7 +324,7 @@ def test_debug_logging_leaves_the_artifacts_unchanged(tmp_path, caplog):
     assert run_pipeline(cfg, str(quiet), steps=2, jobs=1) == 0
     with caplog.at_level(logging.DEBUG, logger="vorstokes"):
         assert run_pipeline(cfg, str(logged), steps=2, jobs=1) == 0
-    assert any(" update 1: fresh LU, " in rec.getMessage() for rec in caplog.records)
+    assert any(" update 1: fresh P, " in rec.getMessage() for rec in caplog.records)
     names = sorted(p.name for p in quiet.iterdir())
     assert names == sorted(p.name for p in logged.iterdir())
     for name in names:

@@ -373,7 +373,7 @@ def test_solve_bordered_matches_dense_solve(small_zero):
     state = state.copy_with(w=1.01 * state.w)  # off the solution set: r != 0
     n = state.w.size
     ev = op.evaluate(state)
-    r, J, f_lam = op.residual_vector(ev), op.jacobian(ev), op.d_residual_d_lambda(ev)
+    r, J, f_lam = op.residual_vector(ev), op.jacobian(ev).tocsc(), op.d_residual_d_lambda(ev)
     t_lam, t_w = branch_tangent(op, state, prev=seed_tangent(bp, op))
     borders = {
         "tangent": (t_w / n, t_lam, np.column_stack([-r, np.zeros(n)]), np.array([0.3, 1.0])),
@@ -411,8 +411,18 @@ def test_solve_bordered_with_exactly_singular_jacobian():
         assert dl == pytest.approx(0.25)
 
 
+def _singular_p(monkeypatch):
+    """Make every P factorization raise, so each solve takes the exact-LU path."""
+    def singular(*args):
+        raise SingularJacobianError("bordered factorization failed: P forced singular")
+
+    monkeypatch.setattr(continuation, "factor_modes", singular)
+
+
 def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
+    # the exact-LU fallback orders J's pattern once per grid shape
     bp, op = small_zero
+    _singular_p(monkeypatch)
     real_splu = continuation.splu
     specs = []
 
@@ -504,9 +514,9 @@ def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
     branch = continue_branch(op, bp, steps=6, ds=0.004)
     assert len(branch.points) == 6
     assert len(tangents) == 1
-    # the correctors and one GMRES tangent; a solved tangent per step made it
-    # 115, and the secant in place of the second point's quadratic 89
-    assert len(solves) == 87
+    # the correctors' chords and GMRES iterations on P, and one GMRES tangent;
+    # on the exact LU it was 87, with a solved tangent per step 115
+    assert len(solves) == 86
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
@@ -587,20 +597,22 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
     monkeypatch.setattr(continuation, "_bordered_newton", recording_newton)
     monkeypatch.setattr(continuation, "solve_bordered", counting_solve)
     monkeypatch.setattr(op, "jacobian", counting_jacobian)
-    # a smooth step: one LU serves the whole corrector, one back-solve per
-    # chord update and none for a tangent
+    # a smooth step: one P serves the whole corrector; its chord contracts
+    # the residual less than twice, so GMRES on the same P takes over: 4
+    # updates, 1 chord apply and 10 GMRES applies (5 + 2 + 3), no tangent
     arclength_step(op, first, tangent, 0.004)
     assert factored.count("NATURAL") == 1
     assert len(jacobians) == 1
-    assert updates[0] > 0 and len(solves) == updates[0]
-    # long steps: the first chord update contracts the residual less than
-    # twice, so the corrector goes on by GMRES on the same LU instead of
-    # factoring again, and still reaches tol
-    for ds in (0.03, 0.08):
+    assert updates[0] == 4 and len(solves) == 11
+    # long steps: GMRES goes on on the same factor instead of factoring
+    # again, and still reaches tol.  At ds = 0.08 GMRES on the fresh P misses
+    # the first update's forcing term in KRYLOV_MAX iterations, so that
+    # update factors the exact LU from the same linearization
+    for ds, factorizations in ((0.03, 1), (0.08, 2)):
         factored.clear()
         jacobians.clear()
         state = arclength_step(op, first, tangent, ds, tol=1e-10)
-        assert factored.count("NATURAL") == 1
+        assert factored.count("NATURAL") == factorizations
         assert len(jacobians) == 1
         assert op.residual_norm(state) <= 1e-10
 
@@ -709,8 +721,9 @@ def test_a_failed_step_leaves_no_lu_behind(small_zero, monkeypatch):
 
 
 def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
-    # GMRES held to one iteration stalls, so solves fall back to a fresh LU
-    # mid-branch; each J is freed once its bordered matrix is gathered
+    # GMRES held to one iteration stalls on P too, so solves fall back to the
+    # exact LU mid-branch; each assembled J is freed once its bordered matrix
+    # is gathered, and none is alive while a P or an exact LU is factored
     bp, op = small_zero
     real_gmres, real_splu = continuation._gmres, continuation.splu
     jacobians, alive = [], []
@@ -719,9 +732,16 @@ def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
         return real_gmres(matvec, precond, b, rtol, maxiter=1)
 
     def recording_jacobian(ev):
-        J = StripOperator.jacobian(op, ev)
-        jacobians.append(weakref.ref(J.data))
-        return J
+        lin = StripOperator.jacobian(op, ev)
+        real_tocsc = lin.tocsc
+
+        def tocsc():
+            J = real_tocsc()
+            jacobians.append(weakref.ref(J.data))
+            return J
+
+        lin.tocsc = tocsc
+        return lin
 
     def checking_splu(A, permc_spec=None, **kwargs):
         if permc_spec == "NATURAL":
@@ -733,7 +753,7 @@ def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
     monkeypatch.setattr(continuation, "splu", checking_splu)
     branch = continue_branch(op, bp, steps=3, ds=0.004)
     assert len(branch.points) == 3
-    assert len(alive) > 1
+    assert len(jacobians) > 1
     assert alive == [0] * len(alive)
 
 
@@ -773,7 +793,7 @@ def _layout_borders(op, state):
 def test_bordered_layout_equals_the_permuted_bmat(small_zero):
     bp, op = small_zero
     state = initial_nontrivial_guess(bp, op, 0.004)
-    J = op.jacobian(op.evaluate(state))
+    J = op.jacobian(op.evaluate(state)).tocsc()
     n = J.shape[0]
     for name, (f_lam, c_row, c_lam) in _layout_borders(op, state).items():
         M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
@@ -794,7 +814,7 @@ def test_cached_layout_outlives_its_factorizations(small_zero, monkeypatch):
     borders = _layout_borders(op, initial_nontrivial_guess(bp, op, 0.004))
     snapshots = []
     for s, (f_lam, c_row, c_lam) in zip((0.004, 0.008), borders.values()):
-        J = op.jacobian(op.evaluate(initial_nontrivial_guess(bp, op, s)))
+        J = op.jacobian(op.evaluate(initial_nontrivial_guess(bp, op, s))).tocsc()
         M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
         dw, dlam = solve_bordered(factor_bordered(J, f_lam, c_row, c_lam), rhs[:-1], rhs[-1])
         x = np.append(dw, dlam)
@@ -853,6 +873,63 @@ def test_a_branch_and_a_homotopy_each_factor_once(small_zero, monkeypatch):
         assert abs(surface_mode_amplitude(state) - s) <= tol
 
 
+@pytest.mark.parametrize("border", ["tangent", "amplitude", "lambda pin"])
+def test_a_held_p_solves_to_its_rtol(small_zero, border):
+    # GMRES on a P factored at another state meets rtol on the exact bordered
+    # system, and agrees with a dense solve to cond(M) * rtol
+    bp, op = small_zero
+    state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    n = state.w.size
+    t_lam, t_w = branch_tangent(op, state, prev=seed_tangent(bp, op))
+    c_row, c_lam = {"tangent": (t_w / n, t_lam),
+                    "amplitude": (continuation._mode_weights(op.grid), 0.0),
+                    "lambda pin": (np.zeros(n), 1.0)}[border]
+    held = op.evaluate(state.copy_with(w=0.98 * state.w))
+    carry = continuation.LUSlot()
+    carry.factor = continuation.factor_modes(op.jacobian(held), op.d_residual_d_lambda(held),
+                                             c_row, c_lam)
+    ev = op.evaluate(state.copy_with(w=1.01 * state.w))
+    rhs, rtol = np.append(-op.residual_vector(ev), 1e-4), 1e-8
+    dw, dlam, path, iterations = carry.solve(op, ev, (c_row, c_lam), rhs[:-1], rhs[-1], rtol)
+    assert path == "Krylov" and 0 < iterations <= continuation.KRYLOV_MAX
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = op.jacobian(ev).tocsc().toarray()
+    M[:n, n] = op.d_residual_d_lambda(ev)
+    M[n, :n] = c_row
+    M[n, n] = c_lam
+    x, dense = np.append(dw, dlam), np.linalg.solve(M, rhs)
+    assert np.linalg.norm(M @ x - rhs) <= rtol * np.linalg.norm(rhs)
+    assert np.linalg.norm(x - dense) <= rtol * np.linalg.cond(M) * np.linalg.norm(dense)
+
+
+def test_a_branch_and_a_homotopy_never_take_the_exact_lu(small_zero, monkeypatch, caplog):
+    # every factorization is a P, and each holds fewer nonzeros than the
+    # exact bordered LU; a silent fallback would fail one or the other
+    bp, op = small_zero
+    first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    ev = op.evaluate(first)
+    exact, _, _ = factor_bordered(op.jacobian(ev).tocsc(), op.d_residual_d_lambda(ev),
+                                  continuation._mode_weights(op.grid), 0.0)
+    real_splu, nnz = continuation.splu, []
+
+    def recording_splu(A, permc_spec=None, **kwargs):
+        lu = real_splu(A, permc_spec=permc_spec, **kwargs)
+        nnz.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(continuation, "splu", recording_splu)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        branch = continue_branch(op, bp, steps=6, ds=0.004)
+        res = epsilon_homotopy(op.model, G, op.grid, [0.02, 0.01, 0.005], target_s=0.02,
+                               bif_factory=lambda eps: bp)
+    assert len(branch.points) == 6 and res.failure_index == -1
+    paths = [rec.getMessage() for rec in caplog.records]
+    assert sum(": fresh P, " in m for m in paths) == len(nnz) == 2
+    assert not any("exact LU" in m for m in paths)
+    assert max(nnz) < exact.nnz
+
+
 def test_step_floor_diagnostics_list_every_failed_attempt(small_zero, monkeypatch):
     bp, op = small_zero
     requested = []
@@ -875,21 +952,32 @@ def test_step_floor_diagnostics_list_every_failed_attempt(small_zero, monkeypatc
         " ds=1.5e-06 SingularJacobianError: bordered factorization failed: singular]")
 
 
-def test_each_kernel_update_logs_its_path(small_zero, caplog):
+def test_each_kernel_update_logs_its_path(small_zero, caplog, monkeypatch):
     bp, op = small_zero
     assert logging.getLogger("vorstokes").handlers == []
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
-    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
-        state = arclength_step(op, first, tangent, 0.03, tol=1e-10)
-    updates = [rec.getMessage() for rec in caplog.records
-               if rec.getMessage().startswith("arclength corrector update")]
-    assert all(rec.name == "vorstokes" and rec.levelno == logging.DEBUG
-               for rec in caplog.records)
-    # a fresh LU, a chord update on it, then GMRES on that LU to tol
-    assert updates[0].startswith("arclength corrector update 1: fresh LU, residual ")
-    assert updates[0].endswith(", 0 GMRES iterations")
+
+    def corrector_updates():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+            state = arclength_step(op, first, tangent, 0.03, tol=1e-10)
+        assert op.residual_norm(state) <= 1e-10
+        assert all(rec.name == "vorstokes" and rec.levelno == logging.DEBUG
+                   for rec in caplog.records)
+        return [rec.getMessage() for rec in caplog.records
+                if rec.getMessage().startswith("arclength corrector update")]
+
+    # a fresh P with GMRES on it, a chord update on P, then GMRES on P to tol
+    updates = corrector_updates()
+    assert updates[0].startswith("arclength corrector update 1: fresh P, residual ")
+    assert not updates[0].endswith(" 0 GMRES iterations")
     assert updates[1].startswith("arclength corrector update 2: chord, ")
     assert updates[2].startswith("arclength corrector update 3: Krylov, ")
     assert not updates[2].endswith(" 0 GMRES iterations")
-    assert op.residual_norm(state) <= 1e-10
+    # a singular P goes to the exact LU, and the next update is a chord on it
+    _singular_p(monkeypatch)
+    updates = corrector_updates()
+    assert updates[0].startswith("arclength corrector update 1: exact LU, residual ")
+    assert updates[0].endswith(", 0 GMRES iterations")
+    assert updates[1].startswith("arclength corrector update 2: chord, ")

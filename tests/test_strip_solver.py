@@ -13,7 +13,9 @@ from vorstokes.strip_solver import (
     WaveState,
     default_grid,
     derivative_fields,
+    from_modes,
     linear_strip_mode,
+    to_modes,
 )
 from vorstokes.vorticity import (
     ExpDecayVorticity,
@@ -220,7 +222,7 @@ def test_jacobian_keeps_the_cancelled_reflection_entries():
     p = grid.p_nodes[:, None]
     w = 0.01 * np.exp(0.5 * p) * np.cos(math.pi * grid.q_nodes / L)[None, :]
     w[0] = 0.0
-    J = op.jacobian(op.evaluate(WaveState(9.0, 0.01, grid, w))).tocoo()
+    J = op.jacobian(op.evaluate(WaveState(9.0, 0.01, grid, w))).tocsc().tocoo()
     assert J.nnz == 6442
     zero = J.data == 0.0
     assert int(np.count_nonzero(zero)) == 186
@@ -235,7 +237,7 @@ def test_jacobian_trivial_matches_displayed_operator():
     grid = op.grid
     lam = 7.0
     st = zero_state(op, lam)
-    J = op.jacobian(op.evaluate(st))
+    J = op.jacobian(op.evaluate(st)).tocsc()
     rng = np.random.default_rng(5)
     p = grid.p_nodes[:, None]
     q = grid.q_nodes[None, :]
@@ -289,7 +291,7 @@ def test_jacobian_directional_derivative(model):
     w0 = 0.01 * np.exp(0.5 * p) * np.cos(math.pi * q / L)
     w0[0] = 0.0
     st = WaveState(9.0, 0.01, grid, w0)
-    J = op.jacobian(op.evaluate(st))
+    J = op.jacobian(op.evaluate(st)).tocsc()
     r0 = op.residual_vector(op.evaluate(st))
     errors = {}
     for t in (1e-4, 1e-5):
@@ -318,12 +320,40 @@ def test_jacobian_action_equals_the_assembled_jacobian(model):
     w0[0] = 0.0
     st = WaveState(9.0, 0.01, grid, w0)
     ev = op.evaluate(st)
-    J, jv = op.jacobian(ev), op.jacobian_action(ev)
+    J, jv = op.jacobian(ev).tocsc(), op.jacobian_action(ev)
     rng = np.random.default_rng(3)
     for v in [smooth_random_field(grid, rng).ravel()] + [rng.standard_normal(grid.np * grid.nq)
                                                          for _ in range(3)]:
         ref = J @ v
         assert np.max(np.abs(jv(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("model", [ZeroVorticity(), ExpDecayVorticity(0.4, 1.0),
+                                   GerstnerVorticity(m=0.5)],
+                         ids=["zero", "expdecay", "gerstner"])
+def test_preconditioner_is_the_jacobian_at_the_trivial_state(model):
+    # at w = 0 no coefficient depends on q and the terms P drops (c_q, c_pq,
+    # the top row's wq) vanish, so P, applied through the cosine modes, is J
+    grid = StripGrid(L=L, P=4 * L, nq=16, np=48)
+    op = StripOperator(model, G, grid, epsilon=0.01)
+    ev = op.evaluate(zero_state(op, 9.0))
+    modes, jv = op.jacobian(ev).modes, op.jacobian_action(ev)
+    rng = np.random.default_rng(4)
+    for v in [smooth_random_field(grid, rng).ravel()] + [rng.standard_normal(grid.np * grid.nq)
+                                                         for _ in range(3)]:
+        assert np.max(np.abs(from_modes(grid, to_modes(grid, v)) - v)) <= 1e-13 * np.max(np.abs(v))
+        ref = jv(v)
+        assert np.max(np.abs(from_modes(grid, modes @ to_modes(grid, v)) - ref)) <= (
+            1e-13 * np.max(np.abs(ref)))
+
+
+def test_linear_strip_mode_is_a_null_vector_of_the_trivial_jacobian():
+    # Phi(p) cos(pi q / L) at lambda_d is annihilated by the full 2-D J
+    op = make_op(eps=0.01, nq=24)
+    lam_d, phi = linear_strip_mode(op, G * L / math.pi)
+    v = phi[:, None] * np.cos(math.pi * op.grid.q_nodes / L)[None, :]
+    jv = op.jacobian_action(op.evaluate(zero_state(op, lam_d)))(v.ravel())
+    assert np.max(np.abs(jv)) <= 1e-9 / op.grid.dp**2
 
 
 def test_d_residual_d_lambda_matches_finite_difference():

@@ -133,6 +133,18 @@ def test_bifurcation_point_regularized_cubic_root():
     assert bp.lambda_star == pytest.approx(cubic_root_oracle(0.01), rel=1e-6)
 
 
+@pytest.mark.parametrize("g, half_period", [
+    (0.1, L), (1.0, L), (G, L), (100.0, L), (G, 1.0), (G, 10.0), (G, 30.0), (0.1, 30.0),
+    (100.0, 0.3),
+])
+def test_bifurcation_point_is_scale_free_for_zero_vorticity(g, half_period):
+    # lambda* = g L / pi at eps = 0 for any g and L; the first bracket was an
+    # absolute offset of 0.1 above the floor, which already lay above
+    # lambda* = 0.1 at g = 0.1, L = pi
+    bp = find_bifurcation_point(SLProblem(ZeroVorticity(), g=g, L=half_period, epsilon=0.0))
+    assert bp.lambda_star == pytest.approx(g * half_period / math.pi, rel=1e-9)
+
+
 def test_bifurcation_point_interval_membership():
     for model in (ExpDecayVorticity(1.0, 1.0), GerstnerVorticity(m=0.5)):
         fn = functionals(model)
