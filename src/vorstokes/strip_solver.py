@@ -320,9 +320,8 @@ def mode_blocks(grid: StripGrid, partials: dict, modes):
             rows.append((base + ii).ravel())
             cols.append((base + ii + di).ravel())
             vals.append(np.broadcast_to(val, (hi - lo, theta.size)).ravel())
-    n = grid.np * theta.size
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsc()
+                         shape=(grid.np * theta.size,) * 2).tocsc()
 
 
 class StripEvaluation:
