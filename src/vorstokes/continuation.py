@@ -109,7 +109,7 @@ def surface_mode_amplitude(state: WaveState) -> float:
     """Signed first-cosine coefficient of the surface trace, a trapezoid sum.
 
     Summed exactly (`math.fsum`), so an amplitude-constrained solve meets
-    its target to about one ulp; a pairwise sum left it up to three off.
+    its target to about one ulp.
     """
     return math.fsum(_mode_weights(state.grid)[-state.grid.nq:] * state.w[-1])
 
