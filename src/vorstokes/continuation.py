@@ -31,10 +31,8 @@ component by 1/sqrt(node count) for the same reason.
 from __future__ import annotations
 
 import enum
-import hashlib
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -146,79 +144,26 @@ def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
 # -- bordered linear algebra -----------------------------------------------------
 
 
-# bordered layout of each Jacobian sparsity pattern seen so far; the lock
-# keeps pipeline threads from computing the same layout twice
-_LAYOUTS: dict = {}
-_LAYOUTS_LOCK = threading.Lock()
-
-
-def _bordered_layout(J):
-    """Cached layout (ob, indptr, indices, gather) of J's bordered matrix.
-
-    ``ob`` is a symmetric fill-reducing order with the border last: the MMD
-    order on J^T + J of a surrogate with J's pattern and a dominant
-    diagonal, so it exists where J itself is singular (at a fold).  Applied
-    to rows and columns alike, ``argsort(perm_c)`` keeps the dominant
-    entries on the diagonal, where SuperLU's partial pivoting prefers them;
-    ``perm_c`` itself, or a column-only permutation, does not, and
-    multiplies the fill.  ``indptr`` and ``indices`` are the canonical CSC
-    pattern of the permuted [[J, f_lam], [c_row, c_lam]] with a full border
-    column and row, so it does not depend on the values, and the values are
-    ``concat(J.data, f_lam, c_row, [c_lam])[gather]``.  ``J`` must be
-    canonical CSC.  The layout is computed once per pattern; its arrays are
-    read-only, since `splu` would sort a non-canonical matrix's in place.
-    """
-    digest = hashlib.blake2b(J.indptr.tobytes())
-    digest.update(J.indices.tobytes())
-    key = (J.shape, digest.digest())
-    with _LAYOUTS_LOCK:
-        layout = _LAYOUTS.get(key)
-        if layout is None:
-            n = J.shape[0]
-            pattern = sp.csc_matrix((np.ones(J.nnz), J.indices, J.indptr), shape=J.shape)
-            surrogate = (pattern + n * sp.identity(n, format="csc")).tocsc()
-            ob = np.append(np.argsort(splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c), n)
-            rank = np.empty(n + 1, dtype=np.intp)
-            rank[ob] = np.arange(n + 1)
-            edge, last = np.arange(n), np.full(n, n)
-            rows = rank[np.concatenate([J.indices, edge, last, [n]])]
-            cols = rank[np.concatenate([np.repeat(edge, np.diff(J.indptr)), last, edge, [n]])]
-            gather = np.lexsort((rows, cols))
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n + 1))])
-            layout = (ob, indptr.astype(np.int32), rows[gather].astype(np.int32),
-                      gather.astype(np.int32))
-            for arr in layout:
-                arr.flags.writeable = False
-            _LAYOUTS[key] = layout
-    return layout
-
-
-def _bordered_matrix(J, f_lam, c_row, c_lam):
-    """The permuted bordered matrix in its cached layout, and its order ``ob``."""
-    n = J.shape[0]
-    J = sp.csc_matrix(J)
-    if not J.has_canonical_format:
-        J = J.copy()
-        J.sum_duplicates()
-    ob, indptr, indices, gather = _bordered_layout(J)
-    data = np.concatenate([J.data, np.ravel(f_lam), np.ravel(c_row), [c_lam]])[gather]
-    return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1)), ob
+def _bordered(A, f_lam, c_row, c_lam):
+    """The bordered matrix [[A, f_lam], [c_row, c_lam]], canonical CSC, border last."""
+    n = A.shape[0]
+    return sp.bmat([[A, sp.csc_matrix(np.reshape(f_lam, (n, 1)))],
+                    [sp.csc_matrix(np.reshape(c_row, (1, n))), [[c_lam]]]], format="csc")
 
 
 def factor_bordered(J, f_lam, c_row, c_lam):
     """LU of the bordered matrix [[J, f_lam], [c_row, c_lam]], for `solve_bordered`.
 
     ``J`` may be singular on its own (fold points); the border keeps the
-    extended matrix invertible along regular branch arcs.  The matrix is
-    gathered straight into the cached layout of J's pattern (fill-reducing
-    order, border last) and factored there.  J is dropped once it is
-    gathered, so a J passed as a temporary is freed before the LU is built;
-    a star-args call would keep it alive in its argument tuple.
+    extended matrix invertible along regular branch arcs.  It is one SuperLU
+    factorization, in SuperLU's MMD order, so its maps are the identity.
+    J is dropped once the bordered matrix is built, so a J passed as a
+    temporary is freed before the LU is built; a star-args call would keep
+    it alive in its argument tuple.
     """
-    M, ob = _bordered_matrix(J, f_lam, c_row, c_lam)
+    M = _bordered(J, f_lam, c_row, c_lam)
     del J
-    order, inverse = ob[:-1], np.argsort(ob[:-1])
-    return _splu(M), lambda top: top[order], lambda x: x[inverse]
+    return _splu(M, permc_spec="MMD_AT_PLUS_A"), np.asarray, np.asarray
 
 
 def factor_modes(lin, f_lam, c_row, c_lam):
@@ -226,19 +171,21 @@ def factor_modes(lin, f_lam, c_row, c_lam):
 
     With Q = `from_modes` and P-hat = ``lin.modes`` (block-diagonal,
     mode-major) it factors [[P-hat, Q^-1 f_lam], [c_row Q, c_lam]], border
-    last, with partial pivoting.  Panels of one column cut SuperLU's
-    transient workspace from 19 MB to 5 MB at 401 x 128, at no cost in time.
+    last, in natural order with partial pivoting.  Panels of one column cut
+    SuperLU's transient workspace from 19 MB to 5 MB at 401 x 128, at no
+    cost in time.
     """
     grid = lin.grid
-    M = sp.bmat([[lin.modes, sp.csc_matrix(to_modes(grid, f_lam)[:, None])],
-                 [sp.csc_matrix(to_modes(grid, c_row, transpose=True)[None, :]), [[c_lam]]]],
-                format="csc")
-    return _splu(M, panel_size=1), partial(to_modes, grid), partial(from_modes, grid)
+    M = _bordered(lin.modes, to_modes(grid, f_lam), to_modes(grid, c_row, transpose=True),
+                  c_lam)
+    return (_splu(M, permc_spec="NATURAL", panel_size=1),
+            partial(to_modes, grid), partial(from_modes, grid))
 
 
 def _splu(M, **options):
+    """`splu` of M with the caller's options, its column order among them."""
     try:  # `splu` is looked up here, where the benchmark's hook replaces it
-        return splu(M, permc_spec="NATURAL", **options)
+        return splu(M, **options)
     except RuntimeError as exc:
         raise SingularJacobianError(f"bordered factorization failed: {exc}") from exc
 

@@ -526,8 +526,9 @@ class StripLinearization:
         """Sparse J (CSC): each row's partials times its fields' `_stencils` weights.
 
         Summed per (p, q) shift.  Folded shifts keep their own triplets, so
-        the entries that cancel at the q-ends stay stored: ``continuation``
-        caches its fill order per pattern.
+        the entries that cancel at the q-ends stay stored: the exact
+        bordered LU in ``continuation`` takes its fill order from the
+        pattern.
         """
         nq, n_p = self.grid.nq, self.grid.np
         table, spans = _stencils(self.grid), _row_spans(n_p)

@@ -19,6 +19,7 @@ from vorstokes.continuation import (
     continue_branch,
     epsilon_homotopy,
     factor_bordered,
+    factor_modes,
     initial_nontrivial_guess,
     seed_tangent,
     solve_at_amplitude,
@@ -411,6 +412,19 @@ def test_solve_bordered_with_exactly_singular_jacobian():
         assert dl == pytest.approx(0.25)
 
 
+def test_a_zero_border_row_raises_singular_jacobian_error(small_zero):
+    # a zero border row (c_row = 0, c_lam = 0) makes both bordered matrices
+    # singular; SuperLU's own failure surfaces as SingularJacobianError
+    bp, op = small_zero
+    ev = op.evaluate(initial_nontrivial_guess(bp, op, 0.004))
+    lin, f_lam = op.jacobian(ev), op.d_residual_d_lambda(ev)
+    zero = np.zeros(f_lam.size)
+    for factor, a in ((factor_bordered, lin.tocsc()), (factor_modes, lin)):
+        with pytest.raises(SingularJacobianError) as info:
+            factor(a, f_lam, zero, 0.0)
+        assert str(info.value).startswith("bordered factorization failed"), factor.__name__
+
+
 def _singular_p(monkeypatch):
     """Make every P factorization raise, so each solve takes the exact-LU path."""
     def singular(*args):
@@ -419,12 +433,13 @@ def _singular_p(monkeypatch):
     monkeypatch.setattr(continuation, "factor_modes", singular)
 
 
-def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
-    # the exact-LU fallback orders J's pattern once per grid shape
+def test_each_exact_fallback_is_one_mmd_factorization(small_zero, monkeypatch):
+    # nothing is cached between fallbacks: each factors the bordered J once,
+    # in SuperLU's own MMD order, on every grid shape alike
     bp, op = small_zero
     _singular_p(monkeypatch)
-    real_splu = continuation.splu
-    specs = []
+    real_splu, real_factor = continuation.splu, continuation.factor_bordered
+    specs, fallbacks = [], []
 
     def counting_splu(A, permc_spec=None, **kwargs):
         # splu sorts the row indices of a non-canonical matrix in place, which
@@ -433,17 +448,22 @@ def test_one_fill_order_per_grid_shape(small_zero, monkeypatch):
         specs.append(permc_spec)
         return real_splu(A, permc_spec=permc_spec, **kwargs)
 
-    monkeypatch.setattr(continuation, "_LAYOUTS", {})
+    def counting_factor(*args):
+        fallbacks.append(len(specs))
+        factor = real_factor(*args)
+        assert len(specs) == fallbacks[-1] + 1
+        return factor
+
     monkeypatch.setattr(continuation, "splu", counting_splu)
-    continue_branch(op, bp, steps=3, ds=0.004)
-    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+    monkeypatch.setattr(continuation, "factor_bordered", counting_factor)
     other = StripOperator(ZeroVorticity(), G, StripGrid(L=L, P=4 * L, nq=12, np=40),
                           epsilon=0.01)
-    continue_branch(other, bp, steps=3, ds=0.004)
-    continue_branch(op, bp, steps=2, ds=0.004)
-    # the third branch factors in the order the first one computed
-    assert specs.count("MMD_AT_PLUS_A") == 2
-    assert specs.count("NATURAL") == 3
+    for strip in (op, other, op):
+        before = len(specs)
+        assert len(continue_branch(strip, bp, steps=3, ds=0.004).points) == 3
+        assert len(specs) > before
+    assert len(fallbacks) == len(specs)
+    assert specs == ["MMD_AT_PLUS_A"] * len(specs)
 
 
 def test_history_tangent_is_exact_on_a_parabola():
@@ -607,12 +627,12 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
     # long steps: GMRES goes on on the same factor instead of factoring
     # again, and still reaches tol.  At ds = 0.08 GMRES on the fresh P misses
     # the first update's forcing term in KRYLOV_MAX iterations, so that
-    # update factors the exact LU from the same linearization
-    for ds, factorizations in ((0.03, 1), (0.08, 2)):
+    # update factors the exact LU, in MMD order, from the same linearization
+    for ds, orders in ((0.03, ["NATURAL"]), (0.08, ["NATURAL", "MMD_AT_PLUS_A"])):
         factored.clear()
         jacobians.clear()
         state = arclength_step(op, first, tangent, ds, tol=1e-10)
-        assert factored.count("NATURAL") == factorizations
+        assert factored == orders
         assert len(jacobians) == 1
         assert op.residual_norm(state) <= 1e-10
 
@@ -723,7 +743,7 @@ def test_a_failed_step_leaves_no_lu_behind(small_zero, monkeypatch):
 def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
     # GMRES held to one iteration stalls on P too, so solves fall back to the
     # exact LU mid-branch; each assembled J is freed once its bordered matrix
-    # is gathered, and none is alive while a P or an exact LU is factored
+    # is built, and none is alive while a P or an exact LU is factored
     bp, op = small_zero
     real_gmres, real_splu = continuation._gmres, continuation.splu
     jacobians, alive = [], []
@@ -744,8 +764,7 @@ def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
         return lin
 
     def checking_splu(A, permc_spec=None, **kwargs):
-        if permc_spec == "NATURAL":
-            alive.append(sum(ref() is not None for ref in jacobians))
+        alive.append(sum(ref() is not None for ref in jacobians))
         return real_splu(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(continuation, "_gmres", one_iteration)
@@ -754,6 +773,7 @@ def test_no_jacobian_alive_while_the_lu_is_built(small_zero, monkeypatch):
     branch = continue_branch(op, bp, steps=3, ds=0.004)
     assert len(branch.points) == 3
     assert len(jacobians) > 1
+    assert len(alive) > len(jacobians)
     assert alive == [0] * len(alive)
 
 
@@ -775,53 +795,6 @@ def test_homotopy_hands_its_lu_to_the_next_epsilon(small_zero, monkeypatch):
                 else WaveState(lam=prev.lam, epsilon=eps, grid=op.grid, w=prev.w.copy()))
         prev = solve_at_amplitude(eps_op, seed, s, tol=tol)
         assert prev.lam == pytest.approx(lam, abs=1e-9)
-
-
-def _layout_borders(op, state):
-    """(f_lam, c_row, c_lam) of three borders; the layout stores zeros too."""
-    n = state.w.size
-    f_lam = op.d_residual_d_lambda(op.evaluate(state))  # zero on the bottom rows
-    assert not np.any(f_lam[:op.grid.nq])
-    rng = np.random.default_rng(5)
-    return {
-        "dense": (rng.standard_normal(n), rng.standard_normal(n), 0.7),
-        "mode weights": (rng.standard_normal(n), continuation._mode_weights(op.grid), 0.0),
-        "zero bottom block": (f_lam, rng.standard_normal(n), 1.3),
-    }
-
-
-def test_bordered_layout_equals_the_permuted_bmat(small_zero):
-    bp, op = small_zero
-    state = initial_nontrivial_guess(bp, op, 0.004)
-    J = op.jacobian(op.evaluate(state)).tocsc()
-    n = J.shape[0]
-    for name, (f_lam, c_row, c_lam) in _layout_borders(op, state).items():
-        M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
-        ref = sp.bmat([[J, sp.csc_matrix(f_lam.reshape(n, 1))],
-                       [sp.csc_matrix(c_row.reshape(1, n)), sp.csc_matrix([[c_lam]])]],
-                      format="csc")[ob][:, ob]
-        assert M.has_canonical_format, name
-        assert np.array_equal(M.toarray(), ref.toarray()), name
-
-
-def test_cached_layout_outlives_its_factorizations(small_zero, monkeypatch):
-    # two factorizations in a row with different values share one layout,
-    # solve accurately and leave its index arrays as they were
-    bp, op = small_zero
-    monkeypatch.setattr(continuation, "_LAYOUTS", {})
-    n = op.grid.np * op.grid.nq
-    rhs = np.random.default_rng(2).standard_normal(n + 1)
-    borders = _layout_borders(op, initial_nontrivial_guess(bp, op, 0.004))
-    snapshots = []
-    for s, (f_lam, c_row, c_lam) in zip((0.004, 0.008), borders.values()):
-        J = op.jacobian(op.evaluate(initial_nontrivial_guess(bp, op, s))).tocsc()
-        M, ob = continuation._bordered_matrix(J, f_lam, c_row, c_lam)
-        dw, dlam = solve_bordered(factor_bordered(J, f_lam, c_row, c_lam), rhs[:-1], rhs[-1])
-        x = np.append(dw, dlam)
-        assert np.max(np.abs(M @ x[ob] - rhs[ob])) <= 1e-10 * np.max(np.abs(rhs))
-        (_, indptr, indices, _), = continuation._LAYOUTS.values()
-        snapshots.append((indptr.tobytes(), indices.tobytes()))
-    assert snapshots[0] == snapshots[1]
 
 
 def test_gmres_against_a_dense_solve():

@@ -215,8 +215,8 @@ def test_derivative_fields_reflect_at_both_q_ends():
 def test_jacobian_keeps_the_cancelled_reflection_entries():
     # At the q-ends the reflected cross-derivative taps (i +- 1, 1) and
     # (i +- 1, nq - 2), and the top row's wq taps, cancel to 0 but stay stored.
-    # continuation caches its MMD fill order per sparsity pattern; dropping
-    # these entries raised the LU fill by 12% at 401 x 128.
+    # The exact bordered LU takes its MMD fill order from the stored pattern;
+    # dropping these entries raised the LU fill by 12% at 401 x 128.
     grid = StripGrid(L=L, P=4 * L, nq=16, np=48)
     op = StripOperator(GerstnerVorticity(m=0.5), G, grid, epsilon=0.01)
     p = grid.p_nodes[:, None]
