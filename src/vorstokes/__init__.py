@@ -46,7 +46,7 @@ from .nekrasov import (
     strip_wave_to_angles,
 )
 from .pipeline import run_pipeline
-from .shear_flow import ShearFlow, a_coeff, h_trivial, wave_speed
+from .shear_flow import ShearFlow, wave_speed
 from .strip_solver import (
     StripGrid,
     StripOperator,
@@ -72,7 +72,6 @@ from .vorticity import (
     check_bifurcation_condition,
     functionals,
     model_from_config,
-    model_to_config,
 )
 from .wave_physics import (
     PhysicalWave,

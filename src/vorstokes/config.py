@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .continuation import Caps
 from .errors import ConfigError, DomainError
+from .strip_solver import DELTA_DEFAULT
 from .vorticity import VorticityModel, model_from_config
 
 __all__ = ["RunConfig", "parse_config", "ENV_PREFIX"]
@@ -24,7 +25,7 @@ ENV_PREFIX = "VORSTOKES_"
 _DEFAULTS = {
     "g": 9.81,
     "L": math.pi,
-    "delta": 1e-3,
+    "delta": DELTA_DEFAULT,
     "vorticity.kind": "zero",
     "vorticity.amplitude": 1.0,
     "vorticity.rate": 1.0,
@@ -33,8 +34,8 @@ _DEFAULTS = {
     "grid.np": 0,          # 0 = choose from the decay estimate
     "grid.P": 0.0,         # 0 = choose from the decay estimate
     "caps.lambda_cap": 0.0,  # 0 = the default of Caps.default
-    "caps.w_cap": 1e3,
-    "caps.wp_cap": 1e3,
+    "caps.w_cap": Caps.w_cap,
+    "caps.wp_cap": Caps.wp_cap,
     "epsilon_schedule": "0.1,0.05,0.025,0.0125,0.00625",
     "seeds.s0": 0.01,
     "seeds.step": 0.005,

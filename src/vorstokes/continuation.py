@@ -47,7 +47,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .shear_flow import wave_speed
-from .strip_solver import StripOperator, WaveState, from_modes, to_modes
+from .strip_solver import DELTA_DEFAULT, StripOperator, WaveState, from_modes, to_modes
 from .sturm_liouville import BifurcationPoint
 
 __all__ = [
@@ -646,7 +646,7 @@ class HomotopyResult:
     diagnostics: str = ""
 
 
-def epsilon_homotopy(model, g, grid, schedule, target_s, delta=1e-3,
+def epsilon_homotopy(model, g, grid, schedule, target_s, delta=DELTA_DEFAULT,
                      bif_factory=None, tol=1e-10) -> HomotopyResult:
     """Re-converge the wave of amplitude ``target_s`` along decreasing epsilon.
 

@@ -15,6 +15,7 @@ import os
 
 from .config import RunConfig
 from .continuation import continue_branch, epsilon_homotopy
+from .errors import DomainError
 from .strip_solver import StripOperator, StripGrid, default_grid
 from .sturm_liouville import (
     SLProblem,
@@ -126,6 +127,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
     under ``out_dir``.  Nonzero exactly when a mandatory verification
     fails; solver-level failures (no bifurcation, divergence) raise.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     model = cfg.model()
     cond = check_bifurcation_condition(model, cfg.g, cfg.L)
@@ -148,6 +151,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
             for fut in cf.as_completed(futures):
                 results[futures[fut]] = fut.result()
     else:
+        # serial, not a one-worker pool: the pool raised the default run's
+        # peak RSS from about 108 MB to 118-129 MB at no change in wall time
         for i, eps in enumerate(schedule):
             results[i] = _trace_one_epsilon(cfg, eps, steps, out_dir)
 

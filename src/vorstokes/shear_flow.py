@@ -31,7 +31,7 @@ from .vorticity import (
     functionals,
 )
 
-__all__ = ["ShearFlow", "wave_speed", "a_coeff", "h_trivial"]
+__all__ = ["ShearFlow", "wave_speed"]
 
 
 def wave_speed(lam: float, fn: VorticityFunctionals) -> float:
@@ -122,12 +122,6 @@ class ShearFlow:
         """First derivative h_tr'(p) = 1/a(p; lambda)."""
         return 1.0 / self.a(p)
 
-    def h_tr_pp(self, p):
-        """Second derivative h_tr''(p) = -gamma(-p) / a(p; lambda)^3."""
-        pp = np.asarray(p, dtype=float)
-        out = -self.model.gamma(-pp) / self.a(pp) ** 3
-        return out if np.ndim(p) else float(out)
-
     # Closed form for the exponential kind: with C = lambda - 2*A*r0,
     # B = 2*A*r0, s(u) = sqrt(C + B*u), u = e^(p/r0), the antiderivative of
     # 1/sqrt(C + B*e^(p/r0)) evaluates, cancellation-free, to
@@ -154,19 +148,3 @@ class ShearFlow:
             self._h_depth = depth
         return self._h_spline(p) - self._h_spline(0.0)
 
-
-def a_coeff(flow: ShearFlow, p) -> float:
-    """Coefficient a(p; lambda) of a shear flow."""
-    _check_nonpos(p)
-    return flow.a(p)
-
-
-def h_trivial(flow: ShearFlow, p) -> float:
-    """Height h_tr(p) of the trivial flow."""
-    _check_nonpos(p)
-    return flow.h_tr(p)
-
-
-def _check_nonpos(p):
-    if np.any(np.asarray(p) > 0):
-        raise DomainError("p must be nonpositive")

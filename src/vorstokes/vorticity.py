@@ -1,8 +1,11 @@
 """Vorticity distributions for rotational deep-water waves.
 
 The vorticity of the flow is prescribed as a function gamma(r) of the
-stream function, r >= 0.  This module provides the admissible model kinds
-together with every derived scalar the solvers consume:
+stream function, r >= 0.  This module provides the admissible model kinds:
+zero, exponential decay, Gerstner's trochoidal vorticity (fixed by its
+parameter m) and a tabulated monotone-cubic interpolant that builds any
+decaying gamma from knots; ``model_from_config`` builds one from a config
+block.  It also computes every derived scalar the solvers consume:
 
 * ``Gamma(p) = int_0^p gamma(-p') dp'`` for p <= 0, with ``Gamma(0) = 0``,
 * its infimum/supremum over p <= 0 and its infinite-depth limit,
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import DomainError, QuadratureError
 
@@ -35,7 +38,6 @@ __all__ = [
     "BifurcationCondition",
     "functionals",
     "check_bifurcation_condition",
-    "model_to_config",
     "model_from_config",
 ]
 
@@ -234,83 +236,42 @@ class ExpDecayVorticity(VorticityModel):
         return max(0.0, self.amplitude)
 
 
-def _default_gerstner_b(psi):
-    # Affine map with b(0) = -1 and slope -1: stays in (-inf, 0), is strictly
-    # decreasing, and makes gamma decay exponentially at depth so that Gamma
-    # remains bounded.
-    return -1.0 - psi
-
-
 class GerstnerVorticity(VorticityModel):
     """Vorticity of trochoidal-wave type: gamma = -2 m^2 E / (1 - m^2 E).
 
-    Here E = exp(2 b(psi)) with 0 <= m < 1 and a user-supplied strictly
-    decreasing map b: [0, inf) -> (-inf, 0).  The sign pattern is what the
-    downstream estimates rely on: gamma <= 0 and gamma' >= 0 for decreasing
-    b.  The default b(psi) = -1 - psi yields closed-form primitives; a custom
-    callable switches to cached spline quadrature.
+    Here E = exp(2 b(psi)) with 0 <= m < 1 and the affine map
+    b(psi) = -1 - psi: b(0) = -1, slope -1, so b stays in (-inf, 0) and
+    gamma decays exponentially at depth, keeping Gamma bounded.  The sign
+    pattern is what the downstream estimates rely on: gamma <= 0 and
+    gamma' >= 0.  All primitives are closed-form.
     """
 
     kind = "gerstner"
 
-    def __init__(self, m: float, b_fn=None):
+    def __init__(self, m: float):
         if not 0.0 <= m < 1.0:
             raise DomainError("Gerstner parameter m must lie in [0, 1)")
         self.m = float(m)
-        self._custom_b = b_fn is not None
-        self.b_fn = b_fn if b_fn is not None else _default_gerstner_b
-        b0 = float(self.b_fn(0.0))
-        if b0 >= 0.0:
-            raise DomainError("b(psi) must be negative")
-        self._spline_cache = None
 
     def _E(self, r):
-        return np.exp(2.0 * np.asarray(self.b_fn(np.asarray(r, dtype=float)), dtype=float))
+        return np.exp(2.0 * (-1.0 - np.asarray(r, dtype=float)))
 
     def _gamma_impl(self, r):
         E = self._E(r)
         return -2.0 * self.m**2 * E / (1.0 - self.m**2 * E)
 
     def _gamma_prime_impl(self, r):
-        if not self._custom_b:
-            E = self._E(r)
-            # d/dr with b' = -1: gamma' = 4 m^2 E / (1 - m^2 E)^2
-            return 4.0 * self.m**2 * E / (1.0 - self.m**2 * E) ** 2
-        h = 1e-6
-        rr = np.asarray(r, dtype=float)
-        return (self._gamma_impl(rr + h) - self._gamma_impl(np.maximum(rr - h, 0.0))) / (
-            h + np.minimum(rr, h)
-        )
+        E = self._E(r)
+        # d/dr with b' = -1: gamma' = 4 m^2 E / (1 - m^2 E)^2
+        return 4.0 * self.m**2 * E / (1.0 - self.m**2 * E) ** 2
 
     def _primitive_impl(self, r):
-        if not self._custom_b:
-            # G(r) = -[ln(1 - m^2 e^(2b(r))) - ln(1 - m^2 e^(2b(0)))] for slope -1
-            m2 = self.m**2
-            return -(np.log1p(-m2 * self._E(r)) - math.log1p(-m2 * math.exp(-2.0)))
-        return self._spline()(np.minimum(np.asarray(r, dtype=float), self._spline_depth))
+        # G(r) = -[ln(1 - m^2 e^(2b(r))) - ln(1 - m^2 e^(2b(0)))]
+        m2 = self.m**2
+        return -(np.log1p(-m2 * self._E(r)) - math.log1p(-m2 * math.exp(-2.0)))
 
     def _primitive_limit(self):
-        if not self._custom_b:
-            return math.log1p(-self.m**2 * math.exp(-2.0))
-        return float(self._spline()(self._spline_depth))
-
-    def _spline(self):
-        # Cumulative primitive of gamma on a fine fixed-density grid; the
-        # depth doubles until the mass in the last quarter is negligible.
-        if self._spline_cache is None:
-            depth = 16.0
-            for _ in range(20):
-                rr = np.linspace(0.0, depth, int(depth * 256) + 1)
-                prim = CubicSpline(rr, self._gamma_impl(rr)).antiderivative()
-                tail = abs(float(prim(depth)) - float(prim(0.75 * depth)))
-                if tail < TAIL_TOL * max(1.0, abs(float(prim(depth)))):
-                    self._spline_cache = prim
-                    self._spline_depth = depth
-                    break
-                depth *= 2.0
-            else:
-                raise QuadratureError("Gerstner primitive did not converge; check b_fn decay")
-        return self._spline_cache
+        return math.log1p(-self.m**2 * math.exp(-2.0))
 
     @property
     def gamma_nonneg(self):
@@ -332,8 +293,7 @@ class GerstnerVorticity(VorticityModel):
         return 0.0
 
     def __repr__(self):
-        tag = "custom-b" if self._custom_b else "default-b"
-        return f"GerstnerVorticity(m={self.m}, {tag})"
+        return f"GerstnerVorticity(m={self.m})"
 
 
 class TabulatedVorticity(VorticityModel):
@@ -488,33 +448,11 @@ def check_bifurcation_condition(
     return BifurcationCondition(holds=value < g, margin=g - value, integral=value)
 
 
-# -- serialization -------------------------------------------------------------
-
-
-def model_to_config(model: VorticityModel) -> dict:
-    """Serialize a model as a flat key/value block (kind and parameters)."""
-    if isinstance(model, ZeroVorticity):
-        return {"kind": "zero"}
-    if isinstance(model, ExpDecayVorticity):
-        return {
-            "kind": "expdecay",
-            "amplitude": model.amplitude,
-            "rate": model.rate,
-        }
-    if isinstance(model, GerstnerVorticity):
-        if model._custom_b:
-            raise DomainError("a Gerstner model with a custom b map is not serializable")
-        return {"kind": "gerstner", "m": model.m}
-    if isinstance(model, TabulatedVorticity):
-        return {
-            "kind": "tabulated",
-            "knots": [[float(a), float(b)] for a, b in model.knots],
-        }
-    raise DomainError(f"unknown model type {type(model)!r}")
+# -- construction from a config block ------------------------------------------
 
 
 def model_from_config(block: dict) -> VorticityModel:
-    """Inverse of :func:`model_to_config`."""
+    """Build a model from a flat key/value block (kind and parameters)."""
     kind = str(block.get("kind", "")).lower()
     if kind == "zero":
         return ZeroVorticity()

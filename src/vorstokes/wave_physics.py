@@ -36,6 +36,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError, StagnationDomainError
 from .shear_flow import ShearFlow
 from .strip_solver import StripEvaluation, StripOperator, WaveState, derivative_fields
+from .sturm_liouville import fitted_tail_rate
 from .vorticity import VorticityModel
 
 __all__ = [
@@ -331,16 +332,10 @@ def verify_decay(ev: StripEvaluation) -> WaveReport:
 
 
 def fitted_wq_tail_rate(state: WaveState) -> float:
-    """Exponential rate of max_q |wq| over the mid-depth window."""
-    grid = state.grid
-    wq = derivative_fields(grid, state.w)["wq"]
-    prof = np.max(np.abs(wq), axis=1)
-    p = grid.p_nodes
-    usable = prof > WQ_TAIL_FLOOR
-    window = usable & (p >= -0.55 * grid.P) & (p <= -0.2 * grid.P)
-    if window.sum() < 6:
-        raise DomainError("tail window too short for a decay fit")
-    return float(np.polyfit(p[window], np.log(prof[window]), 1)[0])
+    """Exponential rate of max_q |wq|, fitted like an eigenfunction tail."""
+    wq = derivative_fields(state.grid, state.w)["wq"]
+    return fitted_tail_rate(state.grid.p_nodes, np.max(np.abs(wq), axis=1),
+                            floor=WQ_TAIL_FLOOR)
 
 
 # -- velocity bounds -----------------------------------------------------------------

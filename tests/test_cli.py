@@ -254,6 +254,18 @@ def test_cli_pipeline_exit_status(tmp_path):
     assert len(manifest["homotopy"]["sup_diffs"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_pipeline_rejects_fewer_than_one_job(tmp_path, jobs):
+    cfg = write_config(tmp_path, "vorticity.kind = zero\ngrid.nq = 16\n"
+                                 "epsilon_schedule = 0.05\n")
+    out = tmp_path / "run"
+    res = run_cli("pipeline", "--config", cfg, "--steps", "1", "--jobs", jobs,
+                  "--out", str(out))
+    assert res.returncode == 2
+    assert "error: jobs must be at least 1" in res.stderr
+    assert not out.exists()
+
+
 def test_cli_records_match_pipeline(tmp_path):
     # homotopy and continue write the records the pipeline writes
     cfg = write_config(
