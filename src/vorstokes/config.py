@@ -5,6 +5,13 @@ use dotted keys (``vorticity.kind``, ``grid.nq``).  Unknown keys and
 non-finite numbers are hard errors.  Every key can be overridden through the
 environment as ``VORSTOKES_<KEY>`` with dots replaced by underscores, e.g.
 ``VORSTOKES_VORTICITY_KIND``.
+
+``delta``, ``caps.w_cap`` and ``caps.wp_cap`` are absolute values in the
+strip's units, the units of g and L: delta is the margin of O_delta's
+clauses (lambda + 2 inf Gamma and 2 lambda - 4 g w, velocities squared;
+a^-1 + w_p, an inverse velocity), w_cap bounds |w| (a length) and wp_cap
+bounds w_p.  Their defaults were chosen for g = 9.81 and L = pi and do not
+scale with g or L.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .shear_flow import wave_speed
 from .strip_solver import DELTA_DEFAULT, StripOperator, WaveState, from_modes, to_modes
-from .sturm_liouville import BifurcationPoint
+from .sturm_liouville import BifurcationPoint, SLProblem, find_bifurcation_point
 
 __all__ = [
     "Termination",
@@ -562,9 +562,11 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     termination clause, or when step halving hits its floor; a floor
     reached on an AdmissibilityError reports that error's clause, and
     ``diagnostics`` lists the ds and "Type: message" of every failed
-    attempt of that halving cascade.  Raises DomainError for ``ds <= 0``
-    and for ``s0 == 0``, the trivial solution.
+    attempt of that halving cascade.  Raises DomainError for ``steps < 1``,
+    for ``ds <= 0`` and for ``s0 == 0``, the trivial solution.
     """
+    if steps < 1:
+        raise DomainError(f"steps must be at least 1, got {steps}")
     if not ds > 0.0:
         raise DomainError(f"arclength step must be positive, got {ds!r}")
     s_first = ds if s0 is None else s0
@@ -662,8 +664,6 @@ def epsilon_homotopy(model, g, grid, schedule, target_s, delta=DELTA_DEFAULT,
         raise DomainError("epsilon schedule must be strictly decreasing")
     if not all(0.0 <= e < 1.0 for e in sched):
         raise DomainError("epsilon schedule must lie in [0, 1)")
-
-    from .sturm_liouville import SLProblem, find_bifurcation_point
 
     if bif_factory is None:
         def bif_factory(eps):

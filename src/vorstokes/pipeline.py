@@ -129,6 +129,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
+    if steps < 1:
+        raise DomainError(f"steps must be at least 1, got {steps}")
     os.makedirs(out_dir, exist_ok=True)
     model = cfg.model()
     cond = check_bifurcation_condition(model, cfg.g, cfg.L)

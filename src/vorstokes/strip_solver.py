@@ -45,6 +45,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 from .errors import AdmissibilityError, DomainError, StagnationDomainError
+from .sturm_liouville import bracket_root
 from .vorticity import VorticityModel, functionals
 
 __all__ = ["StripGrid", "WaveState", "StripEvaluation", "StripOperator", "StripLinearization",
@@ -571,12 +572,14 @@ def linear_strip_mode(op: StripOperator, lam_hint: float):
         phi = np.r_[0.0, spsolve(B[1:-1, 1:-1].tocsc(), -B[1:-1, -1].toarray().ravel()), 1.0]
         return float((B[-1] @ phi)[0]), phi
 
-    for doublings in range(31):
-        width = 0.05 * 2.0**doublings * lam_hint
-        lo, hi = max(lam_hint - width, -2.0 * op.fn.gamma_inf_bound + 1e-9), lam_hint + width
-        if solve_phi(lo)[0] * solve_phi(hi)[0] < 0.0:
-            break
-    else:
+    def rising(lam):
+        # the top row falls as lambda rises
+        return -solve_phi(lam)[0]
+
+    scale = op.g * grid.L / math.pi
+    bracket = bracket_root(rising, lam_hint, 0.05 * lam_hint,
+                           -2.0 * op.fn.gamma_inf_bound + 1e-12 * scale, 1e8 * lam_hint)
+    if bracket is None:
         raise DomainError("no sign change for the discrete mode residual")
-    lam_d = brentq(lambda lam: solve_phi(lam)[0], lo, hi, xtol=1e-12)
+    lam_d = brentq(rising, *bracket, xtol=1e-13 * scale)
     return lam_d, solve_phi(lam_d)[1]

@@ -22,15 +22,19 @@ Discretization: the quadratic forms are assembled on a uniform grid with a
 Dirichlet cut-off at depth (midpoint stiffness, trapezoid mass), giving a
 symmetric tridiagonal pencil whose smallest eigenvalue is second-order
 accurate; the root finder removes the leading grid error by Richardson
-extrapolation across a grid doubling.
+extrapolation across a grid doubling.  Every offset, step and tolerance of
+the search is a multiple of g L / pi, and the truncation depth a multiple
+of the mode's decay length, so lambda* / (g L / pi) does not depend on the
+scale of g and L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
@@ -42,14 +46,15 @@ __all__ = [
     "BifurcationPoint",
     "rayleigh_quotient",
     "lowest_eigenvalue",
+    "bracket_root",
     "find_bifurcation_point",
     "eigenfunction_decay_rate",
     "fitted_tail_rate",
 ]
 
 DEFAULT_NODES = 2000
-# first bracket offset above the admissible floor, in units of g L / pi (the
-# zero-vorticity lambda*), so the search does not start above a small lambda*
+# first offset above the admissible floor and first step of the bracket walk,
+# and Brent's tolerance, in units of g L / pi (the zero-vorticity lambda*)
 BRACKET_SEED = 1e-3
 BISECTION_RTOL = 1e-10
 
@@ -199,31 +204,50 @@ class BifurcationPoint:
 
     def phi_at(self, p):
         """Eigenfunction sampled at arbitrary p <= 0 (monotone interpolation)."""
-        from scipy.interpolate import PchipInterpolator
-
         interp = PchipInterpolator(self.p, self.phi)
         pp = np.asarray(p, dtype=float)
         out = np.where(pp < self.p[0], 0.0, interp(np.maximum(pp, self.p[0])))
         return out if np.ndim(p) else float(out)
 
 
+def bracket_root(f, x0, step, lower, upper):
+    """Bracket the root of an increasing ``f`` by walking from ``x0``.
+
+    Walks up while f < 0 and down while f >= 0, with steps step, 2 step,
+    4 step, ..., never past [lower, upper].  Returns (a, b) with
+    f(a) < 0 <= f(b), or None when the walk reaches a bound first.
+    """
+    x = x0
+    up = f(x) < 0.0
+    while x < upper if up else x > lower:
+        y = min(x + step, upper) if up else max(x - step, lower)
+        if (f(y) >= 0.0) == up:
+            return (x, y) if up else (y, x)
+        x, step = y, 2.0 * step
+    return None
+
+
 def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     """Locate lambda with Lambda(lambda) = -(pi/L)^2 and its eigenfunction.
 
-    Brackets by doubling the offset above the admissible floor, then
-    solves by Brent's method; monotonicity of Lambda in lambda makes the
-    root unique.  The returned lambda is Richardson-extrapolated across a
-    grid doubling, and the final eigenfunction is re-sampled on a
-    depth-adapted grid so that the truncation sits at roughly twenty-five
-    decay lengths of the mode.
+    `bracket_root` walks from ``BRACKET_SEED`` g L / pi above the
+    admissible floor on a coarse grid, and Brent's method solves; the
+    monotonicity of Lambda in lambda makes the root unique.  The grid is
+    then cut at twenty-five decay lengths of the located mode, a second
+    walk from the coarse root brackets the Richardson extrapolation across
+    a grid doubling, and Brent's method polishes it.  Both solves stop at
+    ``BISECTION_RTOL`` g L / pi.
 
     Raises
     ------
     BifurcationAbsentError
-        If no sign change occurs below ``prob.lambda_max``.
+        If Lambda stays above the target down to the floor (the
+        bifurcation criterion fails) or below it up to ``prob.lambda_max``.
     """
     target = -((math.pi / prob.L) ** 2)
     floor = -2.0 * prob.fn.gamma_inf_bound
+    scale = prob.g * prob.L / math.pi
+    xtol = BISECTION_RTOL * scale
     # brentq evaluates its bracket ends again and the closing eigenvector
     # solve repeats an evaluation, so each (problem, lambda, n) is solved once
     pairs = {}
@@ -234,75 +258,40 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
             pairs[key] = _smallest_pair(problem, lam, n)
         return pairs[key]
 
-    def value(lam, n):
-        return pair(prob, lam, n)[0] - target
-
-    # coarse bracket on a cheap grid
-    n_coarse = max(256, prob.n // 4)
-    offset = BRACKET_SEED * prob.g * prob.L / math.pi
-    lo = floor + offset
-    f_lo = value(lo, n_coarse)
-    if f_lo >= 0.0:
-        raise BifurcationAbsentError(
-            f"lowest eigenvalue at the floor offset is already above the "
-            f"target {target:.6g}; the bifurcation criterion fails"
-        )
-    hi = None
-    while floor + offset <= prob.lambda_max:
-        offset *= 2.0
-        cand = min(floor + offset, prob.lambda_max)
-        if value(cand, n_coarse) >= 0.0:
-            hi = cand
-            break
-        lo = cand
-    if hi is None:
+    def walk(f, x0, step):
+        bracket = bracket_root(f, x0, step, floor + 1e-12 * scale, prob.lambda_max)
+        if bracket is not None:
+            return bracket
+        if f(x0) >= 0.0:
+            raise BifurcationAbsentError(
+                f"lowest eigenvalue stays above the target {target:.6g} down "
+                f"to the admissible floor; the bifurcation criterion fails"
+            )
         raise BifurcationAbsentError(
             f"no sign change of Lambda + (pi/L)^2 up to lambda_max = "
             f"{prob.lambda_max:.6g}"
         )
 
+    # coarse bracket on a cheap grid
+    n_coarse = max(256, prob.n // 4)
+
+    def f_coarse(lam):
+        return pair(prob, lam, n_coarse)[0] - target
+
+    seed = BRACKET_SEED * scale
+    lam_rough = brentq(f_coarse, *walk(f_coarse, floor + seed, seed), xtol=xtol)
+
     # adapt the depth to the located scale and polish with extrapolation
-    lam_rough = brentq(value, lo, hi, args=(n_coarse,))
     k_mode = math.sqrt(
         prob.epsilon + (math.pi / prob.L) ** 2 / (lam_rough + 2.0 * prob.fn.gamma_total)
     )
-    depth = max(25.0 / k_mode, prob.model.tail_depth())
-    fine = SLProblem(
-        model=prob.model,
-        g=prob.g,
-        L=prob.L,
-        epsilon=prob.epsilon,
-        n=prob.n,
-        depth=depth,
-        lambda_max=prob.lambda_max,
-        fn=prob.fn,
-    )
+    fine = replace(prob, depth=25.0 / k_mode)
 
     def f_fine(lam):
         return (4.0 * pair(fine, lam, 2 * fine.n)[0] - pair(fine, lam, fine.n)[0]) / 3.0 - target
 
-    # the coarse root can sit a few percent off; expand multiplicatively
-    width = 0.05 * max(lam_rough - floor, 1e-3)
-    lo = max(floor + 1e-12, lam_rough - width)
-    hi = min(prob.lambda_max, lam_rough + width)
-    f_lo, f_hi = f_fine(lo), f_fine(hi)
-    for _ in range(40):
-        if f_lo < 0.0 <= f_hi:
-            break
-        width *= 2.0
-        if f_lo >= 0.0:
-            lo = max(floor + 1e-12, lam_rough - width)
-            f_lo = f_fine(lo)
-        if f_hi < 0.0:
-            hi = min(prob.lambda_max, lam_rough + width)
-            f_hi = f_fine(hi)
-        if lo <= floor + 1e-12 and hi >= prob.lambda_max:
-            if not (f_lo < 0.0 <= f_hi):
-                raise BifurcationAbsentError("could not re-bracket on the refined grid")
-    else:
-        raise BifurcationAbsentError("could not re-bracket on the refined grid")
-
-    lam_star = brentq(f_fine, lo, hi, xtol=BISECTION_RTOL, rtol=BISECTION_RTOL)
+    bracket = walk(f_fine, lam_rough, 0.05 * (lam_rough - floor))
+    lam_star = brentq(f_fine, *bracket, xtol=xtol, rtol=BISECTION_RTOL)
 
     _, v, p = pair(fine, lam_star, 2 * fine.n)
     phi = v / v[-1]

@@ -265,12 +265,12 @@ def decay_envelope_constants(ev: StripEvaluation):
 
         2 sigma^2 (1 + M^2) + 4 beta sigma K M^2 - (1/2) e^(-beta L) K M^2
 
-    negative, located by bisection.  The middle term carries the plus sign
-    the comparison argument actually produces (its expansion yields
-    + 2 beta sigma K M^2 + 2 sigma K M^2 <= + 4 beta sigma K M^2); a minus
-    sign would admit rates far above the true decay and falsify the
-    envelope.  Returns sigma = 0 when no positive sigma exists (degenerate
-    envelope, e.g. when e^(-beta L) underflows).
+    negative: the positive root of that quadratic.  The middle term carries
+    the plus sign the comparison argument actually produces (its expansion
+    yields + 2 beta sigma K M^2 + 2 sigma K M^2 <= + 4 beta sigma K M^2); a
+    minus sign would admit rates far above the true decay and falsify the
+    envelope.  Returns sigma = 0 when that root is not above 1e-16
+    (degenerate envelope, e.g. when e^(-beta L) underflows).
     """
     op, state, d, hp = ev.op, ev.state, ev.fields, ev.hp
     ainv = op.ainv_rows(state.lam)[:, None]
@@ -292,23 +292,12 @@ def decay_envelope_constants(ev: StripEvaluation):
                     0.99 * min(float(np.min(hp)), ev.lam_margin, ev.cap_margin))
     beta = max(1.0, km2 / (2.0 * delta_env**2))
 
-    def excess(sigma):
-        return (2.0 * sigma**2 * (1.0 + M**2)
-                + 4.0 * beta * sigma * km2
-                - 0.5 * math.exp(-beta * op.grid.L) * km2)
-
-    if km2 <= 0.0 or excess(1e-16) >= 0.0:
-        return M, beta, 0.0
-    lo, hi = 1e-16, 1.0
-    while excess(hi) < 0.0 and hi < 1e6:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return M, beta, lo
+    # a sigma^2 + b sigma - c < 0 up to its positive root, written without
+    # cancellation
+    a, b = 2.0 * (1.0 + M**2), 4.0 * beta * km2
+    c = 0.5 * math.exp(-beta * op.grid.L) * km2
+    sigma = 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c)) if c > 0.0 else 0.0
+    return M, beta, sigma if sigma > 1e-16 else 0.0
 
 
 def verify_decay(ev: StripEvaluation) -> WaveReport:

@@ -266,6 +266,20 @@ def test_cli_pipeline_rejects_fewer_than_one_job(tmp_path, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["continue", "pipeline"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_step(tmp_path, command, steps):
+    # a zero or negative step budget used to solve and write one point
+    cfg = write_config(tmp_path, "vorticity.kind = zero\ngrid.nq = 16\n"
+                                 "epsilon_schedule = 0.05\n")
+    out = tmp_path / "run"
+    extra = ["--epsilon", "0.05"] if command == "continue" else []
+    res = run_cli(command, "--config", cfg, *extra, "--steps", steps, "--out", str(out))
+    assert res.returncode == 2
+    assert "error: steps must be at least 1" in res.stderr
+    assert not out.exists()
+
+
 def test_cli_records_match_pipeline(tmp_path):
     # homotopy and continue write the records the pipeline writes
     cfg = write_config(

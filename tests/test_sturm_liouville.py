@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from vorstokes.errors import BifurcationAbsentError, DomainError, NoDiscreteEige
 from vorstokes.sturm_liouville import (
     BifurcationPoint,
     SLProblem,
+    bracket_root,
     eigenfunction_decay_rate,
     find_bifurcation_point,
     fitted_tail_rate,
@@ -134,15 +137,70 @@ def test_bifurcation_point_regularized_cubic_root():
 
 
 @pytest.mark.parametrize("g, half_period", [
-    (0.1, L), (1.0, L), (G, L), (100.0, L), (G, 1.0), (G, 10.0), (G, 30.0), (0.1, 30.0),
-    (100.0, 0.3),
+    *itertools.product((0.01, 0.1, 1.0, G, 100.0), (0.1, 0.3, 1.0, L, 30.0)), (G, 10.0),
 ])
 def test_bifurcation_point_is_scale_free_for_zero_vorticity(g, half_period):
-    # lambda* = g L / pi at eps = 0 for any g and L; the first bracket was an
-    # absolute offset of 0.1 above the floor, which already lay above
-    # lambda* = 0.1 at g = 0.1, L = pi
+    # lambda* = g L / pi at eps = 0 for any g and L: every offset, step and
+    # tolerance of the search scales with g L / pi and the truncation depth
+    # with the mode's decay length (an 8-unit depth floor left lambda* 62%
+    # off at g = 0.01, L = 0.1)
     bp = find_bifurcation_point(SLProblem(ZeroVorticity(), g=g, L=half_period, epsilon=0.0))
     assert bp.lambda_star == pytest.approx(g * half_period / math.pi, rel=1e-9)
+
+
+def refined_lambda_star(model, g, half_period, lam):
+    """Richardson root at eps = 0 on a grid resolving the surface layer and tail.
+
+    The depth is sixty decay lengths of the mode near ``lam`` or the
+    vorticity's tail depth, whichever is deeper, with sixty nodes per decay
+    length or per surface-layer width lam^(3/2) / g, whichever is thinner.
+    """
+    fn = functionals(model)
+    k = (math.pi / half_period) / math.sqrt(lam + 2.0 * fn.gamma_total)
+    depth = max(60.0 / k, model.tail_depth())
+    n = int(60.0 * depth / min(1.0 / k, lam**1.5 / g))
+    coarse = SLProblem(model, g=g, L=half_period, n=n, depth=depth, fn=fn)
+    fine = dataclasses.replace(coarse, n=2 * n)
+    target = -((math.pi / half_period) ** 2)
+
+    def f(x):
+        return (4.0 * lowest_eigenvalue(fine, x) - lowest_eigenvalue(coarse, x)) / 3.0 - target
+
+    return brentq(f, 0.98 * lam, 1.02 * lam, xtol=1e-14 * lam)
+
+
+@pytest.mark.parametrize("model, g, half_period", [
+    (GerstnerVorticity(m=0.5), G, 0.1),
+    (ExpDecayVorticity(1.0, 1.0), 100.0, 0.1),
+])
+def test_bifurcation_point_matches_a_refined_solve_at_a_short_period(model, g, half_period):
+    # the mode decays within hundredths of a unit here, far inside the
+    # vorticity's tail depth, so the truncation depth must follow the mode
+    lam = find_bifurcation_point(SLProblem(model, g=g, L=half_period)).lambda_star
+    assert lam == pytest.approx(refined_lambda_star(model, g, half_period, lam), rel=1e-8)
+
+
+def test_bracket_root_walks_to_a_sign_change():
+    def f(x):
+        return x - 3.0
+
+    # up from below (steps 1, 2) and down from above (steps 1, 2, 4, 8)
+    assert bracket_root(f, 0.0, 1.0, -10.0, 10.0) == (1.0, 3.0)
+    assert bracket_root(f, 10.0, 1.0, -10.0, 10.0) == (-5.0, 3.0)
+    # a bound cuts the walk short but keeps the bracket
+    assert bracket_root(f, 10.0, 1.0, -2.0, 10.0) == (-2.0, 3.0)
+    assert bracket_root(f, 0.0, 1.0, -10.0, 2.5) is None
+    assert bracket_root(f, 4.0, 1.0, 3.5, 10.0) is None
+    # a small first step still reaches a far root in few evaluations
+    calls = []
+
+    def steep(x):
+        calls.append(x)
+        return math.tanh(x - 50.0)
+
+    a, b = bracket_root(steep, 0.0, 1e-3, 0.0, 1e3)
+    assert len(calls) == 17  # x0 and 16 doubling steps
+    assert steep(a) < 0.0 <= steep(b) and b - a < 50.0
 
 
 def test_bifurcation_point_interval_membership():
@@ -163,7 +221,7 @@ def test_bifurcation_point_eigenfunction_positive():
 def test_bifurcation_absent_for_hopeless_caps():
     # Restricting lambda_max below the root leaves no bracket.
     prob = SLProblem(ZeroVorticity(), g=G, L=L, epsilon=0.0, lambda_max=2.0)
-    with pytest.raises(BifurcationAbsentError):
+    with pytest.raises(BifurcationAbsentError, match="up to lambda_max"):
         find_bifurcation_point(prob)
 
 
