@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import parse_config
 from .continuation import epsilon_homotopy
-from .errors import VorStokesError
+from .errors import DomainError, VorStokesError
 from .nekrasov import nu_bound_check, solve_nekrasov
 from .pipeline import (
     BRANCH_HEADER,
@@ -40,6 +40,13 @@ from .pipeline import (
 from .shear_flow import ShearFlow
 from .strip_solver import StripOperator, WaveState
 from .wave_physics import physical_grid, reconstruct, verify_all
+
+
+def _finite(text):
+    """argparse type of the float flags: a finite number, as config keys must be."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _out_path(args, default_name):
@@ -70,6 +77,8 @@ def _emit_json(args, obj, default_name):
 
 
 def cmd_trivial(args):
+    if args.samples < 1:
+        raise DomainError(f"samples must be at least 1, got {args.samples}")
     cfg = parse_config(args.config)
     model = cfg.model()
     lam = args.lam if args.lam is not None else cfg.g * cfg.L / math.pi
@@ -202,26 +211,26 @@ def build_parser():
 
     p = sub.add_parser("trivial", help="laminar shear-flow table")
     common(p)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--lam", type=_finite, default=None)
     p.add_argument("--samples", type=int, default=33)
     p.set_defaults(func=cmd_trivial)
 
     p = sub.add_parser("bifurcate", help="bifurcation point at one epsilon")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_finite, default=0.0)
     p.set_defaults(func=cmd_bifurcate)
 
     p = sub.add_parser("continue", help="trace a solution branch")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=_finite, default=0.01)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--target-s", type=float, default=None)
+    p.add_argument("--step-size", type=_finite, default=None)
+    p.add_argument("--target-s", type=_finite, default=None)
     p.set_defaults(func=cmd_continue)
 
     p = sub.add_parser("homotopy", help="decreasing-epsilon re-convergence")
     common(p)
-    p.add_argument("--target-s", type=float, default=None)
+    p.add_argument("--target-s", type=_finite, default=None)
     p.set_defaults(func=cmd_homotopy)
 
     p = sub.add_parser("verify", help="verification report for a saved state")
@@ -236,10 +245,10 @@ def build_parser():
 
     p = sub.add_parser("nekrasov", help="irrotational angle equation")
     p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--nu", type=float, required=True)
+    p.add_argument("--nu", type=_finite, required=True)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--amplitude", type=float, default=0.0,
+    p.add_argument("--tol", type=_finite, default=1e-12)
+    p.add_argument("--amplitude", type=_finite, default=0.0,
                    help="nonzero seeds the nontrivial solution")
     p.set_defaults(func=cmd_nekrasov)
 

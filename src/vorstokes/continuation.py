@@ -47,7 +47,8 @@ from .errors import (
     SingularJacobianError,
 )
 from .shear_flow import wave_speed
-from .strip_solver import DELTA_DEFAULT, StripOperator, WaveState, from_modes, to_modes
+from .strip_solver import (DELTA_DEFAULT, StripOperator, WaveState, cosine_matrix, from_modes,
+                           to_modes)
 from .sturm_liouville import BifurcationPoint, SLProblem, find_bifurcation_point
 
 __all__ = [
@@ -114,11 +115,8 @@ def surface_mode_amplitude(state: WaveState) -> float:
 
 def _mode_weights(grid) -> np.ndarray:
     """Row vector of d(surface_mode_amplitude)/dw on the flattened field."""
-    q = grid.q_nodes
-    tw = np.full(grid.nq, grid.dq)
-    tw[0] = tw[-1] = 0.5 * grid.dq
     row = np.zeros(grid.np * grid.nq)
-    row[(grid.np - 1) * grid.nq:] = (2.0 / grid.L) * tw * np.cos(math.pi * q / grid.L)
+    row[(grid.np - 1) * grid.nq:] = -cosine_matrix(grid.nq)[1][1]  # cos(pi q / L) = -V[:, 1]
     return row
 
 

@@ -173,8 +173,10 @@ def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
     perturbed start converges to the nontrivial positive solution once nu
     exceeds the existence threshold, and falls back to zero below it.
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError("nu must be positive")
+    if n_quad < 2:
+        raise DomainError(f"n_quad must be at least 2, got {n_quad}")
     t = np.linspace(0.0, math.pi, n_quad + 1)
     theta = np.zeros_like(t) if theta0 is None else np.asarray(theta0, float).copy()
     if theta.shape != t.shape:

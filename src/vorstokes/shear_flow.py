@@ -44,7 +44,7 @@ def wave_speed(lam: float, fn: VorticityFunctionals) -> float:
         infinite-bottom condition.
     """
     c_sq = lam + 2.0 * fn.gamma_total
-    if c_sq <= 0.0:
+    if not c_sq > 0.0:
         raise StagnationDomainError(
             f"lambda + 2*Gamma_total = {c_sq:.6g} must be positive for a wave speed"
         )
@@ -72,10 +72,10 @@ class ShearFlow:
     g: float = 9.81
 
     def __post_init__(self):
-        if self.g <= 0:
+        if not self.g > 0:
             raise DomainError("gravity must be positive")
         self.fn = functionals(self.model)
-        if self.lam + 2.0 * self.fn.gamma_inf_bound <= 0.0:
+        if not self.lam + 2.0 * self.fn.gamma_inf_bound > 0.0:
             raise StagnationDomainError(
                 f"lambda = {self.lam:.6g} is not above the critical floor "
                 f"{-2.0 * self.fn.gamma_inf_bound:.6g}"

@@ -22,10 +22,11 @@ the top-row residual is
 The residual, its analytic linearization in w and lambda, and the test for
 the admissible set O_delta (parameter above the critical floor, no
 stagnation, surface Bernoulli inequality) all read one evaluation of a state,
-`StripOperator.evaluate`; the damped Newton solves live in ``continuation``.
-The folded q stencils are diagonal in the DCT-I's cosine modes (`to_modes`),
-so the q-averaged linearization is one banded p-operator per mode
-(`mode_blocks`): the solves' preconditioner and `linear_strip_mode`'s mode 1.
+`StripOperator.evaluate`; J, J v and the q-averaged J read its one table of
+J's entries per stencil shift.  The folded q stencils are diagonal in the
+DCT-I's cosine modes (`to_modes`), so the q-averaged J is one banded
+p-operator per mode (`mode_blocks`): the solves' preconditioner and
+`linear_strip_mode`'s mode 1.  The damped Newton solves live in ``continuation``.
 """
 
 from __future__ import annotations
@@ -260,11 +261,12 @@ def derivative_fields(grid: StripGrid, w: np.ndarray):
 
 
 @functools.lru_cache(maxsize=None)
-def _cosine_matrix(nq):
+def cosine_matrix(nq):
     """(V, V^-1) of the DCT-I, V[j, k] = cos(pi j k / (nq - 1)), which is symmetric.
 
     Column k of V is the k-th eigenvector of every folded q stencil
-    (`_stencils`).  Row 0 of V^-1 holds the trapezoid weights of the q-mean.
+    (`_stencils`).  Row k of V^-1 holds the trapezoid weights of mode k's
+    coefficient: row 0 those of the q-mean.
     """
     V = np.cos(np.pi * np.outer(np.arange(nq), np.arange(nq)) / (nq - 1))
     d = np.r_[0.5, np.ones(nq - 2), 0.5]
@@ -279,45 +281,36 @@ def to_modes(grid: StripGrid, v, transpose=False):
     Entry k * np + i holds mode k of p row i; `from_modes` inverts it.
     ``transpose`` applies the transpose of `from_modes` instead (c -> c Q).
     """
-    V, V_inv = _cosine_matrix(grid.nq)
+    V, V_inv = cosine_matrix(grid.nq)
     x = np.reshape(v, (grid.np, grid.nq, -1))
     return np.tensordot(V if transpose else V_inv, x, axes=(1, 1)).reshape(np.shape(v))
 
 
 def from_modes(grid: StripGrid, x):
     """The flattened field whose mode-major cosine coefficients are ``x``."""
-    y = np.tensordot(_cosine_matrix(grid.nq)[0], np.reshape(x, (grid.nq, grid.np, -1)),
+    y = np.tensordot(cosine_matrix(grid.nq)[0], np.reshape(x, (grid.nq, grid.np, -1)),
                      axes=(1, 0))
     return y.transpose(1, 0, 2).reshape(np.shape(x))
 
 
-def mode_blocks(grid: StripGrid, partials: dict, modes):
+def mode_blocks(grid: StripGrid, entries: dict, modes):
     """The q-averaged linearization on the cosine ``modes``, mode-major, as sparse CSC.
 
-    Each of the `StripOperator._partials` is averaged over q, and each
-    folded q stencil becomes its eigenvalue on mode k, sum(weight cos(k pi
-    offset / (nq - 1))) / divisor, which is 0 for the odd ones (wq, wpq).
-    Per mode that leaves a banded p-operator: the identity bottom row, three
-    points inside and the one-sided top row.
+    Each of J's entries (`StripEvaluation.jacobian_entries`) is averaged over q
+    and weighted by its shift's eigenvalue cos(k pi dj / (nq - 1)) on mode k; the
+    odd stencils' (wq, wpq) entries at +dj and -dj cancel.  Per mode that leaves
+    a banded p-operator: identity bottom row, three points inside, one-sided top.
     """
-    table, spans = _stencils(grid), _row_spans(grid.np)
     theta = np.pi * np.asarray(modes, dtype=float) / (grid.nq - 1)
-    base, weights = grid.np * np.arange(theta.size), _cosine_matrix(grid.nq)[1][0]
+    base, weights = grid.np * np.arange(theta.size), cosine_matrix(grid.nq)[1][0]
     rows, cols, vals = [], [], []
-    for row_class, row_partials in partials.items():
-        lo, hi = spans[row_class]
-        ii, shifts = np.arange(lo, hi)[:, None], {}
-        for name, coeff in row_partials.items():
-            (q_taps, q_div), p_stencils = table[name]
-            eig = sum(kq * np.cos(dj * theta) for dj, kq in q_taps) / q_div
-            if not np.any(eig):
-                continue
-            p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
-            mean = np.reshape(coeff @ weights if np.ndim(coeff) else coeff, (-1, 1))
-            for di, kp in p_taps:
-                term = mean * eig * (kp / p_div)
-                shifts[di] = shifts[di] + term if di in shifts else term
-        for di, val in shifts.items():
+    for (lo, hi), shifts in entries.items():
+        ii, bands = np.arange(lo, hi)[:, None], {}
+        for (di, dj), entry in shifts.items():
+            mean = np.reshape(entry @ weights if np.ndim(entry) else entry, (-1, 1))
+            term = mean * np.cos(dj * theta)
+            bands[di] = bands[di] + term if di in bands else term
+        for di, val in bands.items():
             rows.append((base + ii).ravel())
             cols.append((base + ii + di).ravel())
             vals.append(np.broadcast_to(val, (hi - lo, theta.size)).ravel())
@@ -332,9 +325,9 @@ class StripEvaluation:
     `StripOperator.evaluate`, or `wave_physics.reconstruct` for a verified
     state.  ``lam_margin`` = lambda + 2 inf Gamma, ``hp`` = a^-1 + wp and
     ``cap_margin`` = 2 lambda - 4 g max w(q, 0) are the O_delta margins (all
-    above delta inside it).  ``hp`` and ``coefficients`` are formed on first
-    read; below the lambda floor, where a^-1 is not formed, reading them
-    raises that clause.
+    above delta inside it).  ``hp``, ``coefficients`` and
+    ``jacobian_entries`` are formed on first read; below the lambda floor,
+    where a^-1 is not formed, reading them raises that clause.
     """
 
     def __init__(self, op: StripOperator, state: WaveState, fields: dict):
@@ -353,8 +346,8 @@ class StripEvaluation:
         """The strip equation's coefficients at the state.
 
         Interior rows (1 .. np-2) read c_pp wpp + c_pq wpq + c_qq wqq +
-        gamma hp^3 - gamma a^-3 c_pp - eps w with hp = a^-1 + wp; c_p and
-        c_q are the derivatives of that row in wp and wq.  The top row
+        gamma hp^3 - gamma a^-3 c_pp - eps w with hp = a^-1 + wp; c_p is
+        the derivative of that row in wp.  The top row
         reads 1 + bern hp_top^2 + wq_top^2 with bern = 2 g w - lambda.
         """
         op, lam, d, sl = self.op, self.state.lam, self.fields, slice(1, -1)
@@ -369,11 +362,36 @@ class StripEvaluation:
             c_pq=-2.0 * hp * wq,
             c_qq=hp**2,
             c_p=-2.0 * wq * wpq + 2.0 * hp * wqq + 3.0 * gam * hp**2,
-            c_q=2.0 * wq * wpp - 2.0 * hp * wpq - 2.0 * gam * a3 * wq,
             hp_top=lam**-0.5 + d["wp"][-1],
             bern=2.0 * op.g * self.state.w[-1] - lam,
             wq_top=d["wq"][-1],
         )
+
+    @cached_property
+    def jacobian_entries(self):
+        """J's entries, {(lo, hi) of a row class: {(di, dj): coefficient}}, unfolded in q.
+
+        Row partials times their fields' `_stencils` weights, summed per shift in field order.
+        """
+        op, c = self.op, self.coefficients
+        partials = {
+            "bottom": {"w": 1.0},
+            "interior": {"wpp": c.c_pp, "wp": c.c_p, "wqq": c.c_qq,
+                         "wq": 2.0 * (c.wq * c.wpp - c.hp * c.wpq - c.gam * c.a3 * c.wq),
+                         "wpq": c.c_pq, "w": -op.epsilon},
+            "top": {"wp": 2.0 * c.bern * c.hp_top, "wq": 2.0 * c.wq_top,
+                    "w": 2.0 * op.g * c.hp_top**2},
+        }
+        table, spans, entries = _stencils(op.grid), _row_spans(op.grid.np), {}
+        for row_class, row_partials in partials.items():
+            shifts = entries[spans[row_class]] = {}
+            for name, coeff in row_partials.items():
+                (q_taps, q_div), p_stencils = table[name]
+                p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
+                for (di, kp), (dj, kq) in itertools.product(p_taps, q_taps):
+                    term = (coeff if kp * kq == 1 else coeff * (kp * kq)) / (p_div * q_div)
+                    shifts[di, dj] = shifts[di, dj] + term if (di, dj) in shifts else term
+        return entries
 
 
 class StripOperator:
@@ -456,45 +474,26 @@ class StripOperator:
 
     # -- linearization ----------------------------------------------------------------
 
-    def _partials(self, c):
-        """{row class: {field: d(row)/d(field)}} from the coefficients ``c``.
-
-        The field order sets the summation order, and so the rounding, of J's
-        entries per shift.
-        """
-        return {
-            "bottom": {"w": 1.0},
-            "interior": {"wpp": c.c_pp, "wp": c.c_p, "wqq": c.c_qq, "wq": c.c_q,
-                         "wpq": c.c_pq, "w": -self.epsilon},
-            "top": {"wp": 2.0 * c.bern * c.hp_top, "wq": 2.0 * c.wq_top,
-                    "w": 2.0 * self.g * c.hp_top**2},
-        }
-
     def jacobian(self, ev: StripEvaluation):
         """The `StripLinearization` at ``ev``: what a factorization is built from."""
-        return StripLinearization(self, self._partials(ev.coefficients))
+        return StripLinearization(self, ev.jacobian_entries)
 
     def jacobian_action(self, ev: StripEvaluation):
         """The map v -> J v of `jacobian`, without assembling J.
 
-        The same chain rule: each product is one `derivative_fields` pass of
-        v (the fields are linear in w) weighted by the rows' partials.  ``v``
-        is a flattened field.
+        One multiply-add per entry of ``ev.jacobian_entries`` on v padded
+        with its reflections across the q-ends.  ``v`` is a flattened field.
         """
-        shape = ev.state.w.shape
-        partials, spans = self._partials(ev.coefficients), _row_spans(self.grid.np)
+        shape, nq = ev.state.w.shape, self.grid.nq
+        entries = ev.jacobian_entries
+        padded = _fold(np.arange(-1, nq + 1), nq)
 
         def apply(v):
-            v = np.reshape(v, shape)
-            fields = derivative_fields(self.grid, v)
-            fields["w"] = v
-            out = np.empty(shape)
-            for row_class, row_partials in partials.items():
-                lo, hi = spans[row_class]
-                (name, coeff), *rest = row_partials.items()
-                acc = np.multiply(coeff, fields[name][lo:hi], out=out[lo:hi])
-                for name, coeff in rest:
-                    acc += coeff * fields[name][lo:hi]
+            vpad = np.reshape(v, shape).take(padded, axis=1)
+            out = np.zeros(shape)
+            for (lo, hi), shifts in entries.items():
+                for (di, dj), coeff in shifts.items():
+                    out[lo:hi] += coeff * vpad[lo + di:hi + di, 1 + dj:1 + dj + nq]
             return out.ravel()
 
         return apply
@@ -519,32 +518,23 @@ class StripLinearization:
     (`mode_blocks`); `tocsc` assembles J itself.  At w = 0 P is J.
     """
 
-    def __init__(self, op: StripOperator, partials: dict):
-        self.grid, self._partials = op.grid, partials
-        self.modes = mode_blocks(op.grid, partials, np.arange(op.grid.nq))
+    def __init__(self, op: StripOperator, entries: dict):
+        self.grid, self.entries = op.grid, entries
+        self.modes = mode_blocks(op.grid, entries, np.arange(op.grid.nq))
 
     def tocsc(self):
-        """Sparse J (CSC): each row's partials times its fields' `_stencils` weights.
+        """Sparse J (CSC): each entry placed at its shift's folded column.
 
-        Summed per (p, q) shift.  Folded shifts keep their own triplets, so
-        the entries that cancel at the q-ends stay stored: the exact
-        bordered LU in ``continuation`` takes its fill order from the
-        pattern.
+        Folded shifts keep their own triplets, so the entries that cancel at
+        the q-ends stay stored: the exact bordered LU in ``continuation``
+        takes its fill order from the pattern.
         """
         nq, n_p = self.grid.nq, self.grid.np
-        table, spans = _stencils(self.grid), _row_spans(n_p)
         rows, cols, vals = [], [], []
         jj = np.arange(nq, dtype=np.int32)  # the index type scipy would convert to
-        for row_class, row_partials in self._partials.items():
-            lo, hi = spans[row_class]
+        for (lo, hi), shifts in self.entries.items():
             ii = np.arange(lo, hi, dtype=np.int32)[:, None]
-            eq, shifts = (ii * nq + jj).ravel(), {}
-            for name, coeff in row_partials.items():
-                (q_taps, q_div), p_stencils = table[name]
-                p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
-                for (di, kp), (dj, kq) in itertools.product(p_taps, q_taps):
-                    term = (coeff if kp * kq == 1 else coeff * (kp * kq)) / (p_div * q_div)
-                    shifts[di, dj] = shifts[di, dj] + term if (di, dj) in shifts else term
+            eq = (ii * nq + jj).ravel()
             for (di, dj), val in shifts.items():
                 rows.append(eq)
                 cols.append(((ii + di) * nq + _fold(jj + dj, nq)).ravel())
@@ -568,7 +558,7 @@ def linear_strip_mode(op: StripOperator, lam_hint: float):
 
     def solve_phi(lam):
         ev = op.evaluate(WaveState(lam, op.epsilon, grid, np.zeros((grid.np, grid.nq))))
-        B = mode_blocks(grid, op._partials(ev.coefficients), [1]).tocsr()
+        B = mode_blocks(grid, ev.jacobian_entries, [1]).tocsr()
         phi = np.r_[0.0, spsolve(B[1:-1, 1:-1].tocsc(), -B[1:-1, -1].toarray().ravel()), 1.0]
         return float((B[-1] @ phi)[0]), phi
 

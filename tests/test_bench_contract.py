@@ -34,6 +34,26 @@ def spans(monkeypatch):
     return spans
 
 
+def test_jacobian_action_builds_no_jacobian_and_no_fields(monkeypatch):
+    # J v reads the evaluation's entries.  Through StripOperator.jacobian it
+    # would count one J build per Krylov solve in strip_solver.jacobian.calls
+    # and form all of P's mode blocks each time for nothing
+    op = strip_solver.StripOperator(ZeroVorticity(), G, SMALL_GRID, epsilon=0.01)
+    p, q = SMALL_GRID.p_nodes[:, None], SMALL_GRID.q_nodes[None, :]
+    w = 0.05 * np.exp(0.5 * p) * np.cos(math.pi * q / L)
+    w[0] = 0.0
+    state = strip_solver.WaveState(9.0, 0.01, SMALL_GRID, w)
+    J, ev = op.jacobian(op.evaluate(state)).tocsc(), op.evaluate(state)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("J v must not call this")
+
+    monkeypatch.setattr(strip_solver.StripOperator, "jacobian", forbidden)
+    monkeypatch.setattr(strip_solver, "derivative_fields", forbidden)
+    v = np.random.default_rng(6).standard_normal(w.size)
+    assert np.max(np.abs(op.jacobian_action(ev)(v) - J @ v)) <= 1e-13 * np.max(np.abs(J @ v))
+
+
 def traced_missing(spans, workload, run):
     """Metrics that `spans.layer_metrics` reports missing after ``run()``."""
     tracer = spans.Tracer()

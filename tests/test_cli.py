@@ -130,6 +130,42 @@ def test_every_subcommand_flag_is_read():
         assert flags <= read, f"{name} never reads {sorted(flags - read)}"
 
 
+def float_flags():
+    """(subcommand, flag) for every flag that takes a number other than a count."""
+    subparsers, = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.type not in (None, int):
+                yield name, action.option_strings[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_every_float_flag_rejects_a_non_finite_value(value, capsys):
+    # argparse's float takes "nan" and "inf", which passed the `<= 0` tests
+    # and reached the artifacts as NaN, which is not JSON
+    flags = list(float_flags())
+    assert len(flags) == 9
+    for name, flag in flags:
+        required = ["--nu", "1"] if name == "nekrasov" and flag != "--nu" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([name, *required, flag, value])
+        assert exc.value.code == 2, (name, flag)
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("trivial", "--samples", "-1"),
+    ("trivial", "--samples", "0"),
+    ("nekrasov", "--nu", "6", "--n", "-3"),
+])
+def test_cli_rejects_too_small_a_count(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_trivial_prints_table():
     res = run_cli("trivial", "--lam", "4.0", "--samples", "9")
     assert res.returncode == 0

@@ -62,6 +62,12 @@ def test_trivial_fixed_point():
     assert state.iterations == 0
 
 
+@pytest.mark.parametrize("nu, n_quad", [(math.nan, 256), (6.0, 1), (6.0, -3)])
+def test_solve_rejects_a_nan_nu_or_too_few_nodes(nu, n_quad):
+    with pytest.raises(DomainError):
+        solve_nekrasov(nu, n_quad=n_quad)
+
+
 def test_subcritical_nu_collapses_to_zero():
     t = np.linspace(0.0, PI, 257)
     state = solve_nekrasov(2.0, n_quad=256, theta0=0.1 * np.sin(t), tol=1e-10)

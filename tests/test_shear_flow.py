@@ -41,6 +41,16 @@ def test_shear_flow_rejects_stagnation_domain():
         ShearFlow(ExpDecayVorticity(1.0, 1.0), lam=1.9, g=G)  # floor is 2.0
 
 
+def test_a_nan_parameter_is_not_positive():
+    fn = functionals(ZeroVorticity())
+    with pytest.raises(StagnationDomainError):
+        wave_speed(math.nan, fn)
+    with pytest.raises(StagnationDomainError):
+        ShearFlow(ZeroVorticity(), lam=math.nan, g=G)
+    with pytest.raises(DomainError):
+        ShearFlow(ZeroVorticity(), lam=4.0, g=math.nan)
+
+
 def test_h_trivial_zero_vorticity_analytic():
     flow = ShearFlow(ZeroVorticity(), lam=4.0, g=G)
     assert flow.h_tr(0.0) == pytest.approx(-4.0 / (2.0 * G), rel=1e-14)

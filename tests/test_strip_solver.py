@@ -9,8 +9,10 @@ from vorstokes.continuation import newton_solve
 from vorstokes.errors import AdmissibilityError, DomainError
 from vorstokes.strip_solver import (
     StripGrid,
+    StripLinearization,
     StripOperator,
     WaveState,
+    cosine_matrix,
     default_grid,
     derivative_fields,
     from_modes,
@@ -310,8 +312,8 @@ def test_jacobian_directional_derivative(model):
                                    GerstnerVorticity(m=0.5)],
                          ids=["zero", "expdecay", "gerstner"])
 def test_jacobian_action_equals_the_assembled_jacobian(model):
-    # the same chain rule, summed in another order: equal to rounding, on
-    # rough vectors that load every stencil tap and both reflections
+    # J v and J read the same entries; this checks J v's placement and
+    # folding on rough vectors that load every shift and both reflections
     grid = StripGrid(L=L, P=4 * L, nq=32, np=80)
     op = StripOperator(model, G, grid, epsilon=0.01)
     p = grid.p_nodes[:, None]
@@ -345,6 +347,37 @@ def test_preconditioner_is_the_jacobian_at_the_trivial_state(model):
         ref = jv(v)
         assert np.max(np.abs(from_modes(grid, modes @ to_modes(grid, v)) - ref)) <= (
             1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("model", [ZeroVorticity(), GerstnerVorticity(m=0.5)],
+                         ids=["zero", "gerstner"])
+def test_preconditioner_is_the_q_mean_of_the_even_jacobian(model, s):
+    # away from w = 0: P is the J whose entries are each replaced by the
+    # q-mean of their even part, 1/2 (entry(di, dj) + entry(di, -dj))
+    grid = StripGrid(L=L, P=4 * L, nq=16, np=48)
+    op = StripOperator(model, G, grid, epsilon=0.01)
+    p, q = grid.p_nodes[:, None], grid.q_nodes[None, :]
+    w = s * np.exp(0.5 * p) * np.cos(math.pi * q / L)
+    w[0] = 0.0
+    ev = op.evaluate(WaveState(9.0, 0.01, grid, w))
+    weights = cosine_matrix(grid.nq)[1][0]
+
+    def q_mean(entry):
+        entry = np.broadcast_to(entry, np.shape(entry)[:-1] + (grid.nq,))
+        return np.broadcast_to((entry @ weights)[..., None], entry.shape)
+
+    averaged = {row_class: {(di, dj): 0.5 * (q_mean(entry) + q_mean(shifts[di, -dj]))
+                            for (di, dj), entry in shifts.items()}
+                for row_class, shifts in ev.jacobian_entries.items()}
+    ref = StripLinearization(op, averaged).tocsc()
+    modes = op.jacobian(ev).modes
+    rng = np.random.default_rng(5)
+    for v in [smooth_random_field(grid, rng).ravel()] + [rng.standard_normal(grid.np * grid.nq)
+                                                         for _ in range(3)]:
+        expected = ref @ v
+        assert np.max(np.abs(from_modes(grid, modes @ to_modes(grid, v)) - expected)) <= (
+            1e-13 * np.max(np.abs(expected)))
 
 
 def test_linear_strip_mode_is_a_null_vector_of_the_trivial_jacobian():
