@@ -28,7 +28,7 @@ op = StripOperator(model, G, grid, epsilon=eps)
 
 branch = continue_branch(op, bp, steps=12, ds=0.002, s0=0.005,
                          caps=Caps.default(G, L), tol=1e-11)
-rows = branch.record_rows(op)
+rows = branch.record_rows()
 
 print(f"branch for {model!r}, epsilon = {eps}")
 print(f"{'s':>9s} {'lambda':>11s} {'c':>9s} {'eta_crest':>10s} {'eta_trough':>11s} "

@@ -107,7 +107,8 @@ def cmd_continue(args):
     os.makedirs(out, exist_ok=True)
     for k, state in enumerate(branch.points):
         state.save(os.path.join(out, f"point_{k:03d}.json"))
-        state.save_surface_csv(os.path.join(out, f"surface_{k:03d}.csv"))
+        write_csv(os.path.join(out, f"surface_{k:03d}.csv"), ("q", "w"),
+                  zip(map(float, state.grid.q_nodes), map(float, state.w[-1])))
     write_csv(os.path.join(out, "branch.csv"), BRANCH_HEADER, rows)
     print(os.path.join(out, "branch.csv"))
     return 0

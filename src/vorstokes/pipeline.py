@@ -83,15 +83,15 @@ def trace_branch(cfg: RunConfig, epsilon, steps, ds, s0):
                              s0=s0, tol=cfg.newton_tol)
     reports = [verify_all(op, st, model, solver_tol=cfg.newton_tol)
                for st in branch.points]
-    return bp, bp_record, branch, reports, branch_rows(branch, op, reports)
+    return bp, bp_record, branch, reports, branch_rows(branch, reports)
 
 
-def branch_rows(branch, op, reports):
+def branch_rows(branch, reports):
     """BRANCH_HEADER tuples of a branch and the verification of its points."""
     return [
         (rec["s"], rec["lambda"], rec["c"], rec["eta_crest"], rec["eta_trough"],
          rec["min_rel_speed"], rep.pass_count, rec["termination"])
-        for rec, rep in zip(branch.record_rows(op), reports)
+        for rec, rep in zip(branch.record_rows(), reports)
     ]
 
 

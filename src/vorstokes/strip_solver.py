@@ -192,13 +192,6 @@ class WaveState:
                 raise DomainError(f"{path} is not a JSON wave state: {exc}") from exc
         return cls.from_dict(d)
 
-    def save_surface_csv(self, path):
-        """Write the surface trace w(q, 0) as a two-column CSV."""
-        with open(path, "w") as fh:
-            fh.write("q,w\n")
-            for qv, wv in zip(self.grid.q_nodes, self.w[-1]):
-                fh.write(f"{float(qv)!r},{float(wv)!r}\n")
-
 
 # The strip's stencil weights, written once.  A stencil (taps, divisor) maps u to
 # sum(weight * u[offset]) / divisor along one axis, in tap order.  A field is a
@@ -372,6 +365,7 @@ class StripEvaluation:
         """J's entries, {(lo, hi) of a row class: {(di, dj): coefficient}}, unfolded in q.
 
         Row partials times their fields' `_stencils` weights, summed per shift in field order.
+        Equal weights share one array: wpq's corners (1, 1) and (-1, -1) are one object.
         """
         op, c = self.op, self.coefficients
         partials = {
@@ -388,9 +382,11 @@ class StripEvaluation:
             for name, coeff in row_partials.items():
                 (q_taps, q_div), p_stencils = table[name]
                 p_taps, p_div = _ID if p_stencils is None else p_stencils[row_class]
+                terms = {}  # one array per tap product
                 for (di, kp), (dj, kq) in itertools.product(p_taps, q_taps):
-                    term = (coeff if kp * kq == 1 else coeff * (kp * kq)) / (p_div * q_div)
-                    shifts[di, dj] = shifts[di, dj] + term if (di, dj) in shifts else term
+                    if (k := kp * kq) not in terms:
+                        terms[k] = (coeff if k == 1 else coeff * k) / (p_div * q_div)
+                    shifts[di, dj] = shifts[di, dj] + terms[k] if (di, dj) in shifts else terms[k]
         return entries
 
 

@@ -14,6 +14,7 @@ import pytest
 from vorstokes import cli
 from vorstokes.config import _DEFAULTS, ENV_PREFIX, parse_config
 from vorstokes.errors import ConfigError
+from vorstokes.strip_solver import WaveState
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -239,6 +240,22 @@ def test_cli_continue_verify_reconstruct_roundtrip(tmp_path):
     assert len(surfaces) == 3
 
 
+def test_cli_continue_writes_each_surface_trace(tmp_path):
+    # surface_k.csv is the header q,w and one row per q node: repr of the
+    # node and of w(q, 0) of point_k.json, so it rounds back exactly
+    cfg = write_config(tmp_path, "vorticity.kind = zero\ngrid.nq = 16\n")
+    out = tmp_path / "branch"
+    res = run_cli("continue", "--config", cfg, "--epsilon", "0.05", "--steps", "2",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    for k in range(2):
+        state = WaveState.load(out / f"point_{k:03d}.json")
+        expected = ["q,w"] + [f"{q!r},{w!r}" for q, w in
+                              zip(state.grid.q_nodes.tolist(), state.w[-1].tolist())]
+        assert (out / f"surface_{k:03d}.csv").read_text() == "\n".join(expected) + "\n"
+    assert not (out / "surface_002.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--step-size", "--target-s"])
 def test_cli_continue_rejects_a_zero_step_or_amplitude(tmp_path, flag):
     # a zero value is taken as given, not replaced by the config's
@@ -372,6 +389,23 @@ def test_pipeline_concurrent_jobs_byte_identical(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_trace_branch_differentiates_each_point_at_most_twice(tmp_path, derivative_passes):
+    # a point's last corrector evaluation feeds its termination test and its
+    # branch row, and verify_all's reconstruction makes the second pass; the
+    # first point, from an amplitude solve, is evaluated once more for its
+    # tangent and row
+    from vorstokes.pipeline import trace_branch
+
+    cfg = parse_config(write_config(
+        tmp_path,
+        "vorticity.kind = zero\ngrid.nq = 24\nseeds.s0 = 0.008\nseeds.step = 0.003\n",
+    ))
+    branch = trace_branch(cfg, 0.05, 4, cfg.step, cfg.s0)[2]
+    assert len(branch.points) == 4
+    passes = [derivative_passes.count(state.w.tobytes()) for state in branch.points]
+    assert passes[0] <= 3 and max(passes[1:]) <= 2, passes
 
 
 def test_debug_logging_leaves_the_artifacts_unchanged(tmp_path, caplog):

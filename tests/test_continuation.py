@@ -100,10 +100,10 @@ def test_first_arclength_step_follows_tangent(zero_setup):
     _, _, bp, op = zero_setup
     start = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.01), 0.01,
                                tol=1e-11)
-    tangent = branch_tangent(op, start, prev=seed_tangent(bp, op))
+    tangent = branch_tangent(op, op.evaluate(start), prev=seed_tangent(bp, op))
     gaps = {}
     for ds in (0.002, 0.001):
-        stepped = arclength_step(op, start, tangent, ds, tol=1e-11)
+        stepped = arclength_step(op, start, tangent, ds, tol=1e-11).state
         predictor = start.w + ds * tangent[1].reshape(start.w.shape)
         gaps[ds] = float(np.max(np.abs(stepped.w - predictor)))
     assert 3.0 < gaps[0.002] / gaps[0.001] < 5.0
@@ -169,7 +169,7 @@ def test_classify_termination_running_for_generous_caps(zero_setup):
     st = WaveState(bp.lambda_star, op.epsilon, op.grid,
                    np.zeros((op.grid.np, op.grid.nq)))
     caps = Caps.default(G, L)
-    assert classify_termination(op, st, caps) is Termination.RUNNING
+    assert classify_termination(op.evaluate(st), caps) is Termination.RUNNING
 
 
 def test_classify_termination_lambda_blowup(zero_setup):
@@ -177,7 +177,7 @@ def test_classify_termination_lambda_blowup(zero_setup):
     st = WaveState(bp.lambda_star, op.epsilon, op.grid,
                    np.zeros((op.grid.np, op.grid.nq)))
     caps = Caps(lambda_cap=bp.lambda_star * 0.5)
-    assert classify_termination(op, st, caps) is Termination.LAMBDA_BLOWUP
+    assert classify_termination(op.evaluate(st), caps) is Termination.LAMBDA_BLOWUP
 
 
 def test_classify_termination_stagnation_clause(zero_setup):
@@ -189,7 +189,7 @@ def test_classify_termination_stagnation_clause(zero_setup):
     w[-1, -1] = 0.0
     w[-2, -1] = (ainv_top - 0.5 * op.delta) * (2 * grid.dp) / 4.0 * 4.0
     st = WaveState(bp.lambda_star, op.epsilon, grid, w)
-    term = classify_termination(op, st, Caps.default(G, L))
+    term = classify_termination(op.evaluate(st), Caps.default(G, L))
     assert term in (Termination.STAGNATION_CLAUSE, Termination.SUP_WP_BLOWUP)
     assert term is Termination.STAGNATION_CLAUSE
 
@@ -200,14 +200,14 @@ def test_classify_termination_surface_clause(zero_setup):
     w = np.zeros((op.grid.np, op.grid.nq))
     w[-1] = (2.0 * lam - op.delta) / (4.0 * G) + 1e-9
     st = WaveState(lam, op.epsilon, op.grid, w)
-    assert classify_termination(op, st, Caps.default(G, L)) is Termination.SURFACE_CLAUSE
+    assert classify_termination(op.evaluate(st), Caps.default(G, L)) is Termination.SURFACE_CLAUSE
 
 
 def test_classify_termination_lambda_floor(zero_setup):
     _, _, _, op = zero_setup
     st = WaveState(0.5 * op.delta, op.epsilon, op.grid,
                    np.zeros((op.grid.np, op.grid.nq)))
-    assert classify_termination(op, st, Caps.default(G, L)) is Termination.LAMBDA_FLOOR
+    assert classify_termination(op.evaluate(st), Caps.default(G, L)) is Termination.LAMBDA_FLOOR
 
 
 def test_homotopy_cauchy_differences_decrease(zero_homotopy):
@@ -253,13 +253,14 @@ def test_every_accepted_point_strictly_admissible(zero_branch, zero_setup):
     _, _, _, op = zero_setup
     caps = Caps.default(G, L)
     for st in zero_branch.points:
-        assert op.is_admissible(op.evaluate(st))
-        assert classify_termination(op, st, caps) is Termination.RUNNING
+        ev = op.evaluate(st)
+        assert op.is_admissible(ev)
+        assert classify_termination(ev, caps) is Termination.RUNNING
 
 
-def test_homotopy_stability_under_epsilon_halving(zero_homotopy, zero_setup):
-    # re-solving a branch point with half the regularization converges in a
-    # few Newton corrections at the same amplitude
+def test_homotopy_stability_under_epsilon_halving(zero_homotopy, zero_setup, caplog):
+    # re-solving a branch point with half the regularization converges in at
+    # most ten Newton corrections at the same amplitude
     model, _, _, op0 = zero_setup
     from vorstokes.strip_solver import StripOperator
 
@@ -268,13 +269,17 @@ def test_homotopy_stability_under_epsilon_halving(zero_homotopy, zero_setup):
     op = StripOperator(model, G, op0.grid, epsilon=eps_half)
     seed = WaveState(lam=state.lam, epsilon=eps_half, grid=op0.grid,
                      w=state.w.copy())
-    resolved = solve_at_amplitude(op, seed, 0.02, tol=1e-11, max_iter=10)
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        resolved = solve_at_amplitude(op, seed, 0.02, tol=1e-11)
+    updates = [rec for rec in caplog.records
+               if rec.getMessage().startswith("amplitude-constrained solve update")]
+    assert 0 < len(updates) <= 10
     assert surface_mode_amplitude(resolved) == pytest.approx(0.02, abs=1e-10)
 
 
 def test_branch_records_have_consistent_wave_speed(zero_branch, zero_setup):
     _, fn, _, op = zero_setup
-    for row in zero_branch.record_rows(op):
+    for row in zero_branch.record_rows():
         assert row["c"] ** 2 == pytest.approx(row["lambda"] + 2.0 * fn.gamma_total,
                                               rel=1e-12)
 
@@ -345,7 +350,7 @@ def test_branch_at_its_step_budget_reports_max_steps(small_zero):
     branch = continue_branch(op, bp, steps=3, ds=0.004)
     assert len(branch.points) == 3
     assert branch.termination is Termination.MAX_STEPS
-    assert {row["termination"] for row in branch.record_rows(op)} == {"MaxSteps"}
+    assert {row["termination"] for row in branch.record_rows()} == {"MaxSteps"}
 
 
 def test_step_size_regrows_after_a_halving(small_zero, monkeypatch):
@@ -375,7 +380,7 @@ def test_solve_bordered_matches_dense_solve(small_zero):
     n = state.w.size
     ev = op.evaluate(state)
     r, J, f_lam = op.residual_vector(ev), op.jacobian(ev).tocsc(), op.d_residual_d_lambda(ev)
-    t_lam, t_w = branch_tangent(op, state, prev=seed_tangent(bp, op))
+    t_lam, t_w = branch_tangent(op, ev, prev=seed_tangent(bp, op))
     borders = {
         "tangent": (t_w / n, t_lam, np.column_stack([-r, np.zeros(n)]), np.array([0.3, 1.0])),
         "amplitude": (continuation._mode_weights(op.grid), 0.0, -r, 1e-4),
@@ -509,10 +514,10 @@ def test_history_tangent_matches_the_solved_tangent(small_zero, ds):
     bp, op = small_zero
     branch = continue_branch(op, bp, steps=6, ds=ds)
     assert len(branch.points) == 6
-    first_tangent = branch_tangent(op, branch.points[0], prev=seed_tangent(bp, op))
+    first_tangent = branch_tangent(op, op.evaluate(branch.points[0]), prev=seed_tangent(bp, op))
     for k in range(2, 7):
         history = _history_tangent(branch.points[:k], first_tangent)
-        solved = branch_tangent(op, branch.points[k - 1], prev=history)
+        solved = branch_tangent(op, op.evaluate(branch.points[k - 1]), prev=history)
         assert _branch_ip(*history, *solved) >= 0.99
 
 
@@ -545,9 +550,9 @@ def test_step_tangent_is_unit_and_keeps_the_orientation(small_zero, ds):
     bp, op = small_zero
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     points = [first]
-    first_tangent = tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    first_tangent = tangent = branch_tangent(op, op.evaluate(first), prev=seed_tangent(bp, op))
     for _ in range(2):
-        state = arclength_step(op, points[-1], tangent, ds)
+        state = arclength_step(op, points[-1], tangent, ds).state
         secant = (state.lam - points[-1].lam, (state.w - points[-1].w).ravel())
         points.append(state)
         t_lam, t_w = _history_tangent(points, first_tangent)
@@ -588,7 +593,7 @@ def test_homotopy_failure_names_its_cause(small_zero, monkeypatch):
 def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
     bp, op = small_zero
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    tangent = branch_tangent(op, op.evaluate(first), prev=seed_tangent(bp, op))
     real_splu = continuation.splu
     factored = []
 
@@ -631,7 +636,7 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
     for ds, orders in ((0.03, ["NATURAL"]), (0.08, ["NATURAL", "MMD_AT_PLUS_A"])):
         factored.clear()
         jacobians.clear()
-        state = arclength_step(op, first, tangent, ds, tol=1e-10)
+        state = arclength_step(op, first, tangent, ds, tol=1e-10).state
         assert factored == orders
         assert len(jacobians) == 1
         assert op.residual_norm(state) <= 1e-10
@@ -639,12 +644,13 @@ def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
 
 def test_each_iterate_is_differentiated_once(small_zero, derivative_passes):
     # one evaluation per iterate feeds its residual, its O_delta test, J v,
-    # dF/dlambda and J; every J v differentiates a new Krylov vector, so no
-    # field reaches derivative_fields twice within one solve
+    # dF/dlambda and J; J v reads that evaluation's table of J's entries and
+    # differentiates nothing, so every pass is of a new iterate and no field
+    # reaches derivative_fields twice within one solve
     bp, op = small_zero
     carry = continuation.LUSlot()
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004, carry=carry)
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op), carry=carry)
+    tangent = branch_tangent(op, op.evaluate(first), prev=seed_tangent(bp, op), carry=carry)
     seed = initial_nontrivial_guess(bp, op, 0.006)
     seen = derivative_passes
     solves = [lambda: solve_at_amplitude(op, seed, 0.006)]
@@ -679,7 +685,7 @@ def test_a_step_that_lands_too_far_is_halved(small_zero, monkeypatch):
     def far_once(op, state, tangent, ds, tol, **kwargs):
         requested.append(ds)
         if len(requested) == 1:
-            return state.copy_with(lam=state.lam + 10.0 * ds)
+            return op.evaluate(state.copy_with(lam=state.lam + 10.0 * ds))
         return real_step(op, state, tangent, ds, tol=tol, **kwargs)
 
     monkeypatch.setattr(continuation, "arclength_step", far_once)
@@ -689,7 +695,7 @@ def test_a_step_that_lands_too_far_is_halved(small_zero, monkeypatch):
     assert requested == [0.004, 0.002, 0.004]
 
     def always_far(op, state, tangent, ds, tol, **kwargs):
-        return state.copy_with(lam=state.lam + 10.0 * ds)
+        return op.evaluate(state.copy_with(lam=state.lam + 10.0 * ds))
 
     monkeypatch.setattr(continuation, "arclength_step", always_far)
     branch = continue_branch(op, bp, steps=3, ds=0.004)
@@ -853,7 +859,7 @@ def test_a_held_p_solves_to_its_rtol(small_zero, border):
     bp, op = small_zero
     state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     n = state.w.size
-    t_lam, t_w = branch_tangent(op, state, prev=seed_tangent(bp, op))
+    t_lam, t_w = branch_tangent(op, op.evaluate(state), prev=seed_tangent(bp, op))
     c_row, c_lam = {"tangent": (t_w / n, t_lam),
                     "amplitude": (continuation._mode_weights(op.grid), 0.0),
                     "lambda pin": (np.zeros(n), 1.0)}[border]
@@ -929,12 +935,12 @@ def test_each_kernel_update_logs_its_path(small_zero, caplog, monkeypatch):
     bp, op = small_zero
     assert logging.getLogger("vorstokes").handlers == []
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
-    tangent = branch_tangent(op, first, prev=seed_tangent(bp, op))
+    tangent = branch_tangent(op, op.evaluate(first), prev=seed_tangent(bp, op))
 
     def corrector_updates():
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="vorstokes"):
-            state = arclength_step(op, first, tangent, 0.03, tol=1e-10)
+            state = arclength_step(op, first, tangent, 0.03, tol=1e-10).state
         assert op.residual_norm(state) <= 1e-10
         assert all(rec.name == "vorstokes" and rec.levelno == logging.DEBUG
                    for rec in caplog.records)

@@ -233,6 +233,30 @@ def test_jacobian_keeps_the_cancelled_reflection_entries():
     assert set(J.col[zero] % nq) == {1, nq - 2}
 
 
+def test_jacobian_table_holds_one_array_per_corner_product():
+    # wpq's corner shifts carry c_pq / (4 dp dq) at (1, 1) and (-1, -1) and its
+    # negation at (1, -1) and (-1, 1); each pair is one array, and J assembles
+    # as it does from a table of separate copies
+    grid = StripGrid(L=L, P=4 * L, nq=16, np=48)
+    op = StripOperator(GerstnerVorticity(m=0.5), G, grid, epsilon=0.01)
+    p, q = grid.p_nodes[:, None], grid.q_nodes[None, :]
+    w = 0.05 * np.exp(0.5 * p) * np.cos(math.pi * q / L)
+    w[0] = 0.0
+    ev = op.evaluate(WaveState(9.0, 0.01, grid, w))
+    interior = ev.jacobian_entries[1, grid.np - 1]
+    assert interior[1, 1] is interior[-1, -1]
+    assert interior[1, -1] is interior[-1, 1]
+    assert interior[1, 1] is not interior[1, -1]
+    c_pq, div = ev.coefficients.c_pq, (2.0 * grid.dp) * (2.0 * grid.dq)
+    assert np.array_equal(interior[1, 1], c_pq / div)
+    assert np.array_equal(interior[1, -1], (c_pq * -1) / div)
+    copies = {rows: {shift: np.array(entry) for shift, entry in shifts.items()}
+              for rows, shifts in ev.jacobian_entries.items()}
+    J, ref = op.jacobian(ev).tocsc(), StripLinearization(op, copies).tocsc()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(J, attr), getattr(ref, attr))
+
+
 def test_jacobian_trivial_matches_displayed_operator():
     model = ExpDecayVorticity(0.5, 1.2)
     op = make_op(model, lam_hint=7.0, nq=24)
@@ -448,19 +472,6 @@ def test_reflected_solution_satisfies_full_period_equations(zero_setup):
                + gam * hp**3 - gam * ainv**3 * (1 + wq**2)
                - op.epsilon * w_full)
     assert np.max(np.abs(f1_full[1:-1])) < 1e-9
-
-
-def test_wave_state_surface_csv(tmp_path):
-    grid = StripGrid(L=L, P=4 * L, nq=12, np=16)
-    st = WaveState(5.0, 0.1, grid,
-                   np.outer(np.ones(grid.np), np.cos(math.pi * grid.q_nodes / L)))
-    path = tmp_path / "surface.csv"
-    st.save_surface_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "q,w"
-    assert len(lines) == grid.nq + 1
-    q0, w0 = map(float, lines[1].split(","))
-    assert q0 == -L and w0 == pytest.approx(-1.0)
 
 
 def test_wave_state_json_roundtrip(tmp_path):
