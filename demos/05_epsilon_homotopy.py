@@ -1,29 +1,33 @@
 """Removing the regularization: the decreasing-epsilon homotopy.
 
 The strip problem is solved for a sequence of regularization strengths at
-a fixed branch coordinate; consecutive solutions contract in sup norm,
-which is the computable face of the limit construction that produces the
-unregularized wave.
+a fixed branch coordinate, starting from the local-theory seed at the
+first one; each later solve starts from the one before.  Consecutive
+solutions contract in sup norm, which is the computable face of the limit
+construction that produces the unregularized wave.
 """
 
 import math
 
 from vorstokes import (
     SLProblem,
+    StripOperator,
     ZeroVorticity,
     default_grid,
     epsilon_homotopy,
     find_bifurcation_point,
+    initial_nontrivial_guess,
 )
 
 G, L = 9.81, math.pi
 schedule = [0.1, 0.05, 0.025, 0.0125, 0.00625]
 
-bp = find_bifurcation_point(SLProblem(ZeroVorticity(), g=G, L=L,
-                                      epsilon=schedule[0]))
+model = ZeroVorticity()
+bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=schedule[0]))
 grid = default_grid(L, bp.lambda_star, schedule[0], nq=64)
-res = epsilon_homotopy(ZeroVorticity(), G, grid, schedule, target_s=0.02,
-                       tol=1e-11)
+op = StripOperator(model, G, grid, epsilon=schedule[0])
+res = epsilon_homotopy(model, G, initial_nontrivial_guess(bp, op, 0.02), schedule,
+                       target_s=0.02, tol=1e-11)
 
 print(f"fixed branch coordinate s = 0.02, grid {grid.nq} x {grid.np}")
 print(f"{'epsilon':>9s} {'lambda':>12s} {'sup |w_k+1 - w_k|':>18s}")

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import parse_config
-from .continuation import epsilon_homotopy
+from .continuation import epsilon_homotopy, initial_nontrivial_guess, solve_at_amplitude
 from .errors import DomainError, VorStokesError
 from .nekrasov import nu_bound_check, solve_nekrasov
 from .pipeline import (
@@ -102,7 +102,7 @@ def cmd_continue(args):
     cfg = parse_config(args.config)
     ds = cfg.step if args.step_size is None else args.step_size
     s0 = cfg.s0 if args.target_s is None else args.target_s
-    _, _, branch, _, rows = trace_branch(cfg, args.epsilon, args.steps, ds, s0)
+    _, branch, _, rows = trace_branch(cfg, args.epsilon, args.steps, ds, s0)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     for k, state in enumerate(branch.points):
@@ -119,15 +119,14 @@ def cmd_homotopy(args):
     model = cfg.model()
     eps0 = cfg.epsilon_schedule[0]
     bp, _ = bifurcate_record(cfg, eps0)
-    grid = grid_for(cfg, bp.lambda_star, eps0)
+    op = StripOperator(model, cfg.g, grid_for(cfg, bp.lambda_star, eps0), epsilon=eps0,
+                       delta=cfg.delta)
     target = cfg.s0 if args.target_s is None else args.target_s
-
-    def bif_factory(eps):
-        # reuse the point solved above; a zero target also needs the others
-        return bp if eps == eps0 else bifurcate_record(cfg, eps)[0]
-
-    res = epsilon_homotopy(model, cfg.g, grid, cfg.epsilon_schedule, target,
-                           delta=cfg.delta, bif_factory=bif_factory, tol=cfg.newton_tol)
+    # the solve of the pipeline's first branch point, so both write the same record
+    start = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, target), target,
+                               tol=cfg.newton_tol)
+    res = epsilon_homotopy(model, cfg.g, start, cfg.epsilon_schedule, target,
+                           delta=cfg.delta, tol=cfg.newton_tol)
     _emit_json(args, homotopy_record(res, target), "homotopy.json")
     return 0 if res.failure_index < 0 else 1
 

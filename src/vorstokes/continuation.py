@@ -49,7 +49,7 @@ from .errors import (
 from .shear_flow import wave_speed
 from .strip_solver import (DELTA_DEFAULT, StripOperator, WaveState, cosine_matrix, from_modes,
                            to_modes)
-from .sturm_liouville import BifurcationPoint, SLProblem, find_bifurcation_point
+from .sturm_liouville import BifurcationPoint
 
 __all__ = [
     "Termination",
@@ -133,11 +133,10 @@ def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
                              s: float) -> WaveState:
     """Local-theory seed w = s * Phi(p) cos(pi q / L) at lambda_eps.
 
-    Raises AdmissibilityError when |s| is too large for the admissible set.
+    The seed is not evaluated: a solve started from it evaluates it first and
+    raises AdmissibilityError when |s| is too large for the admissible set.
     """
-    state = WaveState(bp.lambda_star, op.epsilon, op.grid, _eigenmode(bp, op.grid, s))
-    op.check_admissible(op.evaluate(state))
-    return state
+    return WaveState(bp.lambda_star, op.epsilon, op.grid, _eigenmode(bp, op.grid, s))
 
 
 # -- bordered linear algebra -----------------------------------------------------
@@ -635,6 +634,8 @@ def solve_at_amplitude(op: StripOperator, state: WaveState, s_target: float,
 class HomotopyResult:
     """Outcome of the decreasing-epsilon homotopy at fixed amplitude.
 
+    ``states`` and ``lambdas`` hold one solution per converged epsilon,
+    ``sup_diffs`` the sup-norm differences of consecutive ones.
     ``diagnostics`` is "Type: message" of the error that stopped the
     homotopy at ``failure_index``, or empty when every entry converged.
     """
@@ -647,61 +648,44 @@ class HomotopyResult:
     diagnostics: str = ""
 
 
-def epsilon_homotopy(model, g, grid, schedule, target_s, delta=DELTA_DEFAULT,
-                     bif_factory=None, tol=1e-10) -> HomotopyResult:
+def epsilon_homotopy(model, g, start: WaveState, schedule, target_s, delta=DELTA_DEFAULT,
+                     tol=1e-10) -> HomotopyResult:
     """Re-converge the wave of amplitude ``target_s`` along decreasing epsilon.
 
-    The first entry is seeded from the local eigenmode; each later epsilon
-    restarts from the previous solution and preconditions with the P the
-    first amplitude solve factored, factoring again only if GMRES on it
-    stalls.  Emits the
-    sup-norm differences of consecutive solutions, which contract as the
-    regularization is removed.
+    ``start`` is a seed (`initial_nontrivial_guess`) or a solved wave; its
+    grid is the homotopy's grid, and its epsilon is not read.  Each entry is
+    one `solve_at_amplitude` at the next epsilon of ``schedule``, seeded from
+    the previous entry's solution, the first from ``start``; a start solved
+    at the first epsilon converges without an update.  One `LUSlot` carries
+    P from entry to entry, so P is factored again only where GMRES on it
+    stalls.  Emits the sup-norm differences of consecutive solutions, which
+    contract as the regularization is removed.  Raises DomainError for a
+    schedule that is not strictly decreasing in [0, 1) and for
+    ``target_s == 0``, the trivial solution.
     """
     sched = list(schedule)
     if not sched or any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
         raise DomainError("epsilon schedule must be strictly decreasing")
     if not all(0.0 <= e < 1.0 for e in sched):
         raise DomainError("epsilon schedule must lie in [0, 1)")
-
-    if bif_factory is None:
-        def bif_factory(eps):
-            return find_bifurcation_point(
-                SLProblem(model, g=g, L=grid.L, epsilon=eps)
-            )
+    if target_s == 0.0:
+        raise DomainError("a homotopy cannot follow the trivial solution (target_s = 0)")
 
     res = HomotopyResult(epsilons=sched, states=[], lambdas=[], sup_diffs=[])
     carry = LUSlot()
-    prev_state = None
+    prev_state, grid = start, start.grid
     for idx, eps in enumerate(sched):
         op = StripOperator(model, g, grid, epsilon=eps, delta=delta)
+        seed = WaveState(lam=prev_state.lam, epsilon=eps, grid=grid, w=prev_state.w)
         try:
-            if prev_state is None:
-                bp = bif_factory(eps)
-                seed = initial_nontrivial_guess(bp, op, target_s)
-            else:
-                seed = WaveState(lam=prev_state.lam, epsilon=eps, grid=grid,
-                                 w=prev_state.w.copy())
-            state = (
-                solve_at_amplitude(op, seed, target_s, tol=tol, carry=carry)
-                if target_s != 0.0
-                else _trivial_resolve(op, seed, bif_factory, eps)
-            )
+            state = solve_at_amplitude(op, seed, target_s, tol=tol, carry=carry)
         except (AdmissibilityError, NewtonDivergenceError, SingularJacobianError) as exc:
             res.failure_index = idx
             res.diagnostics = f"{type(exc).__name__}: {exc}"
             return res
         res.states.append(state)
         res.lambdas.append(state.lam)
-        if prev_state is not None:
+        if idx:
             res.sup_diffs.append(float(np.max(np.abs(state.w - prev_state.w))))
         prev_state = state
     return res
-
-
-def _trivial_resolve(op, seed, bif_factory, eps):
-    # target amplitude zero: branches collapse onto the trivial family at
-    # the moving bifurcation parameter
-    bp = bif_factory(eps)
-    return WaveState(lam=bp.lambda_star, epsilon=eps, grid=op.grid,
-                     w=np.zeros_like(seed.w))

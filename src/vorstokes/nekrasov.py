@@ -156,9 +156,14 @@ class NekrasovState:
         return float(np.max(np.abs(self.theta))) < 1e-12
 
 
+def _running_trapezoid(y, x):
+    """Trapezoid integral of y over x from x[0] to each node, 0 at x[0]."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
 def _picard_map(nu, t, W, theta):
     st = np.sin(theta)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (st[1:] + st[:-1]) * np.diff(t))])
+    cum = _running_trapezoid(st, t)
     gvals = st / (1.0 / nu + cum)
     out = np.zeros_like(theta)
     out[1:-1] = (W @ gvals) / (3.0 * math.pi)
@@ -232,7 +237,7 @@ def nu_bound_check(state: NekrasovState) -> NuBoundReport:
                              holds=True, skipped=True)
     t, theta, nu = state.t, state.theta, state.nu
     st = np.sin(theta)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (st[1:] + st[:-1]) * np.diff(t))])
+    cum = _running_trapezoid(st, t)
     projection = float(np.trapezoid(theta * np.sin(t), t))
     contracted = float(np.trapezoid(np.sin(t) * st / (1.0 / nu + cum), t)) / 3.0
     bound = (nu / 3.0) * projection
@@ -265,7 +270,7 @@ def strip_wave_to_angles(wave, g: float, n_quad: int = 256):
     theta = -np.arctan(slope)
 
     dsdx = (1.0 + hq_top**2) / hp_top
-    s_raw = np.concatenate([[0.0], np.cumsum(0.5 * (dsdx[1:] + dsdx[:-1]) * np.diff(x))])
+    s_raw = _running_trapezoid(dsdx, x)
     s_of_x = math.pi * s_raw / s_raw[-1]
 
     crest_speed = 1.0 / hp_top[0]

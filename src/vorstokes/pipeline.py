@@ -72,7 +72,7 @@ BRANCH_HEADER = (
 def trace_branch(cfg: RunConfig, epsilon, steps, ds, s0):
     """Bifurcate at ``epsilon``, continue the branch and verify its points.
 
-    Returns (bp, bp_record, branch, reports, rows) with ``rows`` the
+    Returns (bp_record, branch, reports, rows) with ``rows`` the
     BRANCH_HEADER tuples of :func:`branch_rows`.
     """
     model = cfg.model()
@@ -83,7 +83,7 @@ def trace_branch(cfg: RunConfig, epsilon, steps, ds, s0):
                              s0=s0, tol=cfg.newton_tol)
     reports = [verify_all(op, st, model, solver_tol=cfg.newton_tol)
                for st in branch.points]
-    return bp, bp_record, branch, reports, branch_rows(branch, reports)
+    return bp_record, branch, reports, branch_rows(branch, reports)
 
 
 def branch_rows(branch, reports):
@@ -108,16 +108,14 @@ def homotopy_record(res, target_s):
 
 
 def _trace_one_epsilon(cfg, epsilon, steps, out_dir):
-    bp, bp_record, branch, reports, rows = trace_branch(cfg, epsilon, steps,
-                                                        cfg.step, cfg.s0)
+    bp_record, branch, reports, rows = trace_branch(cfg, epsilon, steps, cfg.step, cfg.s0)
     tag = f"eps{epsilon:g}".replace(".", "p")
     _dump_json(os.path.join(out_dir, f"bifurcation_{tag}.json"), bp_record)
     for k, (st, rep) in enumerate(zip(branch.points, reports)):
         st.save(os.path.join(out_dir, f"state_{tag}_{k:03d}.json"))
         _dump_json(os.path.join(out_dir, f"verify_{tag}_{k:03d}.json"), rep.to_dict())
     write_csv(os.path.join(out_dir, f"branch_{tag}.csv"), BRANCH_HEADER, rows)
-    ok = all(rep.passed for rep in reports)
-    return ok, branch, bp
+    return all(rep.passed for rep in reports), branch
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) -> int:
@@ -160,12 +158,9 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
 
     all_ok = all(results[i][0] for i in range(len(schedule)))
 
-    # homotopy at fixed branch coordinate, reusing the traced bifurcation points
-    bps = {eps: results[i][2] for i, eps in enumerate(schedule)}
-    grid = grid_for(cfg, bps[schedule[0]].lambda_star, schedule[0])
-    hres = epsilon_homotopy(model, cfg.g, grid, schedule, cfg.s0,
-                            delta=cfg.delta, bif_factory=bps.__getitem__,
-                            tol=cfg.newton_tol)
+    # homotopy at fixed branch coordinate, from the first epsilon's solved first point
+    hres = epsilon_homotopy(model, cfg.g, results[0][1].points[0], schedule, cfg.s0,
+                            delta=cfg.delta, tol=cfg.newton_tol)
     manifest["homotopy"] = homotopy_record(hres, cfg.s0)
     if hres.failure_index >= 0:
         all_ok = False

@@ -67,8 +67,8 @@ class StripGrid:
     np: int
 
     def __post_init__(self):
-        if self.L <= 0 or self.P <= 0:
-            raise DomainError("half-period and truncation depth must be positive")
+        if not (self.L > 0 and self.P > 0 and math.isfinite(self.L) and math.isfinite(self.P)):
+            raise DomainError("half-period and truncation depth must be positive and finite")
         if self.nq < 8 or self.np < 8:
             raise DomainError("need at least 8 nodes in each direction")
 
@@ -177,6 +177,8 @@ class WaveState:
                               f"{grid.np}x{grid.nq} grid needs {8 * grid.np * grid.nq}")
         # frombuffer is read-only; astype copies into a writable native array
         w = np.frombuffer(raw, dtype="<f8").astype(float).reshape(grid.np, grid.nq)
+        if not np.all(np.isfinite(w)):
+            raise DomainError("wave state field 'w' holds a non-finite value")
         return cls(lam=f["lambda"], epsilon=f["epsilon"], grid=grid, w=w)
 
     def save(self, path):

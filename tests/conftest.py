@@ -6,7 +6,7 @@ import pytest
 
 import vorstokes  # imports every module that may bind derivative_fields
 from vorstokes import strip_solver
-from vorstokes.continuation import continue_branch, epsilon_homotopy
+from vorstokes.continuation import continue_branch, epsilon_homotopy, initial_nontrivial_guess
 from vorstokes.strip_solver import StripOperator, default_grid
 from vorstokes.sturm_liouville import SLProblem, find_bifurcation_point
 from vorstokes.vorticity import GerstnerVorticity, ZeroVorticity, functionals
@@ -77,5 +77,8 @@ def gerstner_branch(gerstner_setup):
 
 @pytest.fixture(scope="session")
 def zero_homotopy(zero_setup):
-    model, _, bp, op = zero_setup
-    return epsilon_homotopy(model, G, op.grid, SCHEDULE, target_s=0.02, tol=1e-11)
+    """The gamma = 0 wave of amplitude 0.02 along SCHEDULE, seeded at its first epsilon."""
+    model, _, _, op = zero_setup
+    bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=SCHEDULE[0]))
+    start = initial_nontrivial_guess(bp, op, 0.02)
+    return epsilon_homotopy(model, G, start, SCHEDULE, target_s=0.02, tol=1e-11)

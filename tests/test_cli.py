@@ -1,11 +1,13 @@
 import argparse
 import ast
+import base64
 import inspect
 import json
 import logging
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import pytest
 
 from vorstokes import cli
 from vorstokes.config import _DEFAULTS, ENV_PREFIX, parse_config
-from vorstokes.errors import ConfigError
+from vorstokes.errors import ConfigError, DomainError
 from vorstokes.strip_solver import WaveState
 
 
@@ -115,12 +117,17 @@ def test_comments_and_blank_lines(tmp_path):
 # -- subcommands --------------------------------------------------------------------
 
 
+def subcommand_parsers():
+    """{name: parser} of every subcommand of `cli.build_parser`."""
+    subparsers, = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
 def test_every_subcommand_flag_is_read():
     # a flag that is parsed must do something: each subcommand's handler reads
     # every flag of its parser, --out also through _emit, _emit_json or _out_path
-    subparsers, = [action for action in cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    for name, parser in subparsers.choices.items():
+    for name, parser in subcommand_parsers().items():
         nodes = list(ast.walk(ast.parse(inspect.getsource(parser.get_default("func")))))
         read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id == "args"}
@@ -133,9 +140,7 @@ def test_every_subcommand_flag_is_read():
 
 def float_flags():
     """(subcommand, flag) for every flag that takes a number other than a count."""
-    subparsers, = [action for action in cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    for name, parser in subparsers.choices.items():
+    for name, parser in subcommand_parsers().items():
         for action in parser._actions:
             if action.type not in (None, int):
                 yield name, action.option_strings[0]
@@ -281,14 +286,16 @@ def test_cli_homotopy(tmp_path):
     assert len(data["sup_diffs"]) == 2
     assert data["sup_diffs"][0] > data["sup_diffs"][1]
 
-    # a zero target runs the homotopy along the trivial family
+
+def test_cli_homotopy_rejects_a_zero_target(tmp_path):
+    # the trivial solution has no amplitude to hold, as for `continue`
+    cfg = write_config(tmp_path, "vorticity.kind = zero\ngrid.nq = 16\n"
+                                 "epsilon_schedule = 0.1, 0.05\n")
     res = run_cli("homotopy", "--config", cfg, "--target-s", "0",
                   "--out", str(tmp_path) + os.sep)
-    assert res.returncode == 0, res.stderr
-    data = json.load(open(tmp_path / "homotopy.json"))
-    assert data["target_s"] == 0
-    assert len(data["sup_diffs"]) == 2
-    assert all(d == 0.0 for d in data["sup_diffs"])
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "target_s = 0" in res.stderr
+    assert not (tmp_path / "homotopy.json").exists()
 
 
 def test_cli_pipeline_exit_status(tmp_path):
@@ -391,6 +398,32 @@ def test_pipeline_concurrent_jobs_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_pipeline_homotopy_starts_from_the_first_branch_point(tmp_path, monkeypatch):
+    # the homotopy's first entry is the first epsilon's first branch point,
+    # not a second solve of it
+    from vorstokes import pipeline
+
+    starts, real = [], pipeline.epsilon_homotopy
+
+    def recording(model, g, start, *args, **kwargs):
+        starts.append(start)
+        return real(model, g, start, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "epsilon_homotopy", recording)
+    cfg = parse_config(write_config(
+        tmp_path,
+        "vorticity.kind = zero\ngrid.nq = 24\n"
+        "epsilon_schedule = 0.05, 0.025\nseeds.s0 = 0.008\nseeds.step = 0.003\n",
+    ))
+    assert pipeline.run_pipeline(cfg, str(tmp_path), steps=2) == 0
+    first = WaveState.load(tmp_path / "state_eps0p05_000.json")
+    assert (starts[0].lam, starts[0].w.tobytes()) == (first.lam, first.w.tobytes())
+    manifest = json.load(open(tmp_path / "manifest.json"))
+    with open(tmp_path / "branch_eps0p05.csv") as fh:
+        first_row = dict(zip(next(fh).strip().split(","), next(fh).strip().split(",")))
+    assert manifest["homotopy"]["lambdas"][0] == float(first_row["lambda"])
+
+
 def test_trace_branch_differentiates_each_point_at_most_twice(tmp_path, derivative_passes):
     # a point's last corrector evaluation feeds its termination test and its
     # branch row, and verify_all's reconstruction makes the second pass; the
@@ -402,7 +435,7 @@ def test_trace_branch_differentiates_each_point_at_most_twice(tmp_path, derivati
         tmp_path,
         "vorticity.kind = zero\ngrid.nq = 24\nseeds.s0 = 0.008\nseeds.step = 0.003\n",
     ))
-    branch = trace_branch(cfg, 0.05, 4, cfg.step, cfg.s0)[2]
+    branch = trace_branch(cfg, 0.05, 4, cfg.step, cfg.s0)[1]
     assert len(branch.points) == 4
     passes = [derivative_passes.count(state.w.tobytes()) for state in branch.points]
     assert passes[0] <= 3 and max(passes[1:]) <= 2, passes
@@ -453,6 +486,39 @@ def test_cli_reports_a_malformed_state_file(tmp_path, field, value, match):
     assert "Traceback" not in res.stderr
 
 
+# an infinite w already failed verification with an error; a NaN one wrote a report
+NON_FINITE_STATE_FIELDS = [("L", math.nan), ("L", math.inf), ("P", math.nan),
+                           ("P", math.inf), ("w", math.nan)]
+
+
+def state_with(field, value):
+    """The JSON object of a zero state on an 8 x 8 grid, with ``field`` set to ``value``."""
+    grid = {"L": math.pi, "P": 12.0, "nq": 8, "np": 8}
+    w = [0.0] * 64
+    if field == "w":
+        w[9] = value
+    else:
+        grid[field] = value
+    return {"lambda": 5.0, "epsilon": 0.1, "grid": grid,
+            "w": base64.b64encode(struct.pack("<64d", *w)).decode("ascii")}
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_STATE_FIELDS + [("w", math.inf)])
+def test_state_with_a_non_finite_value_is_rejected(field, value):
+    with pytest.raises(DomainError, match="finite"):
+        WaveState.from_dict(state_with(field, value))
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_STATE_FIELDS)
+def test_cli_verify_rejects_a_non_finite_state(tmp_path, capsys, field, value):
+    # a malformed input exits 2 with an error, not a failing report
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(state_with(field, value)))
+    assert cli.main(["verify", "--state", str(bad), "--out", str(tmp_path / "v.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--state", "missing.json"),
     ("bifurcate", "--config", "missing.cfg"),
@@ -462,3 +528,29 @@ def test_cli_reports_a_missing_input_file(tmp_path, argv):
     assert res.returncode == 2
     assert "error:" in res.stderr and "missing" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# -- documentation --------------------------------------------------------------------
+
+
+README = os.path.join(os.path.dirname(SRC), "README.md")
+
+
+def readme_block(start):
+    """The blank-line-separated block of README.md that begins with ``start``."""
+    return next(block for block in open(README).read().split("\n\n")
+                if block.startswith(start))
+
+
+def test_readme_names_every_config_key():
+    paragraph = readme_block("Configuration files are flat")
+    assert [key for key in _DEFAULTS if f"`{key}`" not in paragraph] == []
+    assert f"with {len(_DEFAULTS)} keys" in paragraph
+
+
+def test_readme_and_cli_docstring_name_every_subcommand():
+    usage = readme_block("```sh\nvorstokes ")
+    listed = re.findall(r"^    (\w+) ", cli.__doc__, flags=re.MULTILINE)
+    for name in subcommand_parsers():
+        assert f"vorstokes {name} " in usage, name
+        assert name in listed, name

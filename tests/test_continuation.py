@@ -64,9 +64,16 @@ def test_initial_guess_matches_local_theory(zero_setup):
 
 
 def test_initial_guess_rejects_huge_amplitude(zero_setup):
+    # the seed is built unchecked; the solve's first admissibility test rejects it
     _, _, bp, op = zero_setup
     with pytest.raises(AdmissibilityError):
-        initial_nontrivial_guess(bp, op, 50.0)
+        solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 50.0), 50.0)
+
+
+def test_initial_guess_differentiates_nothing(zero_setup, derivative_passes):
+    _, _, bp, op = zero_setup
+    initial_nontrivial_guess(bp, op, 0.01)
+    assert derivative_passes == []
 
 
 def test_solve_at_amplitude_pins_coordinate_and_scales_quadratically(zero_setup):
@@ -232,20 +239,34 @@ def test_homotopy_lambda_first_order_in_epsilon(zero_homotopy):
     assert np.all(ratios < 2.4)
 
 
-def test_homotopy_target_zero_returns_trivial_drift(zero_setup):
+def test_homotopy_rejects_a_zero_target(zero_setup):
+    # like a branch, a homotopy cannot follow the trivial solution
     model, _, bp, op = zero_setup
-    res = epsilon_homotopy(model, G, op.grid, [0.1, 0.05], target_s=0.0)
-    for st in res.states:
-        assert np.all(st.w == 0.0)
-    assert res.lambdas[0] != res.lambdas[1]  # the drift of the bifurcation point
+    with pytest.raises(DomainError, match="target_s = 0"):
+        epsilon_homotopy(model, G, initial_nontrivial_guess(bp, op, 0.0), [0.1, 0.05],
+                         target_s=0.0)
 
 
 def test_homotopy_rejects_bad_schedule(zero_setup):
-    model, _, _, op = zero_setup
+    model, _, bp, op = zero_setup
+    start = initial_nontrivial_guess(bp, op, 0.01)
     with pytest.raises(DomainError):
-        epsilon_homotopy(model, G, op.grid, [0.05, 0.1], target_s=0.01)
+        epsilon_homotopy(model, G, start, [0.05, 0.1], target_s=0.01)
     with pytest.raises(DomainError):
-        epsilon_homotopy(model, G, op.grid, [1.2, 0.5], target_s=0.01)
+        epsilon_homotopy(model, G, start, [1.2, 0.5], target_s=0.01)
+
+
+def test_homotopy_from_a_solved_state_keeps_its_first_entry(small_zero, caplog):
+    # a start already solved at the first epsilon converges without an update
+    bp, op = small_zero
+    start = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        res = epsilon_homotopy(op.model, G, start, [op.epsilon], target_s=0.004)
+    assert res.failure_index == -1
+    assert res.lambdas == [start.lam]
+    assert not any("amplitude-constrained solve update" in rec.getMessage()
+                   for rec in caplog.records)
 
 
 def test_every_accepted_point_strictly_admissible(zero_branch, zero_setup):
@@ -581,13 +602,12 @@ def test_homotopy_failure_names_its_cause(small_zero, monkeypatch):
         return seed
 
     monkeypatch.setattr(continuation, "solve_at_amplitude", solve)
-    res = epsilon_homotopy(op.model, G, op.grid, [0.1, 0.05, 0.025], target_s=0.004,
-                           bif_factory=lambda eps: bp)
+    start = initial_nontrivial_guess(bp, op, 0.004)
+    res = epsilon_homotopy(op.model, G, start, [0.1, 0.05, 0.025], target_s=0.004)
     assert res.failure_index == 1
     assert res.diagnostics.startswith("NewtonDivergenceError: corrector stalled")
     assert len(res.states) == 1 and res.lambdas == [bp.lambda_star]
-    assert epsilon_homotopy(op.model, G, op.grid, [0.1], target_s=0.004,
-                            bif_factory=lambda eps: bp).diagnostics == ""
+    assert epsilon_homotopy(op.model, G, start, [0.1], target_s=0.004).diagnostics == ""
 
 
 def test_chord_corrector_refactors_only_when_it_stalls(small_zero, monkeypatch):
@@ -789,8 +809,8 @@ def test_homotopy_hands_its_lu_to_the_next_epsilon(small_zero, monkeypatch):
     bp, op = small_zero
     sched, s, tol = [0.02, 0.01, 0.005], 0.02, 1e-12
     specs = _counting_splu(monkeypatch)
-    res = epsilon_homotopy(op.model, G, op.grid, sched, target_s=s,
-                           bif_factory=lambda eps: bp, tol=tol)
+    res = epsilon_homotopy(op.model, G, initial_nontrivial_guess(bp, op, s), sched,
+                           target_s=s, tol=tol)
     assert res.failure_index == -1
     assert specs.count("NATURAL") < len(sched)
     # fresh solves, each factoring for itself, from the homotopy's seeds
@@ -842,8 +862,8 @@ def test_a_branch_and_a_homotopy_each_factor_once(small_zero, monkeypatch):
         assert op.residual_norm(state) <= tol
     specs.clear()
     sched, s = [0.02, 0.01, 0.005], 0.02
-    res = epsilon_homotopy(op.model, G, op.grid, sched, target_s=s,
-                           bif_factory=lambda eps: bp, tol=tol)
+    res = epsilon_homotopy(op.model, G, initial_nontrivial_guess(bp, op, s), sched,
+                           target_s=s, tol=tol)
     assert res.failure_index == -1
     assert specs.count("NATURAL") <= 1
     for eps, state in zip(sched, res.states):
@@ -900,8 +920,8 @@ def test_a_branch_and_a_homotopy_never_take_the_exact_lu(small_zero, monkeypatch
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="vorstokes"):
         branch = continue_branch(op, bp, steps=6, ds=0.004)
-        res = epsilon_homotopy(op.model, G, op.grid, [0.02, 0.01, 0.005], target_s=0.02,
-                               bif_factory=lambda eps: bp)
+        res = epsilon_homotopy(op.model, G, initial_nontrivial_guess(bp, op, 0.02),
+                               [0.02, 0.01, 0.005], target_s=0.02)
     assert len(branch.points) == 6 and res.failure_index == -1
     paths = [rec.getMessage() for rec in caplog.records]
     assert sum(": fresh P, " in m for m in paths) == len(nnz) == 2
