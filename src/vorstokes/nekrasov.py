@@ -19,16 +19,25 @@ steps is a computable certificate.
 
 The weakly singular kernel is integrated by product integration: the
 log|s - t| part is integrated exactly against a piecewise-linear
-interpolant, the smooth remainder by per-cell Gauss rules.
+interpolant, the smooth remainder by per-cell Gauss rules.  The weights
+depend only on the node count and are built once per count.
+
+`solve_nekrasov` takes damped Picard steps until they have chosen a
+root, then Newton-Krylov: the Jacobian is I minus a compact operator, so
+GMRES without a preconditioner converges in a few iterations at any mesh
+size (Kelley 2003).
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .continuation import _gmres
 from .errors import DomainError, NewtonDivergenceError
 
 __all__ = [
@@ -42,9 +51,15 @@ __all__ = [
     "strip_wave_to_angles",
 ]
 
-# Picard iterations before the solve gives up, and the weight of each new map
+# Picard warm-up steps at most, and the weight of each new map
 PICARD_MAX_ITER = 4000
 PICARD_DAMPING = 0.5
+# Newton updates after the warm-up before the solve gives up, and the
+# relative residual each update's GMRES solve reaches
+NEWTON_MAX_ITER = 50
+KRYLOV_RTOL = 1e-6
+
+_LOG = logging.getLogger("vorstokes")
 
 
 def kernel(s, t):
@@ -114,8 +129,8 @@ def kernel_weights(s_points, n: int):
     W = np.zeros((m, n + 1))
     contrib_left = (smooth * wflat * fall).reshape(m, n, 6).sum(axis=2)
     contrib_right = (smooth * wflat * rise).reshape(m, n, 6).sum(axis=2)
-    np.add.at(W, (slice(None), slice(0, n)), contrib_left)
-    np.add.at(W, (slice(None), slice(1, n + 1)), contrib_right)
+    W[:, :n] += contrib_left
+    W[:, 1:] += contrib_right
 
     # exact moments of log|s - t| against the hat functions
     ua = t[:-1][None, :] - s                                 # (m, n)
@@ -170,18 +185,66 @@ def _picard_map(nu, t, W, theta):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _interior_weights(n):
+    """`kernel_weights` W at the interior nodes t_1 .. t_{n-1}, built once per n, read-only."""
+    W = kernel_weights(np.linspace(0.0, math.pi, n + 1)[1:-1], n)[1]
+    W.flags.writeable = False
+    return W
+
+
+def _newton_system(nu, t, W, theta):
+    """F(theta) = theta - map(theta) at the interior nodes, and v -> J v with J = F'(theta).
+
+    With D = nu^-1 + T(sin theta), T the running trapezoid,
+    J v = v - W [(cos theta / D) v - (sin theta / D^2) T(cos theta v)] / (3 pi),
+    v padded with zeros at both ends: O(n^2) per product, no matrix.
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    denom = 1.0 / nu + _running_trapezoid(st, t)
+    a, b = ct / denom, st / denom**2
+
+    def jv(v):
+        full = np.pad(v, 1)
+        return v - (W @ (a * full - b * _running_trapezoid(ct * full, t))) / (3.0 * math.pi)
+
+    return (theta - _picard_map(nu, t, W, theta))[1:-1], jv
+
+
+def _check_angles(theta, it, update):
+    if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > 0.5 * math.pi:
+        raise NewtonDivergenceError(
+            f"iterate left the admissible angle range at step {it}",
+            residual=update, iterations=it,
+        )
+
+
 def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
                    theta0=None) -> NekrasovState:
-    """Damped Picard iteration for the angle equation.
+    """Picard warm-up, then Newton-Krylov, for the angle equation.
 
     Starting from zero returns the trivial solution immediately; a
     perturbed start converges to the nontrivial positive solution once nu
     exceeds the existence threshold, and falls back to zero below it.
+
+    Damped Picard steps (`PICARD_DAMPING`) run until the update shrinks
+    from one step to the next and is at most a quarter of max|theta|, or
+    raise after `PICARD_MAX_ITER`: they choose the root, since Newton from
+    the raw start can reach another one.  Newton on
+    F(theta) = theta - map(theta) then finishes, each update solved by
+    GMRES (`continuation._gmres`, no preconditioner, relative residual
+    `KRYLOV_RTOL`) on matrix-free J v, until the sup norm of an update is
+    below ``tol`` or `NEWTON_MAX_ITER` updates raise.  Every iterate must
+    stay finite and inside |theta| <= pi/2.  ``iterations`` counts Picard
+    steps plus Newton updates; one DEBUG record on the ``vorstokes``
+    logger gives both counts, the GMRES iterations and the last update.
     """
     if not nu > 0.0:
         raise DomainError("nu must be positive")
     if n_quad < 2:
         raise DomainError(f"n_quad must be at least 2, got {n_quad}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     t = np.linspace(0.0, math.pi, n_quad + 1)
     theta = np.zeros_like(t) if theta0 is None else np.asarray(theta0, float).copy()
     if theta.shape != t.shape:
@@ -191,24 +254,39 @@ def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
         return NekrasovState(nu=nu, t=t, theta=theta, n_quad=n_quad,
                              iterations=0, update=0.0)
 
-    _, W = kernel_weights(t[1:-1], n_quad)
-    update = math.inf
-    for it in range(1, PICARD_MAX_ITER + 1):
+    W = _interior_weights(n_quad)
+    last = update = math.inf
+    for picard in range(1, PICARD_MAX_ITER + 1):
         new = (1.0 - PICARD_DAMPING) * theta + PICARD_DAMPING * _picard_map(nu, t, W, theta)
-        update = float(np.max(np.abs(new - theta)))
+        last, update = update, float(np.max(np.abs(new - theta)))
         theta = new
-        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > 0.5 * math.pi:
+        _check_angles(theta, picard, update)
+        if update < tol or picard > 1 and update < last and update <= 0.25 * np.max(np.abs(theta)):
+            break
+    else:
+        raise NewtonDivergenceError(
+            f"Picard warm-up did not settle in {PICARD_MAX_ITER} steps",
+            residual=update, iterations=PICARD_MAX_ITER,
+        )
+
+    newton = krylov = 0
+    while update >= tol:
+        if newton == NEWTON_MAX_ITER:
             raise NewtonDivergenceError(
-                f"Picard iterate left the admissible angle range at step {it}",
-                residual=update, iterations=it,
+                f"Newton did not reach tol {tol:.2g} in {NEWTON_MAX_ITER} updates "
+                f"after {picard} Picard steps",
+                residual=update, iterations=picard + newton,
             )
-        if update < tol:
-            return NekrasovState(nu=nu, t=t, theta=theta, n_quad=n_quad,
-                                 iterations=it, update=update)
-    raise NewtonDivergenceError(
-        f"Picard did not reach tol {tol:.2g} in {PICARD_MAX_ITER} iterations",
-        residual=update, iterations=PICARD_MAX_ITER,
-    )
+        residual, jv = _newton_system(nu, t, W, theta)
+        step, k, _ = _gmres(jv, lambda v: v, -residual, KRYLOV_RTOL)
+        theta[1:-1] += step
+        newton, krylov = newton + 1, krylov + k
+        update = float(np.max(np.abs(step)))
+        _check_angles(theta, picard + newton, update)
+    _LOG.debug("angle equation at nu %.6g: %d Picard steps, %d Newton updates, "
+               "%d GMRES iterations, last update %.3e", nu, picard, newton, krylov, update)
+    return NekrasovState(nu=nu, t=t, theta=theta, n_quad=n_quad,
+                         iterations=picard + newton, update=update)
 
 
 @dataclass

@@ -172,6 +172,14 @@ def test_cli_rejects_too_small_a_count(argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_cli_nekrasov_rejects_a_non_positive_tol(tol):
+    res = run_cli("nekrasov", "--nu", "6", "--amplitude", "0.1", "--tol", tol)
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_trivial_prints_table():
     res = run_cli("trivial", "--lam", "4.0", "--samples", "9")
     assert res.returncode == 0

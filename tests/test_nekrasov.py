@@ -1,13 +1,17 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vorstokes.errors import DomainError
+from vorstokes import nekrasov
+from vorstokes.errors import DomainError, NewtonDivergenceError
 from vorstokes.nekrasov import (
     kernel,
     kernel_integral,
+    kernel_weights,
     nu_bound_check,
     solve_nekrasov,
     strip_wave_to_angles,
@@ -62,10 +66,94 @@ def test_trivial_fixed_point():
     assert state.iterations == 0
 
 
-@pytest.mark.parametrize("nu, n_quad", [(math.nan, 256), (6.0, 1), (6.0, -3)])
-def test_solve_rejects_a_nan_nu_or_too_few_nodes(nu, n_quad):
+@pytest.mark.parametrize("nu, n_quad, tol", [
+    pytest.param(math.nan, 256, 1e-12, id="nan-256"),
+    pytest.param(6.0, 1, 1e-12, id="6.0-1"),
+    pytest.param(6.0, -3, 1e-12, id="6.0--3"),
+    pytest.param(6.0, 256, 0.0, id="tol-0"),
+    pytest.param(6.0, 256, -1.0, id="tol--1"),
+    pytest.param(6.0, 256, math.nan, id="tol-nan"),
+])
+def test_solve_rejects_a_nan_nu_or_too_few_nodes(nu, n_quad, tol):
+    t = np.linspace(0.0, PI, 257)
     with pytest.raises(DomainError):
-        solve_nekrasov(nu, n_quad=n_quad)
+        solve_nekrasov(nu, n_quad=n_quad, tol=tol, theta0=0.1 * np.sin(t))
+
+
+# max theta of damped Picard iteration alone to tol 1e-12 at n_quad = 256:
+# the Newton finish must keep the root the warm-up chose
+@pytest.mark.parametrize("nu, amplitude, max_theta", [
+    (2.0, 0.1, 0.0),
+    (4.0, 0.1, 0.086320232864),
+    (12.0, 0.1, 0.298678498565),
+    (30.0, 0.1, 0.394487024040),
+    (6.0, 1e-6, 0.182253208780),
+])
+def test_solve_keeps_the_picard_root(nu, amplitude, max_theta):
+    t = np.linspace(0.0, PI, 257)
+    state = solve_nekrasov(nu, n_quad=256, theta0=amplitude * np.sin(t), tol=1e-12)
+    assert np.max(np.abs(state.theta)) == pytest.approx(max_theta, abs=1e-9)
+    assert state.update < 1e-12
+
+
+def test_solve_converges_next_to_the_threshold():
+    # Picard alone contracts too slowly here to reach tol in its iteration cap
+    t = np.linspace(0.0, PI, 257)
+    above = solve_nekrasov(3.01, n_quad=256, theta0=0.1 * np.sin(t), tol=1e-12)
+    assert np.all(above.theta[1:-1] > 0.0)
+    assert np.max(above.theta) == pytest.approx(0.0011037, rel=1e-4)
+    below = solve_nekrasov(2.99, n_quad=256, theta0=0.1 * np.sin(t), tol=1e-12)
+    assert below.trivial
+
+
+def test_solve_that_does_not_settle_names_its_stage(monkeypatch):
+    t = np.linspace(0.0, PI, 257)
+    # from 1e-6 the Picard updates grow for about 30 steps before they shrink
+    monkeypatch.setattr(nekrasov, "PICARD_MAX_ITER", 10)
+    with pytest.raises(NewtonDivergenceError, match="Picard warm-up did not settle") as exc:
+        solve_nekrasov(6.0, n_quad=256, theta0=1e-6 * np.sin(t))
+    assert exc.value.iterations == 10
+    monkeypatch.undo()
+    monkeypatch.setattr(nekrasov, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NewtonDivergenceError, match="Newton did not reach tol") as exc:
+        solve_nekrasov(6.0, n_quad=256, theta0=0.1 * np.sin(t))
+    assert exc.value.iterations >= 2
+
+
+def test_weights_are_built_once_per_node_count(monkeypatch):
+    calls = []
+
+    def counted(s_points, n):
+        calls.append(n)
+        return kernel_weights(s_points, n)
+
+    nekrasov._interior_weights.cache_clear()
+    monkeypatch.setattr(nekrasov, "kernel_weights", counted)
+    t = np.linspace(0.0, PI, 97)
+    first = solve_nekrasov(6.0, n_quad=96, theta0=0.1 * np.sin(t))
+    second = solve_nekrasov(8.0, n_quad=96, theta0=0.1 * np.sin(t))
+    assert calls == [96]
+    assert not first.trivial and not second.trivial
+    W = nekrasov._interior_weights(96)
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+
+
+def test_each_solve_logs_one_record(caplog):
+    assert logging.getLogger("vorstokes").handlers == []
+    t = np.linspace(0.0, PI, 257)
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        state = solve_nekrasov(6.0, n_quad=256, theta0=0.1 * np.sin(t))
+    assert [(rec.name, rec.levelno) for rec in caplog.records] == [("vorstokes", logging.DEBUG)]
+    counts = re.fullmatch(
+        r"angle equation at nu 6: (\d+) Picard steps, (\d+) Newton updates, "
+        r"(\d+) GMRES iterations, last update (\S+)", caplog.records[0].getMessage())
+    assert counts is not None
+    picard, newton, krylov = (int(counts.group(k)) for k in (1, 2, 3))
+    assert picard + newton == state.iterations
+    assert newton >= 1 and krylov >= newton
+    assert float(counts.group(4)) == pytest.approx(state.update, rel=1e-3)
 
 
 def test_subcritical_nu_collapses_to_zero():
@@ -139,3 +227,5 @@ def test_cross_solver_profile_agreement(zero_setup):
     scale = np.max(mapped.theta) / np.max(nek.theta)
     diff = np.max(np.abs(scale * nek.theta - mapped.theta))
     assert diff / np.max(np.abs(mapped.theta)) <= 0.02
+    # a few Picard steps and Newton updates, where Picard alone takes hundreds
+    assert nek.iterations <= 10
