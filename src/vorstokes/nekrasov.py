@@ -234,10 +234,13 @@ def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
     F(theta) = theta - map(theta) then finishes, each update solved by
     GMRES (`continuation._gmres`, no preconditioner, relative residual
     `KRYLOV_RTOL`) on matrix-free J v, until the sup norm of an update is
-    below ``tol`` or `NEWTON_MAX_ITER` updates raise.  Every iterate must
+    below ``tol`` or `NEWTON_MAX_ITER` updates raise.  An update whose GMRES
+    solve stalled at `continuation.KRYLOV_MAX` iterations does not end the solve, however
+    small: it may be small because GMRES stalled.  Every iterate must
     stay finite and inside |theta| <= pi/2.  ``iterations`` counts Picard
     steps plus Newton updates; one DEBUG record on the ``vorstokes``
-    logger gives both counts, the GMRES iterations and the last update.
+    logger gives both counts, the GMRES iterations, the stalled GMRES
+    solves and the last update.
     """
     if not nu > 0.0:
         raise DomainError("nu must be positive")
@@ -269,22 +272,24 @@ def solve_nekrasov(nu: float, n_quad: int = 256, tol: float = 1e-12,
             residual=update, iterations=PICARD_MAX_ITER,
         )
 
-    newton = krylov = 0
-    while update >= tol:
+    newton = krylov = stalled = 0
+    converged = True
+    while update >= tol or not converged:
         if newton == NEWTON_MAX_ITER:
             raise NewtonDivergenceError(
                 f"Newton did not reach tol {tol:.2g} in {NEWTON_MAX_ITER} updates "
-                f"after {picard} Picard steps",
+                f"after {picard} Picard steps ({stalled} GMRES solves stalled)",
                 residual=update, iterations=picard + newton,
             )
         residual, jv = _newton_system(nu, t, W, theta)
-        step, k, _ = _gmres(jv, lambda v: v, -residual, KRYLOV_RTOL)
+        step, k, converged = _gmres(jv, lambda v: v, -residual, KRYLOV_RTOL)
         theta[1:-1] += step
-        newton, krylov = newton + 1, krylov + k
+        newton, krylov, stalled = newton + 1, krylov + k, stalled + (not converged)
         update = float(np.max(np.abs(step)))
         _check_angles(theta, picard + newton, update)
     _LOG.debug("angle equation at nu %.6g: %d Picard steps, %d Newton updates, "
-               "%d GMRES iterations, last update %.3e", nu, picard, newton, krylov, update)
+               "%d GMRES iterations (%d solves stalled), last update %.3e",
+               nu, picard, newton, krylov, stalled, update)
     return NekrasovState(nu=nu, t=t, theta=theta, n_quad=n_quad,
                          iterations=picard + newton, update=update)
 

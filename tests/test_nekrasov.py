@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from vorstokes import nekrasov
+from vorstokes.continuation import _gmres
 from vorstokes.errors import DomainError, NewtonDivergenceError
 from vorstokes.nekrasov import (
     kernel,
@@ -75,9 +76,8 @@ def test_trivial_fixed_point():
     pytest.param(6.0, 256, math.nan, id="tol-nan"),
 ])
 def test_solve_rejects_a_nan_nu_or_too_few_nodes(nu, n_quad, tol):
-    t = np.linspace(0.0, PI, 257)
     with pytest.raises(DomainError):
-        solve_nekrasov(nu, n_quad=n_quad, tol=tol, theta0=0.1 * np.sin(t))
+        solve_nekrasov(nu, n_quad=n_quad, tol=tol)
 
 
 # max theta of damped Picard iteration alone to tol 1e-12 at n_quad = 256:
@@ -120,6 +120,16 @@ def test_solve_that_does_not_settle_names_its_stage(monkeypatch):
     assert exc.value.iterations >= 2
 
 
+def test_a_stalled_gmres_solve_does_not_end_the_solve(monkeypatch):
+    # an update from a GMRES solve that stopped at its iteration cap may be
+    # small only because GMRES stalled, so it must not stop the iteration
+    t = np.linspace(0.0, PI, 257)
+    monkeypatch.setattr(nekrasov, "_gmres", lambda *args: (*_gmres(*args)[:2], False))
+    monkeypatch.setattr(nekrasov, "NEWTON_MAX_ITER", 20)
+    with pytest.raises(NewtonDivergenceError, match=r"\(20 GMRES solves stalled\)"):
+        solve_nekrasov(6.0, n_quad=256, theta0=0.1 * np.sin(t))
+
+
 def test_weights_are_built_once_per_node_count(monkeypatch):
     calls = []
 
@@ -148,7 +158,8 @@ def test_each_solve_logs_one_record(caplog):
     assert [(rec.name, rec.levelno) for rec in caplog.records] == [("vorstokes", logging.DEBUG)]
     counts = re.fullmatch(
         r"angle equation at nu 6: (\d+) Picard steps, (\d+) Newton updates, "
-        r"(\d+) GMRES iterations, last update (\S+)", caplog.records[0].getMessage())
+        r"(\d+) GMRES iterations \(0 solves stalled\), last update (\S+)",
+        caplog.records[0].getMessage())
     assert counts is not None
     picard, newton, krylov = (int(counts.group(k)) for k in (1, 2, 3))
     assert picard + newton == state.iterations
