@@ -30,6 +30,7 @@ component by 1/sqrt(node count) for the same reason.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import logging
 import math
@@ -78,6 +79,34 @@ ARCLENGTH_MAX_ITER = 15
 NEWTON_MAX_ITER = 25
 
 _LOG = logging.getLogger("vorstokes")
+
+
+def _c_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _c_malloc_trim()
+
+
+def _release_free_heap():
+    """Hand the free pages of the C heap back to the operating system (glibc only).
+
+    A branch's transient arrays (fields, GMRES bases, LU workspace) are
+    served from the heap once glibc's mmap threshold has risen past them,
+    and the free chunks they leave between longer-lived arrays stay
+    resident.  Tracing one 401 x 128 branch after another in one process,
+    peak RSS crept from 124 MB to 136-152 MB over 16-25 branches, by an
+    amount that changed from run to run; with the heap trimmed after each
+    branch it stayed at 124-125 MB.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class Termination(enum.Enum):
@@ -564,8 +593,10 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     termination clause, or when step halving hits its floor; a floor
     reached on an AdmissibilityError reports that error's clause, and
     ``diagnostics`` lists the ds and "Type: message" of every failed
-    attempt of that halving cascade.  Raises DomainError for ``steps < 1``,
-    for ``ds <= 0`` and for ``s0 == 0``, the trivial solution.
+    attempt of that halving cascade.  However the trace ends, the free
+    pages of the C heap go back to the operating system
+    (`_release_free_heap`).  Raises DomainError for ``steps < 1``, for
+    ``ds <= 0`` and for ``s0 == 0``, the trivial solution.
     """
     if steps < 1:
         raise DomainError(f"steps must be at least 1, got {steps}")
@@ -575,8 +606,15 @@ def continue_branch(op: StripOperator, bp: BifurcationPoint, steps: int,
     if s_first == 0.0:
         raise DomainError("a branch cannot start on the trivial solution (s0 = 0)")
     caps = Caps.default(op.g, op.grid.L) if caps is None else caps
-    branch = Branch(epsilon=op.epsilon)
+    try:
+        return _trace_branch(op, bp, steps, ds, caps, s_first, tol)
+    finally:
+        _release_free_heap()
 
+
+def _trace_branch(op, bp, steps, ds, caps, s_first, tol) -> Branch:
+    """`continue_branch` after its argument checks, with the first point at ``s_first``."""
+    branch = Branch(epsilon=op.epsilon)
     carry = LUSlot()
     seed = initial_nontrivial_guess(bp, op, s_first)
     ev = op.evaluate(solve_at_amplitude(op, seed, s_first, tol=tol, carry=carry))

@@ -391,6 +391,31 @@ def test_step_size_regrows_after_a_halving(small_zero, monkeypatch):
     assert requested == [0.004, 0.002, 0.004, 0.004]
 
 
+def test_each_branch_trims_the_heap_once_however_it_ends(small_zero, monkeypatch):
+    bp, op = small_zero
+    pads = []
+    monkeypatch.setattr(continuation, "_MALLOC_TRIM", pads.append)
+    assert len(continue_branch(op, bp, steps=2, ds=0.004).points) == 2
+    assert pads == [0]
+
+    def diverge(*args, **kwargs):
+        raise NewtonDivergenceError("forced failure", iterations=0)
+
+    monkeypatch.setattr(continuation, "solve_at_amplitude", diverge)
+    with pytest.raises(NewtonDivergenceError):
+        continue_branch(op, bp, steps=2, ds=0.004)
+    assert pads == [0, 0]
+    # an argument check raises before any work, and trims nothing
+    with pytest.raises(DomainError):
+        continue_branch(op, bp, steps=0, ds=0.004)
+    assert pads == [0, 0]
+
+
+def test_heap_trim_without_a_c_trim_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(continuation, "_MALLOC_TRIM", None)
+    continuation._release_free_heap()
+
+
 def test_solve_bordered_matches_dense_solve(small_zero):
     # the bordered matrices here have condition numbers 1e5-2e7, so two
     # correct solvers agree to cond * eps, not to 1e-12; the 1e-12 is on the
