@@ -189,6 +189,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("tolerances.newton must be positive")
     if cfg.step <= 0:
         raise ConfigError("continuation step must be positive")
+    if cfg.s0 == 0:
+        # a negative s0 is the half-period translate; zero is the trivial solution
+        raise ConfigError("seeds.s0 must be nonzero: a branch cannot start on the "
+                          "trivial solution")
     try:
         cfg.model()
     except DomainError as exc:

@@ -140,7 +140,7 @@ def surface_mode_amplitude(state: WaveState) -> float:
     Summed exactly (`math.fsum`), so an amplitude-constrained solve meets
     its target to about one ulp.
     """
-    return math.fsum(_mode_weights(state.grid)[-state.grid.nq:] * state.w[-1])
+    return math.fsum(-cosine_matrix(state.grid.nq)[1][1] * state.w[-1])
 
 
 def _mode_weights(grid) -> np.ndarray:

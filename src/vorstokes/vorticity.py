@@ -13,7 +13,9 @@ block.  It also computes every derived scalar the solvers consume:
   bifurcates from the shear-flow family for given gravity and half-period.
 
 Admissible models decay at depth, ``gamma(r) = O(r^(-2-2*rho))`` for some
-rho > 0, so that Gamma stays bounded on the half-line.  All models are
+rho > 0, so that Gamma stays bounded on the half-line.  A closed-form kind
+is also monotone in r, so gamma(0) alone fixes the signs of gamma and
+gamma' and the supremum of gamma (see ``VorticityModel``).  All models are
 immutable and safe to share between concurrent solves.
 """
 
@@ -64,8 +66,15 @@ class VorticityModel:
     """Common interface: gamma(r), gamma'(r), and the antiderivative Gamma(p).
 
     Subclasses implement ``_gamma_impl``, ``_gamma_prime_impl`` and
-    ``_primitive_impl`` (G(r) = int_0^r gamma).  ``big_gamma`` then follows
-    from Gamma(p) = -G(-p).
+    ``_primitive_impl`` (G(r) = int_0^r gamma, which must also accept
+    r = inf).  ``big_gamma`` then follows from Gamma(p) = -G(-p), and the
+    depth limit of Gamma from -G(inf).
+
+    The sign traits and ``gamma_sup_value`` are read off gamma(0).  That is
+    exact for a kind whose gamma is monotone on [0, inf) and decays to 0:
+    gamma keeps the sign of gamma(0), gamma' the opposite one, and
+    sup gamma = max(gamma(0), 0).  A closed-form kind must meet this
+    condition, or override the traits as ``TabulatedVorticity`` does.
     """
 
     kind = "abstract"
@@ -92,29 +101,29 @@ class VorticityModel:
 
     def gamma_total(self):
         """Limit of Gamma(p) as p -> -infinity (improper integral)."""
-        return -self._primitive_limit()
+        return -float(self._primitive_impl(np.inf))
 
     # -- sign traits used to route the maximum-principle checks ---------------
 
     @property
     def gamma_nonneg(self) -> bool:
-        raise NotImplementedError
+        return self.gamma(0.0) >= 0
 
     @property
     def gamma_nonpos(self) -> bool:
-        raise NotImplementedError
+        return self.gamma(0.0) <= 0
 
     @property
     def gamma_prime_nonneg(self) -> bool:
-        raise NotImplementedError
+        return self.gamma_nonpos
 
     @property
     def gamma_prime_nonpos(self) -> bool:
-        raise NotImplementedError
+        return self.gamma_nonneg
 
     def gamma_sup_value(self) -> float:
         """sup of gamma over [0, infinity), used in the pressure estimate."""
-        raise NotImplementedError
+        return max(0.0, self.gamma(0.0))
 
     # -- numeric helpers -------------------------------------------------------
 
@@ -144,9 +153,6 @@ class VorticityModel:
     def _primitive_impl(self, r):
         raise NotImplementedError
 
-    def _primitive_limit(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ZeroVorticity(VorticityModel):
@@ -162,28 +168,6 @@ class ZeroVorticity(VorticityModel):
 
     def _primitive_impl(self, r):
         return np.zeros_like(r)
-
-    def _primitive_limit(self):
-        return 0.0
-
-    @property
-    def gamma_nonneg(self):
-        return True
-
-    @property
-    def gamma_nonpos(self):
-        return True
-
-    @property
-    def gamma_prime_nonneg(self):
-        return True
-
-    @property
-    def gamma_prime_nonpos(self):
-        return True
-
-    def gamma_sup_value(self):
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -201,8 +185,10 @@ class ExpDecayVorticity(VorticityModel):
     kind = "expdecay"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise DomainError("decay rate must be positive")
+        if not math.isfinite(self.amplitude):
+            raise DomainError(f"amplitude must be finite, got {self.amplitude!r}")
+        if not (0 < self.rate < math.inf):
+            raise DomainError(f"decay rate must be positive and finite, got {self.rate!r}")
 
     def _gamma_impl(self, r):
         return self.amplitude * np.exp(-r / self.rate)
@@ -213,29 +199,8 @@ class ExpDecayVorticity(VorticityModel):
     def _primitive_impl(self, r):
         return self.amplitude * self.rate * (1.0 - np.exp(-r / self.rate))
 
-    def _primitive_limit(self):
-        return self.amplitude * self.rate
 
-    @property
-    def gamma_nonneg(self):
-        return self.amplitude >= 0
-
-    @property
-    def gamma_nonpos(self):
-        return self.amplitude <= 0
-
-    @property
-    def gamma_prime_nonneg(self):
-        return self.amplitude <= 0
-
-    @property
-    def gamma_prime_nonpos(self):
-        return self.amplitude >= 0
-
-    def gamma_sup_value(self):
-        return max(0.0, self.amplitude)
-
-
+@dataclass(frozen=True)
 class GerstnerVorticity(VorticityModel):
     """Vorticity of trochoidal-wave type: gamma = -2 m^2 E / (1 - m^2 E).
 
@@ -246,12 +211,12 @@ class GerstnerVorticity(VorticityModel):
     gamma' >= 0.  All primitives are closed-form.
     """
 
+    m: float
     kind = "gerstner"
 
-    def __init__(self, m: float):
-        if not 0.0 <= m < 1.0:
-            raise DomainError("Gerstner parameter m must lie in [0, 1)")
-        self.m = float(m)
+    def __post_init__(self):
+        if not 0.0 <= self.m < 1.0:
+            raise DomainError(f"Gerstner parameter m must lie in [0, 1), got {self.m!r}")
 
     def _E(self, r):
         return np.exp(2.0 * (-1.0 - np.asarray(r, dtype=float)))
@@ -270,31 +235,6 @@ class GerstnerVorticity(VorticityModel):
         m2 = self.m**2
         return -(np.log1p(-m2 * self._E(r)) - math.log1p(-m2 * math.exp(-2.0)))
 
-    def _primitive_limit(self):
-        return math.log1p(-self.m**2 * math.exp(-2.0))
-
-    @property
-    def gamma_nonneg(self):
-        return self.m == 0.0
-
-    @property
-    def gamma_nonpos(self):
-        return True
-
-    @property
-    def gamma_prime_nonneg(self):
-        return True
-
-    @property
-    def gamma_prime_nonpos(self):
-        return self.m == 0.0
-
-    def gamma_sup_value(self):
-        return 0.0
-
-    def __repr__(self):
-        return f"GerstnerVorticity(m={self.m})"
-
 
 class TabulatedVorticity(VorticityModel):
     """C1 monotone-cubic interpolant through (r, gamma) knots.
@@ -310,6 +250,8 @@ class TabulatedVorticity(VorticityModel):
         pts = np.asarray(knots, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise DomainError("knots must be an (n, 2) array with n >= 3")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("knots must be finite numbers")
         r, g = pts[:, 0], pts[:, 1]
         if r[0] != 0.0 or np.any(np.diff(r) <= 0):
             raise DomainError("knot abscissae must start at 0 and increase strictly")
@@ -334,9 +276,6 @@ class TabulatedVorticity(VorticityModel):
     def _primitive_impl(self, r):
         rr = np.asarray(r, dtype=float)
         return self._prim(np.minimum(rr, self.r_last))
-
-    def _primitive_limit(self):
-        return float(self._prim(self.r_last))
 
     def _dense_gamma(self):
         rr = np.linspace(0.0, self.r_last, 2049)

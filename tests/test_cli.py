@@ -1,7 +1,9 @@
 import argparse
 import ast
 import base64
+import contextlib
 import inspect
+import io
 import json
 import logging
 import math
@@ -23,6 +25,19 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def run_cli(*argv):
+    """Run ``vorstokes *argv`` in this process, with its exit status and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+    return subprocess.CompletedProcess(["vorstokes", *argv], code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_module(*argv):
+    """Run ``python -m vorstokes.cli *argv`` as a separate process."""
     # the subprocess finds the package through PYTHONPATH, installed or not
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -109,6 +124,23 @@ def test_non_finite_number_rejected_naming_its_key(tmp_path, monkeypatch, key, v
         parse_config(path)
 
 
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_zero_seed_amplitude_rejected(tmp_path, monkeypatch, source):
+    # s0 = 0 is the trivial solution, which no branch can start from
+    if source == "file":
+        path = write_config(tmp_path, "seeds.s0 = 0\n")
+    else:
+        path = None
+        monkeypatch.setenv(ENV_PREFIX + "SEEDS_S0", "0")
+    with pytest.raises(ConfigError, match=re.escape("seeds.s0")):
+        parse_config(path)
+
+
+def test_negative_seed_amplitude_accepted(tmp_path):
+    # the half-period translate of the positive seed
+    assert parse_config(write_config(tmp_path, "seeds.s0 = -0.01\n")).s0 == -0.01
+
+
 def test_comments_and_blank_lines(tmp_path):
     cfg = parse_config(write_config(tmp_path, "# comment\n\nL = 2.0  # trailing\n"))
     assert cfg.L == 2.0
@@ -190,6 +222,17 @@ def test_cli_trivial_prints_table():
     assert len(lines) == 12
 
 
+def test_module_entry_point_exit_status():
+    # `python -m vorstokes.cli` exits with the status main returns
+    res = run_module("trivial", "--lam", "4.0", "--samples", "9")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli("trivial", "--lam", "4.0", "--samples", "9").stdout
+    res = run_module("trivial", "--samples", "0")
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_bifurcate_json(tmp_path):
     res = run_cli("bifurcate", "--epsilon", "0.0", "--out", str(tmp_path) + os.sep)
     assert res.returncode == 0
@@ -201,11 +244,12 @@ def test_cli_bifurcate_json(tmp_path):
 
 
 def test_cli_bifurcate_deterministic(tmp_path):
+    # two separate processes
     a = tmp_path / "a"
     b = tmp_path / "b"
     a.mkdir(), b.mkdir()
-    run_cli("bifurcate", "--epsilon", "0.01", "--out", str(a) + os.sep)
-    run_cli("bifurcate", "--epsilon", "0.01", "--out", str(b) + os.sep)
+    run_module("bifurcate", "--epsilon", "0.01", "--out", str(a) + os.sep)
+    run_module("bifurcate", "--epsilon", "0.01", "--out", str(b) + os.sep)
     assert (a / "bifurcation.json").read_bytes() == (b / "bifurcation.json").read_bytes()
 
 
@@ -331,6 +375,17 @@ def test_cli_pipeline_rejects_fewer_than_one_job(tmp_path, jobs):
                   "--out", str(out))
     assert res.returncode == 2
     assert "error: jobs must be at least 1" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_pipeline_rejects_a_zero_seed_amplitude(tmp_path):
+    # used to make --out and solve the first bifurcation point before failing
+    cfg = write_config(tmp_path, "vorticity.kind = zero\ngrid.nq = 16\n"
+                                 "epsilon_schedule = 0.05\nseeds.s0 = 0\n")
+    out = tmp_path / "run"
+    res = run_cli("pipeline", "--config", cfg, "--steps", "1", "--out", str(out))
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "seeds.s0" in res.stderr
     assert not out.exists()
 
 

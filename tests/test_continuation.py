@@ -47,6 +47,17 @@ def test_initial_guess_zero_amplitude_is_trivial(zero_setup):
     assert st.lam == bp.lambda_star
 
 
+@pytest.mark.parametrize("nq, np_", [(8, 8), (17, 9), (64, 40), (128, 401)])
+def test_surface_mode_amplitude_is_the_mode_weights_row_sum(nq, np_):
+    # it reads the surface row of _mode_weights without building the row
+    grid = StripGrid(L=L, P=10.0, nq=nq, np=np_)
+    rng = np.random.default_rng(nq)
+    for _ in range(5):
+        w = rng.standard_normal((np_, nq))
+        expected = math.fsum(continuation._mode_weights(grid)[-nq:] * w[-1])
+        assert surface_mode_amplitude(WaveState(5.0, 0.1, grid, w)) == expected
+
+
 def test_initial_guess_matches_local_theory(zero_setup):
     _, _, bp, op = zero_setup
     s = 0.01

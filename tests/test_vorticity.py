@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from vorstokes.vorticity import (
     GerstnerVorticity,
     TabulatedVorticity,
     VorticityFunctionals,
+    VorticityModel,
     ZeroVorticity,
     check_bifurcation_condition,
     functionals,
@@ -184,6 +186,99 @@ def test_gerstner_state_is_its_parameter():
     model.big_gamma(-np.linspace(0.0, 30.0, 9))
     functionals(model)
     assert vars(model) == {"m": 0.5}
+
+
+EXPDECAY_AMPLITUDES = (-20.0, -4.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 4.0, 20.0)
+EXPDECAY_RATES = (1e-3, 0.3, 1.0, 5.0)
+# m = 1e-170 is left out: m^2 underflows, so gamma is exactly zero in double
+# precision and the model is irrotational (see the test below)
+GERSTNER_MS = (0.0, 1e-160, 1e-8, 0.1, 0.5, 0.9, 0.999)
+
+# parameter sets of every closed-form kind
+CLOSED_FORM_PARAMS = {
+    ZeroVorticity: [{}],
+    ExpDecayVorticity: [{"amplitude": a, "rate": rate}
+                        for a in EXPDECAY_AMPLITUDES for rate in EXPDECAY_RATES],
+    GerstnerVorticity: [{"m": m} for m in GERSTNER_MS + (1e-170,)],
+}
+
+
+def traits(model):
+    return (model.gamma_nonneg, model.gamma_nonpos, model.gamma_prime_nonneg,
+            model.gamma_prime_nonpos, model.gamma_sup_value(), model.gamma_total())
+
+
+def test_derived_traits_match_the_closed_forms():
+    # expected values from each kind's own sign pattern and depth limit
+    assert traits(ZeroVorticity()) == (True, True, True, True, 0.0, 0.0)
+    for a in EXPDECAY_AMPLITUDES:
+        for rate in EXPDECAY_RATES:
+            expected = (a >= 0, a <= 0, a <= 0, a >= 0, max(0.0, a), -(a * rate))
+            assert traits(ExpDecayVorticity(a, rate)) == expected, (a, rate)
+    for m in GERSTNER_MS:
+        expected = (m == 0, True, True, m == 0, 0.0,
+                    -math.log1p(-m**2 * math.exp(-2.0)))
+        assert traits(GerstnerVorticity(m)) == expected, m
+
+
+def test_gerstner_with_an_underflowing_m_is_irrotational():
+    model = GerstnerVorticity(1e-170)
+    assert model.gamma(0.0) == 0.0
+    assert traits(model) == (True, True, True, True, 0.0, 0.0)
+
+
+def test_every_closed_form_kind_is_monotone_with_one_signed_slope():
+    # the base class reads the sign traits and sup gamma off gamma(0), which
+    # holds only for a gamma monotone in r; a kind that breaks this must
+    # override the traits, as TabulatedVorticity does
+    kinds = set(VorticityModel.__subclasses__()) - {TabulatedVorticity}
+    assert kinds <= set(CLOSED_FORM_PARAMS), "give every closed-form kind parameter sets"
+    for cls in kinds:
+        for params in CLOSED_FORM_PARAMS[cls]:
+            model = cls(**params)
+            r = np.linspace(0.0, model.tail_depth(), 20001)
+            g, gp = model.gamma(r), model.gamma_prime(r)
+            assert np.all(np.diff(g) >= 0) or np.all(np.diff(g) <= 0), model
+            assert np.all(gp >= 0) or np.all(gp <= 0), model
+            assert model.gamma_nonneg == bool(np.all(g >= 0)), model
+            assert model.gamma_nonpos == bool(np.all(g <= 0)), model
+            assert model.gamma_prime_nonneg == bool(np.all(gp >= 0)), model
+            assert model.gamma_prime_nonpos == bool(np.all(gp <= 0)), model
+
+
+def test_gerstner_is_a_frozen_value():
+    model = GerstnerVorticity(0.5)
+    assert model == GerstnerVorticity(m=0.5)
+    assert model != GerstnerVorticity(m=0.4)
+    assert repr(model) == "GerstnerVorticity(m=0.5)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.m = 0.4
+
+
+@pytest.mark.parametrize("m", [1.0, -0.1, math.nan, math.inf])
+def test_gerstner_rejects_m_outside_its_range(m):
+    with pytest.raises(DomainError, match="parameter m"):
+        GerstnerVorticity(m)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["amplitude", "rate"])
+def test_expdecay_rejects_a_non_finite_parameter(name, value):
+    # used to pass, and functionals() then reported a violated decay hypothesis
+    with pytest.raises(DomainError, match=name):
+        ExpDecayVorticity(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("index", [(1, 0), (1, 1), (0, 1)])
+def test_tabulated_rejects_a_non_finite_knot(index, value):
+    # used to raise scipy's bare ValueError
+    knots = [[0.0, 0.4], [1.0, 0.1], [2.0, 0.0]]
+    knots[index[0]][index[1]] = value
+    with pytest.raises(DomainError, match="knots"):
+        TabulatedVorticity(knots)
+    with pytest.raises(DomainError, match="knots"):
+        model_from_config({"kind": "tabulated", "knots": knots})
 
 
 def test_tabulated_requires_terminal_zero():
