@@ -9,10 +9,13 @@ classifies why a trace stopped.
 
 The corrector factors a bordered preconditioner about once per branch or
 homotopy: P, the strip linearization averaged over q, which cosine modes in
-q split into one banded system in p per mode (Concus & Golub 1973).  It
-takes chord updates on P while they at least halve the residual, then
-Newton-Krylov updates: GMRES on the exact bordered system,
-right-preconditioned by P, with a matrix-free J v.  It builds P again only
+q split into one banded system in p per mode (Concus & Golub 1973).  A
+solve that builds P takes chord updates on it while they at least halve
+the residual; one that starts on a P carried from an earlier solve, built
+at another iterate and bordered by another row, does not chord on it.
+Every other update is Newton-Krylov (Eisenstat & Walker 1996): GMRES (Saad
+& Schultz 1986) on the exact bordered system, right-preconditioned by P,
+with a matrix-free J v.  It builds P again only
 when GMRES stalls, and factors the exact bordered matrix only when GMRES on
 a fresh P stalls too.  A one-slot holder, `LUSlot`, owns the factor and
 carries it from solve to solve; its `solve` makes those choices for the
@@ -35,10 +38,11 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemv
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -200,13 +204,35 @@ def factor_modes(lin, f_lam, c_row, c_lam):
     mode-major) it factors [[P-hat, Q^-1 f_lam], [c_row Q, c_lam]], border
     last, in natural order with partial pivoting.  Panels of one column cut
     SuperLU's transient workspace from 19 MB to 5 MB at 401 x 128, at no
-    cost in time.
+    cost in time.  It solves for one right side at a time.
     """
     grid = lin.grid
     M = _bordered(lin.modes, to_modes(grid, f_lam), to_modes(grid, c_row, transpose=True),
                   c_lam)
-    return (_splu(M, permc_spec="NATURAL", panel_size=1),
-            partial(to_modes, grid), partial(from_modes, grid))
+    return (_splu(M, permc_spec="NATURAL", panel_size=1),) + _mode_maps(grid)
+
+
+def _mode_maps(grid):
+    """(into, back) of a P factor: [v; b] -> [Q^-1 v; b] and [c; b] -> [Q c; b].
+
+    Each takes one stacked vector and writes `to_modes` or `from_modes` of
+    its field part straight into a new stacked array.
+    """
+    n = grid.np * grid.nq
+
+    def into(rhs):
+        out = np.empty(n + 1)
+        to_modes(grid, rhs[:n], out=out[:n])
+        out[n] = rhs[n]
+        return out
+
+    def back(sol):
+        out = np.empty(n + 1)
+        from_modes(grid, sol[:n], out=out[:n])
+        out[n] = sol[n]
+        return out
+
+    return into, back
 
 
 def _splu(M, **options):
@@ -217,55 +243,85 @@ def _splu(M, **options):
         raise SingularJacobianError(f"bordered factorization failed: {exc}") from exc
 
 
-def solve_bordered(factor, rhs_top, rhs_bot):
+def solve_bordered(factor, rhs_top, rhs_bot=None):
     """Back-solve the bordered system of ``factor`` (`factor_bordered` or `factor_modes`).
 
-    A factor is (lu, into, back): ``into`` maps the top right side to the
-    LU's rows, ``back`` the LU's solution to the field.  ``rhs_top`` may
-    have k columns, with ``rhs_bot`` of length k.  Returns (dw, dlam).
+    A factor is (lu, into, back): ``into`` maps the stacked right side
+    [top; bot] to the LU's, ``back`` the LU's solution to the stacked
+    [dw; dlam].  Given ``rhs_bot``, (``rhs_top``, ``rhs_bot``) is the right
+    side and (dw, dlam) is returned; ``rhs_top`` may then have k columns,
+    with ``rhs_bot`` of length k, on an exact factor.  Without it,
+    ``rhs_top`` is the stacked right side and the stacked solution, a new
+    array, is returned.  GMRES's M^-1 takes this form: its vectors are
+    stacked already, so nothing is split or stacked again.
     """
     lu, into, back = factor
-    top = into(np.asarray(rhs_top, dtype=float))
-    sol = lu.solve(np.concatenate([top, np.reshape(rhs_bot, (1,) + top.shape[1:])]))
-    return back(sol[:-1]), sol[-1]
+    if rhs_bot is None:
+        return back(lu.solve(into(rhs_top)))
+    top = np.asarray(rhs_top, dtype=float)
+    sol = back(lu.solve(into(np.concatenate([top, np.reshape(rhs_bot,
+                                                             (1,) + top.shape[1:])]))))
+    return sol[:-1], sol[-1]
 
 
 # GMRES iterations a solve may take on one factor before the slot builds the next
 KRYLOV_MAX = 10
 # relative bordered residual of a tangent solved by GMRES
 TANGENT_RTOL = 1e-4
+# forcing term of a corrector's first update on a carried factor, which has no
+# contraction rate yet to set one; of 1e-3, 3e-3 and 1e-2, 1e-3 took the fewest
+# P applies on a 401 x 128 branch (132, 192 and 186; 0.1 tol / residual took 152)
+CARRIED_FORCING = 1e-3
 
 
 def _gmres(matvec, precond, b, rtol, maxiter=KRYLOV_MAX):
     """Right-preconditioned GMRES from x = 0 for A x = b, with A = ``matvec``, M^-1 = ``precond``.
 
-    Arnoldi with modified Gram-Schmidt on A M^-1, then a small least-squares
-    solve.  With the preconditioner on the right, the least-squares residual
-    is the true residual |b - A x|, not a preconditioned one; iteration
-    stops when it is at most ``rtol * |b|`` (2-norms).  The preconditioned
-    basis is kept, so x costs no further M^-1.  ``matvec`` must return a new
-    array.  Returns (x, iterations, converged).
+    Arnoldi on A M^-1 into a preallocated basis, each new vector
+    orthogonalized by classical Gram-Schmidt with one reorthogonalization
+    (two matrix-vector products against the basis block), and Givens
+    rotations on the Hessenberg matrix (Saad & Schultz 1986).  With the
+    preconditioner on the right, the rotated residual is the true residual
+    |b - A x|, not a preconditioned one; iteration stops when it is at most
+    ``rtol * |b|`` (2-norms).  The preconditioned basis is kept, so x
+    costs one triangular solve and one product with that basis, and no
+    further M^-1.  ``matvec`` must return a new array.  Returns (x,
+    iterations, converged).
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b), 0, True
-    basis, pre = [b / beta], []
-    hess = np.zeros((maxiter + 1, maxiter))
+    basis = np.empty((maxiter + 1, b.size))
+    pre = np.empty((maxiter, b.size))
+    tri = np.zeros((maxiter, maxiter))  # the rotated Hessenberg matrix, upper triangular
+    rot = np.empty((maxiter, 2))        # (cos, sin) of each Givens rotation
+    g = np.zeros(maxiter + 1)           # the rotated right side beta e_1
+    g[0] = beta
+    np.divide(b, beta, out=basis[0])
+    m, converged = 0, False  # m: columns of the least-squares solve
     for k in range(maxiter):
-        pre.append(precond(basis[k]))
-        v = matvec(pre[k])
-        for i, u in enumerate(basis):
-            hess[i, k] = u @ v
-            v -= hess[i, k] * u
-        hess[k + 1, k] = np.linalg.norm(v)
-        rhs = np.zeros(k + 2)
-        rhs[0] = beta
-        y = np.linalg.lstsq(hess[:k + 2, :k + 1], rhs, rcond=None)[0]
-        converged = np.linalg.norm(hess[:k + 2, :k + 1] @ y - rhs) <= rtol * beta
-        if converged or hess[k + 1, k] == 0.0:
+        pre[k] = precond(basis[k])
+        v, block = matvec(pre[k]), basis[:k + 1].T  # n x (k + 1), in place for BLAS
+        h = dgemv(1.0, block, v, trans=1)
+        v = dgemv(-1.0, block, h, beta=1.0, y=v, overwrite_y=True)
+        dh = dgemv(1.0, block, v, trans=1)
+        v = dgemv(-1.0, block, dh, beta=1.0, y=v, overwrite_y=True)
+        h += dh
+        h_next = float(np.linalg.norm(v))
+        for i, (c, s) in enumerate(rot[:k]):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = math.hypot(h[k], h_next)
+        if r == 0.0:  # A M^-1 z_k lies in the span already searched: nothing to gain
             break
-        basis.append(v / hess[k + 1, k])
-    return np.column_stack(pre) @ y, k + 1, bool(converged)
+        rot[k] = h[k] / r, h_next / r
+        tri[:k, k], tri[k, k] = h[:k], r
+        g[k], g[k + 1] = rot[k, 0] * g[k], -rot[k, 1] * g[k]
+        m, converged = k + 1, abs(g[k + 1]) <= rtol * beta
+        if converged or h_next == 0.0:
+            break
+        np.divide(v, h_next, out=basis[k + 1])
+    y = solve_triangular(tri[:m, :m], g[:m])
+    return y @ pre[:m], k + 1, bool(converged)
 
 
 class LUSlot:
@@ -278,7 +334,8 @@ class LUSlot:
     (`factor_bordered`).  The factor may be from an earlier iterate, border
     row or epsilon: `solve` uses it as a preconditioner and builds another
     only when GMRES on it stalls, dropping the old one first, so one factor
-    is alive at a time.  A solve that raises leaves its last factor in the
+    is alive at a time; `_bordered_newton` chords only on a factor built
+    within its own solve.  A solve that raises leaves its last factor in the
     slot; `continue_branch` empties the slot after a failed step, and
     `epsilon_homotopy` stops at its first failure.
     """
@@ -294,8 +351,10 @@ class LUSlot:
         ``border`` is (c_row, c_lam).  GMRES solves [[J, dF/dlambda],
         [c_row, c_lam]] to the relative residual ``rtol`` in `KRYLOV_MAX`
         iterations, right-preconditioned by the slot's factor; J v and
-        dF/dlambda read ``ev``, and every M^-1 is one `solve_bordered`.
-        The paths, each taken when the one before misses ``rtol``:
+        dF/dlambda read ``ev``.  Both act on stacked [w; lambda] vectors:
+        J v and its border entry fill one new array, and every M^-1 is one
+        `solve_bordered` in its stacked form.  The paths, each taken when
+        the one before misses ``rtol``:
 
         - "Krylov": GMRES on the factor in the slot, if there is one;
         - "fresh P": GMRES on P, built at ``ev`` (`factor_modes`);
@@ -308,10 +367,14 @@ class LUSlot:
         f_lam, jv, iterations = op.d_residual_d_lambda(ev), op.jacobian_action(ev), 0
 
         def matvec(x):
-            return np.append(jv(x[:-1]) + x[-1] * f_lam, c_row @ x[:-1] + c_lam * x[-1])
+            out = np.empty(x.size)
+            np.multiply(f_lam, x[-1], out=out[:-1])
+            out[:-1] += jv(x[:-1])
+            out[-1] = c_row @ x[:-1] + c_lam * x[-1]
+            return out
 
         def precond(x):
-            return np.append(*solve_bordered(self.factor, x[:-1], x[-1]))
+            return solve_bordered(self.factor, x)
 
         rhs = np.append(top, bot)
         if self.factor is not None:
@@ -344,15 +407,20 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     the bordered factor held by ``carry`` (see `LUSlot`), P or, after a
     fallback, the exact LU.  Each update is one of:
 
-    - chord: one back-solve of M, while the residual at least halves per
-      update and, at that rate, reaches ``tol`` in the updates left;
-    - `LUSlot.solve`, from the first update where the chord fails that
-      test or when there is no M: GMRES on the bordered system at the
-      current iterate, right-preconditioned by M, to the forcing term
-      min(1e-2, rate^2) clamped to [0.1 tol / residual, 0.5] (Eisenstat &
-      Walker), with ``rate`` the last update's contraction; or, when there
-      is no M or GMRES misses that, the same on a fresh P, or the exact LU
-      (`LUSlot.solve`), after which the chord starts again.
+    - `LUSlot.solve`, for the first update and whenever the chord is off:
+      GMRES on the bordered system at the current iterate,
+      right-preconditioned by M, to the forcing term min(1e-2, rate^2)
+      clamped to [0.1 tol / residual, 0.5] (Eisenstat & Walker), with
+      ``rate`` the last update's contraction.  A first update has no rate:
+      on a carried M its term is `CARRIED_FORCING`, on an empty slot 0
+      (so 0.1 tol / residual).  When there is no M or GMRES misses the
+      term, the same on a fresh P, or the exact LU, after which the chord
+      is on;
+    - chord: one back-solve of M, only on an M built within this solve and
+      while the residual at least halves per update and, at that rate,
+      reaches ``tol`` in the updates left.  A carried M was built at
+      another iterate and bordered by another row; a first chord on it
+      raised the residual 1.3-5 times.
 
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
@@ -368,7 +436,8 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     current = state.copy_with()
     ev = op.evaluate(current)
     op.check_admissible(ev)
-    res_prev, chord = math.inf, True
+    res_prev, chord = math.inf, False
+    first_term = CARRIED_FORCING if carry.factor is not None else 0.0
     for it in range(max_iter + 1):
         r = op.residual_vector(ev)
         cons = constraint(current)
@@ -381,11 +450,12 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         res_prev = res
         if rate > 0.5 or res * rate ** (max_iter - it) > tol:
             chord = False
-        if chord and carry.factor is not None:
+        if chord:
             dw, dlam = solve_bordered(carry.factor, -r, -cons)
             path, krylov = "chord", 0
         else:
-            eta = min(max(min(1e-2, rate**2), 0.1 * tol / res), 0.5)
+            ew = rate**2 if it else first_term  # a first update has no rate
+            eta = min(max(min(1e-2, ew), 0.1 * tol / res), 0.5)
             dw, dlam, path, krylov = carry.solve(op, ev, (c_row, c_lam), -r, -cons, eta)
             chord = path != "Krylov"
         _LOG.debug("%s update %d: %s, residual %.3e, %d GMRES iterations",

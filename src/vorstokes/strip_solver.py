@@ -270,22 +270,31 @@ def cosine_matrix(nq):
     return V, V_inv
 
 
-def to_modes(grid: StripGrid, v, transpose=False):
-    """Cosine coefficients of a flattened field (or fields as columns), mode-major.
+def to_modes(grid: StripGrid, v, transpose=False, out=None):
+    """Cosine coefficients of a flattened field, mode-major.
 
     Entry k * np + i holds mode k of p row i; `from_modes` inverts it.
     ``transpose`` applies the transpose of `from_modes` instead (c -> c Q).
+    One GEMM against the transposed view of the field, written into ``out``
+    (contiguous, of the field's size), or a new array.
     """
     V, V_inv = cosine_matrix(grid.nq)
-    x = np.reshape(v, (grid.np, grid.nq, -1))
-    return np.tensordot(V if transpose else V_inv, x, axes=(1, 1)).reshape(np.shape(v))
+    out = np.empty(grid.np * grid.nq) if out is None else out
+    np.matmul(V if transpose else V_inv, np.reshape(v, (grid.np, grid.nq)).T,
+              out=out.reshape(grid.nq, grid.np))
+    return out
 
 
-def from_modes(grid: StripGrid, x):
-    """The flattened field whose mode-major cosine coefficients are ``x``."""
-    y = np.tensordot(cosine_matrix(grid.nq)[0], np.reshape(x, (grid.nq, grid.np, -1)),
-                     axes=(1, 0))
-    return y.transpose(1, 0, 2).reshape(np.shape(x))
+def from_modes(grid: StripGrid, x, out=None):
+    """The flattened field whose mode-major cosine coefficients are ``x``.
+
+    One GEMM against the transposed view of ``x`` (V is symmetric), written
+    into ``out`` (contiguous, of the field's size), or a new array.
+    """
+    out = np.empty(grid.np * grid.nq) if out is None else out
+    np.matmul(np.reshape(x, (grid.nq, grid.np)).T, cosine_matrix(grid.nq)[0],
+              out=out.reshape(grid.np, grid.nq))
+    return out
 
 
 def mode_blocks(grid: StripGrid, entries: dict, modes):

@@ -597,8 +597,9 @@ def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
     assert len(branch.points) == 6
     assert len(tangents) == 1
     # the correctors' chords and GMRES iterations on P, and one GMRES tangent;
-    # on the exact LU it was 87, with a solved tangent per step 115
-    assert len(solves) == 86
+    # 86 while each step's first update was a chord on the factor carried from
+    # the step before; on the exact LU it was 87, with a solved tangent per step 115
+    assert len(solves) == 83
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
@@ -885,6 +886,66 @@ def test_gmres_against_a_dense_solve():
     x, iterations, converged = continuation._gmres(matvec, lambda v: v, b, 1e-10, maxiter=3)
     assert (iterations, converged) == (3, False)
     assert 1e-10 * np.linalg.norm(b) < np.linalg.norm(A @ x - b) < np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_gmres_reports_converged_only_at_its_true_residual(rtol):
+    # a non-normal system (distinct eigenvalues 1..10 under a random strictly
+    # upper triangle) that takes 40+ iterations: the Givens estimate the
+    # stopping rule reads must be the true residual |b - A x|, to rounding
+    rng = np.random.default_rng(0)
+    n = 200
+    A = np.diag(np.linspace(1.0, 10.0, n)) + 0.3 * np.triu(rng.standard_normal((n, n)), 1)
+    b = rng.standard_normal(n)
+    x, iterations, converged = continuation._gmres(lambda v: A @ v, lambda v: v, b, rtol,
+                                                   maxiter=n)
+    assert converged and iterations >= 40
+    assert np.linalg.norm(b - A @ x) <= 1.01 * rtol * np.linalg.norm(b)
+    # one iteration short of it, the same system is reported unconverged
+    x, short, converged = continuation._gmres(lambda v: A @ v, lambda v: v, b, rtol,
+                                              maxiter=iterations - 1)
+    assert (short, converged) == (iterations - 1, False)
+    assert np.linalg.norm(b - A @ x) > rtol * np.linalg.norm(b)
+
+
+def _update_paths(caplog, label):
+    """The path of each logged ``label`` update, one list per solve."""
+    solves = []
+    for rec in caplog.records:
+        head, _, rest = rec.getMessage().partition(" update ")
+        if head == label:
+            number, path = rest.split(", residual")[0].split(": ")
+            if number == "1":
+                solves.append([])
+            solves[-1].append(path)
+    return solves
+
+
+def test_a_solve_chords_only_on_a_factor_it_built(small_zero, caplog):
+    # a carried factor was built for another iterate or border row: a step or
+    # a homotopy entry that starts on one goes to GMRES at once; only a solve
+    # that builds its own P (here on an empty slot) chords on it
+    bp, op = small_zero
+    carry = continuation.LUSlot()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004,
+                                   carry=carry)
+        tangent = branch_tangent(op, op.evaluate(first), prev=seed_tangent(bp, op),
+                                 carry=carry)
+        arclength_step(op, first, tangent, 0.004, carry=carry)
+    (amplitude,) = _update_paths(caplog, "amplitude-constrained solve")
+    assert amplitude[:2] == ["fresh P", "chord"]
+    (step,) = _update_paths(caplog, "arclength corrector")
+    assert step[0] == "Krylov" and "chord" not in step
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vorstokes"):
+        res = epsilon_homotopy(op.model, G, initial_nontrivial_guess(bp, op, 0.02),
+                               [0.02, 0.01], target_s=0.02)
+    assert res.failure_index == -1
+    entry, carried = _update_paths(caplog, "amplitude-constrained solve")
+    assert entry[:2] == ["fresh P", "chord"]
+    assert carried[0] == "Krylov" and "chord" not in carried
 
 
 def test_a_branch_and_a_homotopy_each_factor_once(small_zero, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from vorstokes import sturm_liouville
 from vorstokes.errors import BifurcationAbsentError, DomainError, NoDiscreteEigenvalue
 from vorstokes.sturm_liouville import (
     BifurcationPoint,
@@ -315,3 +316,33 @@ def test_bifurcation_solves_each_eigenproblem_once(model, eps, monkeypatch):
     monkeypatch.setattr(sturm_liouville, "_smallest_pair", recording_pair)
     find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("model, eps", [(ZeroVorticity(), 0.0),
+                                        (GerstnerVorticity(m=0.5), 0.01),
+                                        (ExpDecayVorticity(-1.0, 1.0), 0.05)])
+def test_bifurcation_solves_for_one_eigenvector(model, eps, monkeypatch):
+    # the root searches solve for eigenvalues only, each (problem, lambda, n)
+    # once; the eigenvector is solved for once, at lambda*, and lambda* and
+    # phi are those of searches that solve for eigen-pairs throughout
+    real_value, real_pair = sturm_liouville._smallest_value, sturm_liouville._smallest_pair
+    values, pairs = [], []
+
+    def recording_value(prob, lam, n=None):
+        values.append((id(prob), lam, n))
+        return real_value(prob, lam, n)
+
+    def recording_pair(prob, lam, n=None):
+        pairs.append(lam)
+        return real_pair(prob, lam, n)
+
+    monkeypatch.setattr(sturm_liouville, "_smallest_value", recording_value)
+    monkeypatch.setattr(sturm_liouville, "_smallest_pair", recording_pair)
+    bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
+    assert len(values) == len(set(values)) > 2
+    assert pairs == [bp.lambda_star]
+    monkeypatch.setattr(sturm_liouville, "_smallest_value",
+                        lambda prob, lam, n=None: real_pair(prob, lam, n)[0])
+    reference = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
+    assert bp.lambda_star == reference.lambda_star
+    assert np.array_equal(bp.phi, reference.phi) and np.array_equal(bp.p, reference.p)
