@@ -152,22 +152,15 @@ def cmd_reconstruct(args):
     write_csv(os.path.join(out, "eta.csv"), ("x", "eta"),
               list(zip(map(float, wave.x), map(float, wave.eta))))
     fields = physical_grid(wave)
-    psi_rows, pressure_rows = [], []
-    gx, gy = fields.x, fields.y
-    for j in range(gx.shape[0]):
-        for k in range(gx.shape[1]):
-            if np.isfinite(fields.psi[j, k]):
-                psi_rows.append(
-                    (float(gx[j, k]), float(gy[j, k]), float(fields.psi[j, k]),
-                     float(fields.psi_x[j, k]), float(fields.psi_y[j, k]))
-                )
-                pressure_rows.append(
-                    (float(gx[j, k]), float(gy[j, k]), float(fields.pressure[j, k]))
-                )
-    write_csv(os.path.join(out, "psi.csv"),
-              ("x", "y", "psi", "psi_x", "psi_y"), psi_rows)
+    inside = np.isfinite(fields.psi)
+
+    def rows(*columns):  # Python floats: write_csv writes each by repr
+        return np.column_stack([c[inside] for c in columns]).tolist()
+
+    write_csv(os.path.join(out, "psi.csv"), ("x", "y", "psi", "psi_x", "psi_y"),
+              rows(fields.x, fields.y, fields.psi, fields.psi_x, fields.psi_y))
     write_csv(os.path.join(out, "pressure.csv"), ("x", "y", "pressure"),
-              pressure_rows)
+              rows(fields.x, fields.y, fields.pressure))
     print(os.path.join(out, "eta.csv"))
     return 0
 

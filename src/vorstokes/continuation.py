@@ -25,6 +25,10 @@ predictor and border row, is the derivative of the quadratic through the
 last three accepted points, or of the last two and that first tangent
 (Allgower & Georg 1990, ch. 6), which costs no solve.
 
+Every bordered vector, a right side, update, solution, tangent or chord,
+is one float array [w.ravel(); lambda] of length n + 1, and a factor is a
+function from one such vector to another.
+
 The branch coordinate s is the signed first-cosine coefficient of the
 surface trace; it matches the local parameterization near the bifurcation
 point and is grid-independent.  The arclength metric weights the field
@@ -182,57 +186,44 @@ def _bordered(A, f_lam, c_row, c_lam):
                     [sp.csc_matrix(np.reshape(c_row, (1, n))), [[c_lam]]]], format="csc")
 
 
-def factor_bordered(J, f_lam, c_row, c_lam):
-    """LU of the bordered matrix [[J, f_lam], [c_row, c_lam]], for `solve_bordered`.
+def factor_bordered(lin, f_lam, c_row, c_lam):
+    """The exact bordered solve [[J, f_lam], [c_row, c_lam]]^-1, for `solve_bordered`.
 
-    ``J`` may be singular on its own (fold points); the border keeps the
-    extended matrix invertible along regular branch arcs.  It is one SuperLU
-    factorization, in SuperLU's MMD order, so its maps are the identity.
-    J is dropped once the bordered matrix is built, so a J passed as a
-    temporary is freed before the LU is built; a star-args call would keep
-    it alive in its argument tuple.
+    J, the strip linearization ``lin`` assembled (`StripLinearization.tocsc`),
+    may be singular on its own (fold points); the border keeps the extended
+    matrix invertible along regular branch arcs.  It is one SuperLU
+    factorization, in SuperLU's MMD order.  J lives only while the bordered
+    matrix is built, so it is freed before the LU is.
     """
-    M = _bordered(J, f_lam, c_row, c_lam)
-    del J
-    return _splu(M, permc_spec="MMD_AT_PLUS_A"), np.asarray, np.asarray
+    return _splu(_bordered(lin.tocsc(), f_lam, c_row, c_lam),
+                 permc_spec="MMD_AT_PLUS_A").solve
 
 
 def factor_modes(lin, f_lam, c_row, c_lam):
-    """LU of the bordered preconditioner [[P, f_lam], [c_row, c_lam]], for `solve_bordered`.
+    """The bordered preconditioner solve [[P, f_lam], [c_row, c_lam]]^-1, for `solve_bordered`.
 
     With Q = `from_modes` and P-hat = ``lin.modes`` (block-diagonal,
     mode-major) it factors [[P-hat, Q^-1 f_lam], [c_row Q, c_lam]], border
     last, in natural order with partial pivoting.  Panels of one column cut
     SuperLU's transient workspace from 19 MB to 5 MB at 401 x 128, at no
-    cost in time.  It solves for one right side at a time.
+    cost in time.  An apply writes `to_modes` of the field part of [v; b]
+    into a new stacked array, solves the LU for it, and writes `from_modes`
+    of the solution's field part back into that array.
     """
-    grid = lin.grid
-    M = _bordered(lin.modes, to_modes(grid, f_lam), to_modes(grid, c_row, transpose=True),
-                  c_lam)
-    return (_splu(M, permc_spec="NATURAL", panel_size=1),) + _mode_maps(grid)
+    grid, n = lin.grid, f_lam.size
+    lu = _splu(_bordered(lin.modes, to_modes(grid, f_lam), to_modes(grid, c_row, transpose=True),
+                         c_lam), permc_spec="NATURAL", panel_size=1)
 
-
-def _mode_maps(grid):
-    """(into, back) of a P factor: [v; b] -> [Q^-1 v; b] and [c; b] -> [Q c; b].
-
-    Each takes one stacked vector and writes `to_modes` or `from_modes` of
-    its field part straight into a new stacked array.
-    """
-    n = grid.np * grid.nq
-
-    def into(rhs):
+    def apply(rhs):
         out = np.empty(n + 1)
         to_modes(grid, rhs[:n], out=out[:n])
         out[n] = rhs[n]
-        return out
-
-    def back(sol):
-        out = np.empty(n + 1)
+        sol = lu.solve(out)
         from_modes(grid, sol[:n], out=out[:n])
         out[n] = sol[n]
         return out
 
-    return into, back
+    return apply
 
 
 def _splu(M, **options):
@@ -243,25 +234,13 @@ def _splu(M, **options):
         raise SingularJacobianError(f"bordered factorization failed: {exc}") from exc
 
 
-def solve_bordered(factor, rhs_top, rhs_bot=None):
-    """Back-solve the bordered system of ``factor`` (`factor_bordered` or `factor_modes`).
+def solve_bordered(factor, rhs):
+    """The solution [dw; dlam] of ``factor``'s bordered system for the right side [top; bot].
 
-    A factor is (lu, into, back): ``into`` maps the stacked right side
-    [top; bot] to the LU's, ``back`` the LU's solution to the stacked
-    [dw; dlam].  Given ``rhs_bot``, (``rhs_top``, ``rhs_bot``) is the right
-    side and (dw, dlam) is returned; ``rhs_top`` may then have k columns,
-    with ``rhs_bot`` of length k, on an exact factor.  Without it,
-    ``rhs_top`` is the stacked right side and the stacked solution, a new
-    array, is returned.  GMRES's M^-1 takes this form: its vectors are
-    stacked already, so nothing is split or stacked again.
+    ``factor`` is `factor_bordered` or `factor_modes`; both vectors are
+    stacked, of length n + 1, and the solution is a new array.
     """
-    lu, into, back = factor
-    if rhs_bot is None:
-        return back(lu.solve(into(rhs_top)))
-    top = np.asarray(rhs_top, dtype=float)
-    sol = back(lu.solve(into(np.concatenate([top, np.reshape(rhs_bot,
-                                                             (1,) + top.shape[1:])]))))
-    return sol[:-1], sol[-1]
+    return factor(rhs)
 
 
 # GMRES iterations a solve may take on one factor before the slot builds the next
@@ -345,23 +324,23 @@ class LUSlot:
     def __init__(self):
         self.factor = None
 
-    def solve(self, op: StripOperator, ev, border, top, bot, rtol):
-        """Solve the bordered system at the evaluation ``ev`` for the right side (top, bot).
+    def solve(self, op: StripOperator, ev, border, rhs, rtol):
+        """Solve the bordered system at the evaluation ``ev`` for the stacked right side ``rhs``.
 
         ``border`` is (c_row, c_lam).  GMRES solves [[J, dF/dlambda],
         [c_row, c_lam]] to the relative residual ``rtol`` in `KRYLOV_MAX`
         iterations, right-preconditioned by the slot's factor; J v and
-        dF/dlambda read ``ev``.  Both act on stacked [w; lambda] vectors:
-        J v and its border entry fill one new array, and every M^-1 is one
-        `solve_bordered` in its stacked form.  The paths, each taken when
-        the one before misses ``rtol``:
+        dF/dlambda read ``ev``.  J v and its border entry fill one new
+        stacked array, and every M^-1 is one `solve_bordered`.  The paths,
+        each taken when the one before misses ``rtol``:
 
         - "Krylov": GMRES on the factor in the slot, if there is one;
         - "fresh P": GMRES on P, built at ``ev`` (`factor_modes`);
         - "exact LU": the exact bordered LU at ``ev``, also when P is singular.
 
-        The factor built last stays in the slot.  Returns (dw, dlam, path,
-        iterations), ``iterations`` counting the GMRES iterations taken.
+        The factor built last stays in the slot.  Returns (x, path,
+        iterations): the stacked solution, the path and the GMRES
+        iterations taken.
         """
         c_row, c_lam = border
         f_lam, jv, iterations = op.d_residual_d_lambda(ev), op.jacobian_action(ev), 0
@@ -376,11 +355,10 @@ class LUSlot:
         def precond(x):
             return solve_bordered(self.factor, x)
 
-        rhs = np.append(top, bot)
         if self.factor is not None:
             x, iterations, converged = _gmres(matvec, precond, rhs, rtol)
             if converged:
-                return x[:-1], x[-1], "Krylov", iterations
+                return x, "Krylov", iterations
         self.factor = None  # release the old factor before the new one is built
         lin = op.jacobian(ev)
         try:
@@ -391,11 +369,10 @@ class LUSlot:
             x, k, converged = _gmres(matvec, precond, rhs, rtol)
             iterations += k
             if converged:
-                return x[:-1], x[-1], "fresh P", iterations
+                return x, "fresh P", iterations
             self.factor = None
-        self.factor = factor_bordered(lin.tocsc(), f_lam, c_row, c_lam)
-        dw, dlam = solve_bordered(self.factor, top, bot)
-        return dw, dlam, "exact LU", iterations
+        self.factor = factor_bordered(lin, f_lam, c_row, c_lam)
+        return solve_bordered(self.factor, rhs), "exact LU", iterations
 
 
 def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
@@ -450,21 +427,22 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
         res_prev = res
         if rate > 0.5 or res * rate ** (max_iter - it) > tol:
             chord = False
+        rhs = -np.append(r, cons)
         if chord:
-            dw, dlam = solve_bordered(carry.factor, -r, -cons)
+            dx = solve_bordered(carry.factor, rhs)
             path, krylov = "chord", 0
         else:
             ew = rate**2 if it else first_term  # a first update has no rate
             eta = min(max(min(1e-2, ew), 0.1 * tol / res), 0.5)
-            dw, dlam, path, krylov = carry.solve(op, ev, (c_row, c_lam), -r, -cons, eta)
+            dx, path, krylov = carry.solve(op, ev, (c_row, c_lam), rhs, eta)
             chord = path != "Krylov"
         _LOG.debug("%s update %d: %s, residual %.3e, %d GMRES iterations",
                    label, it + 1, path, res, krylov)
         alpha = 1.0
         for _ in range(30):
             cand = current.copy_with(
-                lam=current.lam + alpha * dlam,
-                w=current.w + alpha * dw.reshape(current.w.shape),
+                lam=current.lam + alpha * dx[-1],
+                w=current.w + alpha * dx[:-1].reshape(current.w.shape),
             )
             ev = op.evaluate(cand)
             if op.is_admissible(ev):
@@ -480,41 +458,43 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     )
 
 
-def _branch_ip(dlam1, dw1, dlam2, dw2):
-    n = dw1.size
-    return dlam1 * dlam2 + float(dw1 @ dw2) / n
+def _branch_ip(a, b):
+    """Branch-metric inner product of two stacked [w; lambda] vectors."""
+    return a[-1] * b[-1] + float(a[:-1] @ b[:-1]) / (a.size - 1)
 
 
-def _unit(dlam, dw):
-    norm = math.sqrt(_branch_ip(dlam, dw, dlam, dw))
-    return dlam / norm, dw / norm
+def _norm(v):
+    return math.sqrt(_branch_ip(v, v))
+
+
+def _unit(v):
+    return v / _norm(v)
 
 
 def _chord(a, b):
-    """(dlam, dw, branch-norm length) of the chord from state ``a`` to state ``b``."""
-    dlam, dw = b.lam - a.lam, (b.w - a.w).ravel()
-    return dlam, dw, math.sqrt(_branch_ip(dlam, dw, dlam, dw))
+    """The stacked chord [w; lambda] from state ``a`` to state ``b``."""
+    return np.append(b.w - a.w, b.lam - a.lam)
 
 
 def branch_tangent(op: StripOperator, ev, prev, carry: LUSlot = None):
-    """Unit tangent (t_lam, t_w) of the solution curve at the evaluated state ``ev``.
+    """Unit tangent [t_w; t_lam] of the solution curve at the evaluated state ``ev``.
 
-    Solves the bordered system with the previous tangent as border row,
-    which both regularizes folds and preserves orientation, by one
-    `LUSlot.solve` on ``carry`` to `TANGENT_RTOL`.  J v and dF/dlambda read
-    ``ev``, so the tangent differentiates nothing.
+    Solves the bordered system with the previous tangent ``prev`` (stacked
+    alike) as border row, which both regularizes folds and preserves
+    orientation, by one `LUSlot.solve` on ``carry`` to `TANGENT_RTOL`.  J v
+    and dF/dlambda read ``ev``, so the tangent differentiates nothing.
     """
-    n = ev.state.w.size
-    t_lam_prev, t_w_prev = prev
-    dw, dlam, path, krylov = (carry or LUSlot()).solve(
-        op, ev, (t_w_prev / n, t_lam_prev), np.zeros(n), 1.0, TANGENT_RTOL)
+    rhs = np.zeros(prev.size)
+    rhs[-1] = 1.0
+    x, path, krylov = (carry or LUSlot()).solve(
+        op, ev, (prev[:-1] / (prev.size - 1), prev[-1]), rhs, TANGENT_RTOL)
     _LOG.debug("branch tangent: %s, %d GMRES iterations", path, krylov)
-    return _unit(dlam, dw)
+    return _unit(x)
 
 
 def seed_tangent(bp: BifurcationPoint, op: StripOperator, sign=1.0):
     """Tangent at the bifurcation point, along the eigenmode, zero in lambda."""
-    return _unit(0.0, _eigenmode(bp, op.grid, sign).ravel())
+    return _unit(np.append(_eigenmode(bp, op.grid, sign), 0.0))
 
 
 def newton_solve(op: StripOperator, state: WaveState,
@@ -536,7 +516,7 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
                    tol: float = 1e-10, carry: LUSlot = None):
     """One predictor-corrector step of length ds along the branch.
 
-    Predicts along the unit ``tangent`` and corrects on the hyperplane
+    Predicts along the unit, stacked ``tangent`` and corrects on the hyperplane
     normal to it at distance ``ds``; returns the corrector's evaluation of
     the corrected state, whose ``.state`` is that state.  ``carry``
     (see `LUSlot`) hands the corrector an earlier solve's factor, whose
@@ -545,16 +525,14 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     `continue_branch`).  Raises on corrector failure so the caller can halve
     the step.
     """
-    t_lam, t_w = tangent
-    n = state.w.size
-    predicted = state.copy_with(lam=state.lam + ds * t_lam,
-                                w=state.w + ds * t_w.reshape(state.w.shape))
+    predicted = state.copy_with(lam=state.lam + ds * tangent[-1],
+                                w=state.w + ds * tangent[:-1].reshape(state.w.shape))
 
     def constraint(cur):
-        return _branch_ip(cur.lam - state.lam, (cur.w - state.w).ravel(), t_lam, t_w) - ds
+        return _branch_ip(_chord(state, cur), tangent) - ds
 
-    return _bordered_newton(op, predicted, (t_w / n, t_lam, constraint), tol,
-                            ARCLENGTH_MAX_ITER, "arclength corrector", carry=carry)[0]
+    return _bordered_newton(op, predicted, (tangent[:-1] / state.w.size, tangent[-1], constraint),
+                            tol, ARCLENGTH_MAX_ITER, "arclength corrector", carry=carry)[0]
 
 
 def _history_tangent(points, first_tangent):
@@ -573,15 +551,17 @@ def _history_tangent(points, first_tangent):
     turns further is too long for t0 to tell the curvature and gets the
     secant e.  Either way it points along the direction of travel.
     """
-    dlam2, dw2, h2 = _chord(*points[-2:])
-    e_lam, e_w = dlam2 / h2, dw2 / h2
+    chord = _chord(*points[-2:])
+    h2 = _norm(chord)
+    e = chord / h2
     if len(points) > 2:
-        dlam1, dw1, h1 = _chord(*points[-3:-1])
-        d_lam, d_w, k = dlam1 / h1, dw1 / h1, h2 / (h1 + h2)
+        chord = _chord(*points[-3:-1])
+        h1 = _norm(chord)
+        d, k = chord / h1, h2 / (h1 + h2)
     else:
-        d_lam, d_w = first_tangent
-        k = 1.0 if _branch_ip(e_lam, e_w, d_lam, d_w) > 0.5 else 0.0
-    return _unit(e_lam + k * (e_lam - d_lam), e_w + k * (e_w - d_w))
+        d = first_tangent
+        k = 1.0 if _branch_ip(e, d) > 0.5 else 0.0
+    return _unit(e + k * (e - d))
 
 
 # the Termination of each clause of O_delta that check_admissible raises
@@ -618,7 +598,7 @@ class Branch:
     def append(self, ev, max_gap=None):
         state, op = ev.state, ev.op
         if self.points and max_gap is not None:
-            gap = _chord(self.points[-1], state)[2]
+            gap = _norm(_chord(self.points[-1], state))
             if gap > 1.5 * max_gap:
                 raise DomainError(f"consecutive branch points are {gap:.3g} apart, "
                                   f"more than 1.5 times the step {max_gap:.3g}")

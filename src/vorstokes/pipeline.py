@@ -30,9 +30,9 @@ __all__ = ["run_pipeline", "bifurcate_record", "grid_for", "trace_branch",
 
 
 def _dump_json(path, obj):
+    """Write ``obj`` as one line of key-sorted JSON; without ``indent``, `json` encodes in C."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def write_csv(path, header, rows):
@@ -133,8 +133,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str, steps: int = 6, jobs: int = 1) ->
     model = cfg.model()
     cond = check_bifurcation_condition(model, cfg.g, cfg.L)
     manifest = {
-        "config": {k: (v if not isinstance(v, float) else float(v))
-                   for k, v in cfg.raw.items()},
+        "config": dict(cfg.raw),
         "bifurcation_condition": {
             "holds": cond.holds, "margin": cond.margin, "integral": cond.integral,
         },

@@ -2,23 +2,30 @@ import argparse
 import ast
 import base64
 import contextlib
+import dataclasses
+import functools
+import importlib
 import inspect
 import io
 import json
 import logging
 import math
 import os
+import pkgutil
 import re
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import vorstokes
 from vorstokes import cli
 from vorstokes.config import _DEFAULTS, ENV_PREFIX, parse_config
 from vorstokes.errors import ConfigError, DomainError
 from vorstokes.strip_solver import WaveState
+from vorstokes.wave_physics import physical_grid, reconstruct
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -292,7 +299,19 @@ def test_cli_continue_verify_reconstruct_roundtrip(tmp_path):
     assert len(eta_lines) == 33
     psi_lines = (tmp_path / "fields" / "psi.csv").read_text().strip().splitlines()
     assert psi_lines[0] == "x,y,psi,psi_x,psi_y"
-    assert (tmp_path / "fields" / "pressure.csv").read_text().startswith("x,y,pressure")
+    pressure_lines = (tmp_path / "fields" / "pressure.csv").read_text().strip().splitlines()
+    assert pressure_lines[0] == "x,y,pressure"
+    # one row per grid node under the surface, in row-major order, each value by repr
+    run_cfg = parse_config(cfg)
+    grid = physical_grid(reconstruct(WaveState.load(points[-1]), run_cfg.model(), run_cfg.g))
+    psi_rows, pressure_rows = [], []
+    for j, k in np.ndindex(grid.psi.shape):
+        if np.isfinite(grid.psi[j, k]):
+            xy = [repr(float(grid.x[j, k])), repr(float(grid.y[j, k]))]
+            psi_rows.append(",".join(xy + [repr(float(f[j, k]))
+                                           for f in (grid.psi, grid.psi_x, grid.psi_y)]))
+            pressure_rows.append(",".join(xy + [repr(float(grid.pressure[j, k]))]))
+    assert psi_lines[1:] == psi_rows and pressure_lines[1:] == pressure_rows
     surfaces = sorted(out.glob("surface_*.csv"))
     assert len(surfaces) == 3
 
@@ -617,3 +636,75 @@ def test_readme_and_cli_docstring_name_every_subcommand():
     for name in subcommand_parsers():
         assert f"vorstokes {name} " in usage, name
         assert name in listed, name
+
+
+# backticked README words that are not code names: math symbols, termination
+# values, the corrector's update paths and values of config keys; the config
+# keys and subcommands themselves are read from the code
+README_WORDS = {
+    "Gamma", "O_delta", "lambda", "lambda_eps", "r", "s", "w_q",
+    "LambdaFloor", "MaxSteps", "StagnationClause", "StepFloor", "SurfaceClause",
+    "Krylov", "chord",
+    "expdecay", "gerstner", "inf", "nan", "zero",
+}
+NAME = r"[A-Za-z_]\w*(?:\.\w+)*"
+
+
+def cited_names(markdown):
+    """The code names ``markdown`` cites in backticks, outside its fenced blocks.
+
+    A span that is a dotted name (``Class.attr``, ``.attr``), a call of one
+    (its arguments are not names) or a tuple of them cites those names; any
+    other span, a formula, a flag or a path, cites none.
+    """
+    text = re.sub(r"```.*?```", "", markdown, flags=re.DOTALL)
+    names = []
+    for span in re.findall(r"`([^`]+)`", text):
+        span = " ".join(span.split())
+        call = re.fullmatch(rf"\.?({NAME})(?:\(.*\))?", span)
+        items = re.fullmatch(rf"\(({NAME}(?:, {NAME})*)\)", span)
+        names += [call[1]] if call else items[1].split(", ") if items else []
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _members(obj):
+    """Attribute names of a module or class: its own, dataclass fields and ``self.`` names."""
+    names = set(dir(obj))
+    if inspect.isclass(obj):
+        if dataclasses.is_dataclass(obj):
+            names |= {f.name for f in dataclasses.fields(obj)}
+        names |= set(re.findall(r"self\.(\w+)", inspect.getsource(obj)))
+    return frozenset(names)
+
+
+def unresolved_readme_names(names):
+    """The ``names`` that no vorstokes module, class or class attribute defines."""
+    modules = {"vorstokes": vorstokes}
+    modules.update((info.name, importlib.import_module(f"vorstokes.{info.name}"))
+                   for info in pkgutil.iter_modules(vorstokes.__path__))
+    classes = {cls for mod in modules.values() for _, cls in inspect.getmembers(mod)
+               if inspect.isclass(cls) and cls.__module__.startswith("vorstokes")}
+    words = README_WORDS | set(_DEFAULTS) | set(subcommand_parsers())
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        found = ([modules[head]] if head in modules else
+                 [getattr(m, head) for m in modules.values() if head in _members(m)])
+        if not rest and not found:
+            found = [cls for cls in classes if head in _members(cls)]
+        for part in rest:
+            found = [getattr(obj, part, None) for obj in found if part in _members(obj)]
+        if not found and name not in words:
+            missing.append(name)
+    return missing
+
+
+def test_readme_cites_only_names_the_code_defines():
+    names = cited_names(open(README).read())
+    assert len(names) > 50 and README_WORDS <= set(names)
+    assert unresolved_readme_names(names) == []
+    # names the code no longer defines, cited the ways the README cites names
+    for span in ("`_mode_maps`", "`LUSlot.factor_tuple`", "`(lu, into, back)`",
+                 "`Branch.tangent_pair()`", "`.t_lam`"):
+        assert unresolved_readme_names(cited_names(span)) != [], span

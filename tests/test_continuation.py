@@ -122,7 +122,7 @@ def test_first_arclength_step_follows_tangent(zero_setup):
     gaps = {}
     for ds in (0.002, 0.001):
         stepped = arclength_step(op, start, tangent, ds, tol=1e-11).state
-        predictor = start.w + ds * tangent[1].reshape(start.w.shape)
+        predictor = start.w + ds * tangent[:-1].reshape(start.w.shape)
         gaps[ds] = float(np.max(np.abs(stepped.w - predictor)))
     assert 3.0 < gaps[0.002] / gaps[0.001] < 5.0
 
@@ -130,7 +130,8 @@ def test_first_arclength_step_follows_tangent(zero_setup):
 def test_toy_fold_traversal_with_bordered_solver():
     # x^2 + lambda = 0 has a fold at (0, 0); the plain derivative 2x is
     # singular there, while the bordered system remains solvable and the
-    # trace continues onto the x < 0 side.
+    # trace continues onto the x < 0 side.  A sparse matrix has `tocsc`, so
+    # it stands in for a linearization.
     def residual(x, lam):
         return np.array([x[0] ** 2 + lam])
 
@@ -152,16 +153,16 @@ def test_toy_fold_traversal_with_bordered_solver():
             cons = t_x[0] * (xc[0] - x[0]) + t_lam * (lc - lam) - ds
             if max(abs(r[0]), abs(cons)) < 1e-12:
                 break
-            dx, dl = solve_bordered(factor_bordered(jac(xc), np.array([1.0]), t_x, t_lam),
-                                    -r, -cons)
-            xc = xc + dx
-            lc = lc + dl
+            dx = solve_bordered(factor_bordered(jac(xc), np.array([1.0]), t_x, t_lam),
+                                -np.append(r, cons))
+            xc = xc + dx[:-1]
+            lc = lc + dx[-1]
         min_abs_jac = min(min_abs_jac, abs(2.0 * xc[0]))
         # new tangent through the bordered system
-        dx, dl = solve_bordered(factor_bordered(jac(xc), np.array([1.0]), t_x, t_lam),
-                                np.zeros(1), 1.0)
-        nrm = math.sqrt(dx[0] ** 2 + dl**2)
-        t_x, t_lam = dx / nrm, dl / nrm
+        t = solve_bordered(factor_bordered(jac(xc), np.array([1.0]), t_x, t_lam),
+                           np.array([0.0, 1.0]))
+        t = t / math.sqrt(t[0] ** 2 + t[1] ** 2)
+        t_x, t_lam = t[:-1], t[-1]
         x, lam = xc, lc
         xs.append(x[0])
         lams.append(lam)
@@ -436,31 +437,65 @@ def test_solve_bordered_matches_dense_solve(small_zero):
     state = state.copy_with(w=1.01 * state.w)  # off the solution set: r != 0
     n = state.w.size
     ev = op.evaluate(state)
-    r, J, f_lam = op.residual_vector(ev), op.jacobian(ev).tocsc(), op.d_residual_d_lambda(ev)
-    t_lam, t_w = branch_tangent(op, ev, prev=seed_tangent(bp, op))
-    borders = {
-        "tangent": (t_w / n, t_lam, np.column_stack([-r, np.zeros(n)]), np.array([0.3, 1.0])),
-        "amplitude": (continuation._mode_weights(op.grid), 0.0, -r, 1e-4),
-        "lambda pin": (np.zeros(n), 1.0, -r, 0.0),
-    }
-    for name, (c_row, c_lam, top, bot) in borders.items():
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = J.toarray()
-        M[:n, n] = f_lam
-        M[n, :n] = c_row
-        M[n, n] = c_lam
-        rhs = np.concatenate([top, np.reshape(bot, (1,) + top.shape[1:])])
+    r, lin, f_lam = op.residual_vector(ev), op.jacobian(ev), op.d_residual_d_lambda(ev)
+    t = branch_tangent(op, ev, prev=seed_tangent(bp, op))
+    for name, c_row, c_lam, rhs in _borders(op.grid, t, r):
+        M = _dense_bordered(lin.tocsc(), f_lam, c_row, c_lam)
+        cond = np.linalg.cond(M)
+        assert cond < 1e8, name  # a singular M would meet both bounds below
         dense = np.linalg.solve(M, rhs)
-        dw, dlam = solve_bordered(factor_bordered(J, f_lam, c_row, c_lam), top, bot)
-        sol = np.concatenate([dw, np.reshape(dlam, (1,) + dw.shape[1:])])
-        assert sol.shape == dense.shape, name
-        m_norm = np.max(np.sum(np.abs(M), axis=1))
+        sol = solve_bordered(factor_bordered(lin, f_lam, c_row, c_lam), rhs)
+        assert sol.shape == dense.shape == (n + 1,), name
         for x in (sol, dense):
-            backward = np.max(np.abs(M @ x - rhs)) / (m_norm * np.max(np.abs(x))
-                                                     + np.max(np.abs(rhs)))
-            assert backward <= 1e-12, name
+            assert _backward_error(M, x, rhs) <= 1e-12, name
         forward = np.max(np.abs(sol - dense)) / np.max(np.abs(dense))
-        assert forward <= 1e-15 * np.linalg.cond(M), name
+        assert forward <= 1e-15 * cond, name
+
+
+def _borders(grid, t, r):
+    """(name, c_row, c_lam, stacked right side) of the tangent, amplitude and lambda-pin rows."""
+    n = r.size
+    return [("tangent", t[:-1] / n, t[-1], np.append(-r, 0.3)),
+            ("tangent", t[:-1] / n, t[-1], np.append(np.zeros(n), 1.0)),
+            ("amplitude", continuation._mode_weights(grid), 0.0, np.append(-r, 1e-4)),
+            ("lambda pin", np.zeros(n), 1.0, np.append(-r, 0.0))]
+
+
+def _dense_bordered(J, f_lam, c_row, c_lam):
+    n = f_lam.size
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = J.toarray()
+    M[:n, n] = f_lam
+    M[n, :n] = c_row
+    M[n, n] = c_lam
+    return M
+
+
+def _backward_error(M, x, rhs):
+    m_norm = np.max(np.sum(np.abs(M), axis=1))
+    return np.max(np.abs(M @ x - rhs)) / (m_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+def test_p_apply_at_the_trivial_state_is_a_dense_solve(small_zero):
+    # at w = 0 P is J, so one P apply (the cosine maps, the transposed border
+    # row, the stacked border entry) solves the exact bordered system; GMRES
+    # would hide a small error in any of them.  dF/dlambda vanishes at w = 0,
+    # so the bordered matrices take it, the tangent and the residual from a
+    # branch point (condition numbers 1e5-1e7)
+    bp, op = small_zero
+    state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    ev = op.evaluate(state)
+    t = branch_tangent(op, ev, prev=seed_tangent(bp, op))
+    r = op.residual_vector(op.evaluate(state.copy_with(w=1.01 * state.w)))
+    lin = op.jacobian(op.evaluate(state.copy_with(w=np.zeros_like(state.w))))
+    f_lam = op.d_residual_d_lambda(ev)
+    for name, c_row, c_lam, rhs in _borders(op.grid, t, r):
+        M = _dense_bordered(lin.tocsc(), f_lam, c_row, c_lam)
+        assert np.linalg.cond(M) < 1e8, name  # a singular M would meet the bound below
+        for factor in (factor_modes, factor_bordered):
+            sol = solve_bordered(factor(lin, f_lam, c_row, c_lam), rhs)
+            assert sol.shape == (state.w.size + 1,), name
+            assert _backward_error(M, sol, rhs) <= 1e-12, (name, factor.__name__)
 
 
 def test_solve_bordered_with_exactly_singular_jacobian():
@@ -468,10 +503,9 @@ def test_solve_bordered_with_exactly_singular_jacobian():
     # the extended matrix a permutation
     for J in (sp.csc_matrix(np.array([[0.0]])),
               sp.csc_matrix(([0.0], [0], [0, 1]), shape=(1, 1))):
-        dx, dl = solve_bordered(factor_bordered(J, np.array([1.0]), np.array([1.0]), 0.0),
-                                np.array([0.25]), -0.5)
-        assert dx[0] == pytest.approx(-0.5)
-        assert dl == pytest.approx(0.25)
+        x = solve_bordered(factor_bordered(J, np.array([1.0]), np.array([1.0]), 0.0),
+                           np.array([0.25, -0.5]))
+        assert x == pytest.approx([-0.5, 0.25])
 
 
 def test_a_zero_border_row_raises_singular_jacobian_error(small_zero):
@@ -481,9 +515,9 @@ def test_a_zero_border_row_raises_singular_jacobian_error(small_zero):
     ev = op.evaluate(initial_nontrivial_guess(bp, op, 0.004))
     lin, f_lam = op.jacobian(ev), op.d_residual_d_lambda(ev)
     zero = np.zeros(f_lam.size)
-    for factor, a in ((factor_bordered, lin.tocsc()), (factor_modes, lin)):
+    for factor in (factor_bordered, factor_modes):
         with pytest.raises(SingularJacobianError) as info:
-            factor(a, f_lam, zero, 0.0)
+            factor(lin, f_lam, zero, 0.0)
         assert str(info.value).startswith("bordered factorization failed"), factor.__name__
 
 
@@ -534,33 +568,27 @@ def test_history_tangent_is_exact_on_a_parabola():
     # affine in tau, and the quadratic through the three points is x itself
     rng = np.random.default_rng(11)
     n = 64
-    a_lam, a_w = 9.4, rng.standard_normal(n)
-    c_lam, c_w = 0.3, rng.standard_normal(n)
-    c_norm2 = _branch_ip(c_lam, c_w, c_lam, c_w)
-    b_lam, b_w = rng.standard_normal(), rng.standard_normal(n)
-    shift = (_branch_ip(b_lam, b_w, c_lam, c_w) + 2.5 * c_norm2) / c_norm2
-    b_lam, b_w = b_lam - shift * c_lam, b_w - shift * c_w
+    a = np.append(rng.standard_normal(n), 9.4)
+    c = np.append(rng.standard_normal(n), 0.3)
+    c_norm2 = _branch_ip(c, c)
+    b = rng.standard_normal(n + 1)
+    b = b - (_branch_ip(b, c) + 2.5 * c_norm2) / c_norm2 * c
     grid = StripGrid(L=L, P=4 * L, nq=8, np=8)
 
     def point(tau):
-        w = a_w + b_w * tau + c_w * tau**2
-        return WaveState(a_lam + b_lam * tau + c_lam * tau**2, 0.01, grid, w.reshape(8, 8))
+        x = a + b * tau + c * tau**2
+        return WaveState(x[-1], 0.01, grid, x[:-1].reshape(8, 8))
 
     points = [point(tau) for tau in (0.0, 1.0, 3.0)]
-    gaps = [continuation._chord(x, y)[2] for x, y in zip(points, points[1:])]
+    gaps = [continuation._norm(continuation._chord(x, y)) for x, y in zip(points, points[1:])]
     assert gaps[1] == pytest.approx(2.0 * gaps[0], rel=1e-12)
-    t_lam, t_w = _history_tangent(points, None)
-    exact = continuation._unit(b_lam + 6.0 * c_lam, b_w + 6.0 * c_w)
-    assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, abs=1e-12)
-    assert abs(t_lam - exact[0]) <= 1e-12
-    assert np.max(np.abs(t_w - exact[1])) <= 1e-12
+    t = _history_tangent(points, None)
+    assert _branch_ip(t, t) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(t - continuation._unit(b + 6.0 * c))) <= 1e-12
     # two points and the slope at the first, dx/dh = b / h at tau = 0 with
     # chord length h = h1 tau, give the quadratic's derivative at the second
-    h1 = gaps[0]
-    t_lam, t_w = _history_tangent(points[:2], (b_lam / h1, b_w / h1))
-    exact = continuation._unit(b_lam + 2.0 * c_lam, b_w + 2.0 * c_w)
-    assert abs(t_lam - exact[0]) <= 1e-12
-    assert np.max(np.abs(t_w - exact[1])) <= 1e-12
+    t = _history_tangent(points[:2], b / gaps[0])
+    assert np.max(np.abs(t - continuation._unit(b + 2.0 * c))) <= 1e-12
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.03])
@@ -575,7 +603,7 @@ def test_history_tangent_matches_the_solved_tangent(small_zero, ds):
     for k in range(2, 7):
         history = _history_tangent(branch.points[:k], first_tangent)
         solved = branch_tangent(op, op.evaluate(branch.points[k - 1]), prev=history)
-        assert _branch_ip(*history, *solved) >= 0.99
+        assert _branch_ip(history, solved) >= 0.99
 
 
 def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
@@ -611,13 +639,13 @@ def test_step_tangent_is_unit_and_keeps_the_orientation(small_zero, ds):
     first_tangent = tangent = branch_tangent(op, op.evaluate(first), prev=seed_tangent(bp, op))
     for _ in range(2):
         state = arclength_step(op, points[-1], tangent, ds).state
-        secant = (state.lam - points[-1].lam, (state.w - points[-1].w).ravel())
+        secant = continuation._chord(points[-1], state)
         points.append(state)
-        t_lam, t_w = _history_tangent(points, first_tangent)
-        assert _branch_ip(t_lam, t_w, t_lam, t_w) == pytest.approx(1.0, rel=1e-12)
-        assert _branch_ip(t_lam, t_w, *tangent) > 0.0
-        assert _branch_ip(t_lam, t_w, *secant) > 0.0
-        tangent = (t_lam, t_w)
+        t = _history_tangent(points, first_tangent)
+        assert _branch_ip(t, t) == pytest.approx(1.0, rel=1e-12)
+        assert _branch_ip(t, tangent) > 0.0
+        assert _branch_ip(t, secant) > 0.0
+        tangent = t
 
 
 @pytest.mark.parametrize("ds, s0", [(0.0, 0.004), (-0.004, 0.004), (0.004, 0.0)])
@@ -773,8 +801,7 @@ def test_carried_lu_saves_factorizations_along_a_branch(small_zero, monkeypatch)
     assert specs.count("NATURAL") == 1
     for prev, state in zip(branch.points, branch.points[1:]):
         assert op.residual_norm(state) <= 1e-10
-        dlam, dw = state.lam - prev.lam, (state.w - prev.w).ravel()
-        assert math.sqrt(_branch_ip(dlam, dw, dlam, dw)) <= 1.5 * ds
+        assert continuation._norm(continuation._chord(prev, state)) <= 1.5 * ds
 
 
 def test_a_failed_step_leaves_no_lu_behind(small_zero, monkeypatch):
@@ -976,8 +1003,8 @@ def test_a_held_p_solves_to_its_rtol(small_zero, border):
     bp, op = small_zero
     state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     n = state.w.size
-    t_lam, t_w = branch_tangent(op, op.evaluate(state), prev=seed_tangent(bp, op))
-    c_row, c_lam = {"tangent": (t_w / n, t_lam),
+    t = branch_tangent(op, op.evaluate(state), prev=seed_tangent(bp, op))
+    c_row, c_lam = {"tangent": (t[:-1] / n, t[-1]),
                     "amplitude": (continuation._mode_weights(op.grid), 0.0),
                     "lambda pin": (np.zeros(n), 1.0)}[border]
     held = op.evaluate(state.copy_with(w=0.98 * state.w))
@@ -986,14 +1013,14 @@ def test_a_held_p_solves_to_its_rtol(small_zero, border):
                                              c_row, c_lam)
     ev = op.evaluate(state.copy_with(w=1.01 * state.w))
     rhs, rtol = np.append(-op.residual_vector(ev), 1e-4), 1e-8
-    dw, dlam, path, iterations = carry.solve(op, ev, (c_row, c_lam), rhs[:-1], rhs[-1], rtol)
+    x, path, iterations = carry.solve(op, ev, (c_row, c_lam), rhs, rtol)
     assert path == "Krylov" and 0 < iterations <= continuation.KRYLOV_MAX
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = op.jacobian(ev).tocsc().toarray()
     M[:n, n] = op.d_residual_d_lambda(ev)
     M[n, :n] = c_row
     M[n, n] = c_lam
-    x, dense = np.append(dw, dlam), np.linalg.solve(M, rhs)
+    dense = np.linalg.solve(M, rhs)
     assert np.linalg.norm(M @ x - rhs) <= rtol * np.linalg.norm(rhs)
     assert np.linalg.norm(x - dense) <= rtol * np.linalg.cond(M) * np.linalg.norm(dense)
 
@@ -1004,8 +1031,6 @@ def test_a_branch_and_a_homotopy_never_take_the_exact_lu(small_zero, monkeypatch
     bp, op = small_zero
     first = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     ev = op.evaluate(first)
-    exact, _, _ = factor_bordered(op.jacobian(ev).tocsc(), op.d_residual_d_lambda(ev),
-                                  continuation._mode_weights(op.grid), 0.0)
     real_splu, nnz = continuation.splu, []
 
     def recording_splu(A, permc_spec=None, **kwargs):
@@ -1014,6 +1039,9 @@ def test_a_branch_and_a_homotopy_never_take_the_exact_lu(small_zero, monkeypatch
         return lu
 
     monkeypatch.setattr(continuation, "splu", recording_splu)
+    factor_bordered(op.jacobian(ev), op.d_residual_d_lambda(ev),
+                    continuation._mode_weights(op.grid), 0.0)
+    exact_nnz = nnz.pop()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="vorstokes"):
         branch = continue_branch(op, bp, steps=6, ds=0.004)
@@ -1023,7 +1051,7 @@ def test_a_branch_and_a_homotopy_never_take_the_exact_lu(small_zero, monkeypatch
     paths = [rec.getMessage() for rec in caplog.records]
     assert sum(": fresh P, " in m for m in paths) == len(nnz) == 2
     assert not any("exact LU" in m for m in paths)
-    assert max(nnz) < exact.nnz
+    assert max(nnz) < exact_nnz
 
 
 def test_step_floor_diagnostics_list_every_failed_attempt(small_zero, monkeypatch):
