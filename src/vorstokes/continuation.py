@@ -161,7 +161,7 @@ def _mode_weights(grid) -> np.ndarray:
 def _eigenmode(bp: BifurcationPoint, grid, s: float) -> np.ndarray:
     """The field s * Phi(p) cos(pi q / L) on ``grid``, with a zero bottom row."""
     phi = bp.phi_at(grid.p_nodes)
-    w = s * phi[:, None] * np.cos(math.pi * grid.q_nodes / grid.L)[None, :]
+    w = s * phi[:, None] * -cosine_matrix(grid.nq)[0][1]  # cos(pi q / L) = -V[:, 1]
     w[0] = 0.0
     return w
 

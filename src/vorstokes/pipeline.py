@@ -13,6 +13,8 @@ import concurrent.futures as cf
 import json
 import os
 
+import numpy as np
+
 from .config import RunConfig
 from .continuation import continue_branch, epsilon_homotopy
 from .errors import DomainError
@@ -44,17 +46,16 @@ def write_csv(path, header, rows):
 
 
 def bifurcate_record(cfg: RunConfig, epsilon: float):
-    """Bifurcation point of the configured model at one epsilon, as a dict."""
+    """Bifurcation point at one epsilon, as a dict; Phi on the strip grid, surface first."""
     model = cfg.model()
-    prob = SLProblem(model, g=cfg.g, L=cfg.L, epsilon=epsilon)
-    bp = find_bifurcation_point(prob)
-    fn = functionals(model)
+    bp = find_bifurcation_point(SLProblem(model, g=cfg.g, L=cfg.L, epsilon=epsilon))
+    p = grid_for(cfg, bp.lambda_star, epsilon).p_nodes[::-1]
     return bp, {
         "epsilon": epsilon,
         "lambda_star": bp.lambda_star,
         "mu": bp.mu,
-        "decay_rate": eigenfunction_decay_rate(bp, fn),
-        "phi": [[float(p), float(v)] for p, v in zip(bp.p[::-1], bp.phi[::-1])],
+        "decay_rate": eigenfunction_decay_rate(bp, functionals(model)),
+        "phi": np.column_stack((p, bp.phi_at(p))).tolist(),
     }
 
 

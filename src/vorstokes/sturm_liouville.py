@@ -21,22 +21,24 @@ bifurcation parameter.
 Discretization: the quadratic forms are assembled on a uniform grid with a
 Dirichlet cut-off at depth (midpoint stiffness, trapezoid mass), giving a
 symmetric tridiagonal pencil whose smallest eigenvalue is second-order
-accurate; the root finder removes the leading grid error by Richardson
-extrapolation across a grid doubling.  Every offset, step and tolerance of
-the search is a multiple of g L / pi, and the truncation depth a multiple
-of the mode's decay length, so lambda* / (g L / pi) does not depend on the
-scale of g and L.
+accurate; the root finder, Newton's method with eigenpairs from warm-started
+shifted inverse iteration (Parlett 1998), removes the leading grid error by
+Richardson extrapolation across a grid doubling.  Every offset, step and
+tolerance of the search is a multiple of g L / pi, and the truncation depth
+a multiple of the mode's decay length, so lambda* / (g L / pi) does not
+depend on the scale of g and L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.optimize import brentq
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import BifurcationAbsentError, DomainError, NoDiscreteEigenvalue
 from .vorticity import VorticityFunctionals, VorticityModel, functionals
@@ -54,7 +56,7 @@ __all__ = [
 
 DEFAULT_NODES = 2000
 # first offset above the admissible floor and first step of the bracket walk,
-# and Brent's tolerance, in units of g L / pi (the zero-vorticity lambda*)
+# and the root's tolerance, in units of g L / pi (the zero-vorticity lambda*)
 BRACKET_SEED = 1e-3
 BISECTION_RTOL = 1e-10
 
@@ -103,39 +105,38 @@ class SLProblem:
         return self._gamma_cache[key]
 
     def forms(self, lam, n=None):
-        """Quadratic-form factors (stiffness diag/offdiag, mass diag) and grid.
+        """The quadratic forms on p_1 .. p_n (p_n = 0), their lambda-derivatives and the nodes.
 
-        The Dirichlet row at the bottom node is eliminated; arrays refer to
-        the remaining nodes p_1 .. p_n with p_n = 0.
+        A form is (c, r, m): v'Kv = sum c (v_i - v_(i-1))^2 + sum r v^2 with v = 0 at -depth
+        (midpoint stiffness), and v'Mv = sum m v^2 (trapezoid mass).
         """
         n = self.n if n is None else n
         p = self.p_nodes(n)
         dp = p[1] - p[0]
-        pm = 0.5 * (p[:-1] + p[1:])
-        gam_mid = self._big_gamma(("mid", n), pm)
-        gam_nod = self._big_gamma(("nod", n), p)
-        a2_mid = lam + 2.0 * gam_mid
-        a2_nod = lam + 2.0 * gam_nod
+        a2_mid = lam + 2.0 * self._big_gamma(("mid", n), 0.5 * (p[:-1] + p[1:]))
+        a2_nod = lam + 2.0 * self._big_gamma(("nod", n), p)
         if a2_mid.min() <= 0.0 or a2_nod.min() <= 0.0:
             raise DomainError(f"lambda = {lam:.6g} is below the admissible floor")
-        a3_mid = a2_mid**1.5
-        a1_nod = np.sqrt(a2_nod)
-        a3_nod = a2_nod * a1_nod
+        a_mid, a2_nod = np.sqrt(a2_mid), a2_nod[1:]
+        a_nod, w = np.sqrt(a2_nod), np.append(np.full(n - 1, dp), 0.5 * dp)
+        r = self.epsilon * w * (a2_nod * a_nod)
+        r[-1] -= self.g                                   # boundary term -g v(0)^2
+        # d(a^3)/dlambda = 3a/2 and d(a)/dlambda = 1/(2a)
+        return ((a2_mid**1.5 / dp, r, w * a_nod),
+                (1.5 * a_mid / dp, 1.5 * self.epsilon * w * a_nod, 0.5 * w / a_nod), p[1:])
 
-        w = np.full(n + 1, dp)
-        w[0] = w[-1] = 0.5 * dp
 
-        # stiffness: sum a^3_mid (v_{i+1}-v_i)^2 / dp; boundary term -g v(0)^2
-        k_off = -a3_mid / dp                      # couples p_i, p_{i+1}
-        k_diag = np.zeros(n + 1)
-        k_diag[:-1] += a3_mid / dp
-        k_diag[1:] += a3_mid / dp
-        k_diag += self.epsilon * w * a3_nod
-        k_diag[-1] -= self.g
-        m_diag = w * a1_nod
+def _quotient(prob, lam, n, v):
+    """Rayleigh quotient of ``v`` on p_1 .. p_n and its lambda-derivative at fixed ``v``.
 
-        # drop the Dirichlet node at -depth
-        return k_diag[1:], k_off[1:], m_diag[1:], p[1:]
+    At an eigenvector the derivative is the eigenvalue's (Hellmann-Feynman).
+    Summed over squared differences, the stiffness loses no digits to cancellation.
+    """
+    (c, r, m), (dc, dr, dm), _ = prob.forms(lam, n)
+    dv2, v2 = np.diff(v, prepend=0.0) ** 2, v * v
+    den = m @ v2
+    mu = (c @ dv2 + r @ v2) / den
+    return float(mu), float((dc @ dv2 + (dr - mu * dm) @ v2) / den)
 
 
 def rayleigh_quotient(prob: SLProblem, lam: float, v) -> float:
@@ -143,44 +144,73 @@ def rayleigh_quotient(prob: SLProblem, lam: float, v) -> float:
 
     ``v`` may be a callable of p or an array on ``prob.p_nodes()[1:]``.
     Uses the same quadratic forms as the eigensolver, so the quotient of a
-    computed eigenfunction reproduces its eigenvalue exactly.
+    computed eigenfunction reproduces its eigenvalue.
     """
-    k_diag, k_off, m_diag, p = prob.forms(lam)
+    p = prob.p_nodes()[1:]
     vv = np.asarray(v(p) if callable(v) else v, dtype=float)
     if vv.shape != p.shape:
         raise DomainError(f"trial function must have {p.shape[0]} samples")
-    den = float(vv @ (m_diag * vv))
-    if den <= 0.0:
+    if not vv.any():
         raise DomainError("trial function is identically zero")
-    num = float(vv @ (k_diag * vv) + 2.0 * (vv[:-1] * k_off * vv[1:]).sum())
-    return num / den
+    return _quotient(prob, lam, prob.n, vv)[0]
 
 
 def _scaled_pencil(prob, lam, n):
-    """(d, e, scale, p): the pencil as one symmetric tridiagonal (d, e), M^-1/2 and the nodes."""
-    k_diag, k_off, m_diag, p = prob.forms(lam, n)
-    scale = 1.0 / np.sqrt(m_diag)
-    return k_diag * scale**2, k_off * scale[:-1] * scale[1:], scale, p
+    """(d, e, scale): the pencil as one symmetric tridiagonal (d, e), and M^-1/2."""
+    (c, r, m), _, _ = prob.forms(lam, n)
+    scale = 1.0 / np.sqrt(m)
+    return (c + np.append(c[1:], 0.0) + r) * scale**2, -c[1:] * scale[:-1] * scale[1:], scale
 
 
 def _smallest_value(prob, lam, n=None):
-    """Lowest eigenvalue of the pencil, without its eigenvector.
-
-    LAPACK's ``stebz``, the driver `_smallest_pair` uses too, so the value
-    is the same bit for bit; solving for the value alone takes about a
-    fifth less time.
-    """
-    d, e, _, _ = _scaled_pencil(prob, lam, n)
+    """Lowest eigenvalue of the pencil, without its eigenvector (LAPACK's ``stebz``)."""
+    d, e, _ = _scaled_pencil(prob, lam, n)
     return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
 
 
-def _smallest_pair(prob, lam, n=None):
-    d, e, scale, p = _scaled_pencil(prob, lam, n)
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    v = vecs[:, 0] * scale
-    if v[-1] < 0.0:
-        v = -v
-    return float(vals[0]), v, p
+def _inverse_iteration(d, e, guess, drop, x):
+    """Lowest eigenvector of the symmetric tridiagonal T = (d, e) by inverse iteration from ``x``.
+
+    The shift is ``guess - drop``, ``drop`` quadrupled until T - shift has an LDL^T
+    factorization, which proves the shift below every eigenvalue.
+    """
+    while (factors := dpttrf(d - (guess - drop), e))[2] != 0:
+        drop *= 4.0
+    tol = 8.0 * np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max())
+    x, residual = x / np.linalg.norm(x), math.inf
+    while residual > tol:
+        y = dpttrs(*factors[:2], x)[0]
+        size = np.linalg.norm(y)
+        y /= size
+        x, residual = y, np.linalg.norm(x - (y @ x) * y) / size  # = |T y - (y.T y) y|
+    return x
+
+
+class _Eigenpair(NamedTuple):
+    """The lowest eigenpair of a pencil at ``lam``, v(0) > 0, and d mu / d lambda."""
+
+    lam: float
+    mu: float
+    slope: float
+    v: np.ndarray
+
+
+def _smallest_pair(prob, lam, n, last=None):
+    """The `_Eigenpair` at ``lam``: LAPACK's ``stebz`` and ``stein``, or inverse iteration.
+
+    Inverse iteration starts from ``last``, an `_Eigenpair` on any grid,
+    shifted below the eigenvalue its slope predicts by the predicted change,
+    but by at least 1e-3 (pi/L)^2: near the root the gap to the next is over (pi/L)^2.
+    """
+    d, e, scale = _scaled_pencil(prob, lam, n)
+    if last is None:
+        x = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
+    else:
+        change = last.slope * (lam - last.lam)
+        drop = max(abs(change), 1e-3 * (math.pi / prob.L) ** 2)
+        x = _inverse_iteration(d, e, last.mu + change, drop, last.v / scale)
+    v = x * scale if x[-1] > 0.0 else -x * scale
+    return _Eigenpair(lam, *_quotient(prob, lam, n, v), v)
 
 
 def lowest_eigenvalue(prob: SLProblem, lam: float) -> float:
@@ -218,10 +248,10 @@ class BifurcationPoint:
             raise DomainError("eigenfunction must be normalized to 1 at the surface")
 
     def phi_at(self, p):
-        """Eigenfunction sampled at arbitrary p <= 0 (monotone interpolation)."""
-        interp = PchipInterpolator(self.p, self.phi)
+        """Eigenfunction sampled at arbitrary p <= 0 (monotone interpolation in -p, exact at 0)."""
+        interp = PchipInterpolator(-self.p[::-1], self.phi[::-1])
         pp = np.asarray(p, dtype=float)
-        out = np.where(pp < self.p[0], 0.0, interp(np.maximum(pp, self.p[0])))
+        out = np.where(pp < self.p[0], 0.0, interp(np.minimum(-pp, -self.p[0])))
         return out if np.ndim(p) else float(out)
 
 
@@ -242,17 +272,34 @@ def bracket_root(f, x0, step, lower, upper):
     return None
 
 
+def _newton(f, lam, lo, hi, xtol):
+    """Root of an increasing ``f``, which returns value and slope, in (lo, hi) from ``lam``.
+
+    Newton's method; each value narrows the bracket, and a step leaving it
+    bisects.  Ends on a Newton step, taken, or a bracket at most ``xtol``.
+    """
+    while hi - lo > xtol:
+        value, slope = f(lam)
+        lo, hi = (lam, hi) if value < 0.0 else (lo, lam)
+        step = -value / slope if slope > 0.0 else math.inf
+        if abs(step) <= xtol:
+            return lam + step
+        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
 def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     """Locate lambda with Lambda(lambda) = -(pi/L)^2 and its eigenfunction.
 
     `bracket_root` walks from ``BRACKET_SEED`` g L / pi above the
-    admissible floor on a coarse grid, and Brent's method solves; the
-    monotonicity of Lambda in lambda makes the root unique.  The grid is
-    then cut at twenty-five decay lengths of the located mode, a second
-    walk from the coarse root brackets the Richardson extrapolation across
-    a grid doubling, and Brent's method polishes it.  Both solves stop at
-    ``BISECTION_RTOL`` g L / pi.  The searches solve for eigenvalues only
-    (`_smallest_value`); the eigenfunction is solved for once, at the root.
+    admissible floor on a coarse grid, on eigenvalues alone; Lambda is
+    monotone in lambda, so the root is unique.  Newton's method from the
+    bracket's secant point solves to 1e-6 g L / pi, with slopes from the
+    eigenvectors (Hellmann-Feynman) and each eigenpair after the first
+    from `_inverse_iteration`.  Newton's method on the Richardson extrapolation
+    across a grid doubling, the grid cut at twenty-five decay lengths of
+    the located mode, polishes the root to ``BISECTION_RTOL`` g L / pi.
+    Phi is the finer grid's last eigenvector.
 
     Raises
     ------
@@ -263,22 +310,19 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     target = -((math.pi / prob.L) ** 2)
     floor = -2.0 * prob.fn.gamma_inf_bound
     scale = prob.g * prob.L / math.pi
-    xtol = BISECTION_RTOL * scale
-    # brentq evaluates its bracket ends again, so each (problem, lambda, n)
-    # is solved once
-    values = {}
+    lower = floor + 1e-12 * scale
 
-    def value(problem, lam, n):
-        key = (id(problem), lam, n)
-        if key not in values:
-            values[key] = _smallest_value(problem, lam, n)
-        return values[key]
+    # coarse bracket on a cheap grid
+    n_coarse = max(256, prob.n // 4)
+    walked = []
 
-    def walk(f, x0, step):
-        bracket = bracket_root(f, x0, step, floor + 1e-12 * scale, prob.lambda_max)
-        if bracket is not None:
-            return bracket
-        if f(x0) >= 0.0:
+    def f_walk(lam):
+        walked.append((lam, _smallest_value(prob, lam, n_coarse) - target))
+        return walked[-1][1]
+
+    seed = BRACKET_SEED * scale
+    if bracket_root(f_walk, floor + seed, seed, lower, prob.lambda_max) is None:
+        if walked[0][1] >= 0.0:
             raise BifurcationAbsentError(
                 f"lowest eigenvalue stays above the target {target:.6g} down "
                 f"to the admissible floor; the bifurcation criterion fails"
@@ -287,36 +331,41 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
             f"no sign change of Lambda + (pi/L)^2 up to lambda_max = "
             f"{prob.lambda_max:.6g}"
         )
-
-    # coarse bracket on a cheap grid
-    n_coarse = max(256, prob.n // 4)
+    (lo, f_lo), (hi, f_hi) = sorted(walked[-2:])
+    coarse = None
 
     def f_coarse(lam):
-        return value(prob, lam, n_coarse) - target
+        nonlocal coarse
+        coarse = _smallest_pair(prob, lam, n_coarse, coarse)
+        return coarse.mu - target, coarse.slope
 
-    seed = BRACKET_SEED * scale
-    lam_rough = brentq(f_coarse, *walk(f_coarse, floor + seed, seed), xtol=xtol)
+    lam_rough = _newton(f_coarse, lo - f_lo * (hi - lo) / (f_hi - f_lo), lo, hi, 1e-6 * scale)
 
     # adapt the depth to the located scale and polish with extrapolation
     k_mode = math.sqrt(
         prob.epsilon + (math.pi / prob.L) ** 2 / (lam_rough + 2.0 * prob.fn.gamma_total)
     )
     fine = replace(prob, depth=25.0 / k_mode)
+    sizes = (fine.n, 2 * fine.n)
+    pairs = [coarse._replace(v=np.interp(fine.p_nodes(n)[1:], prob.p_nodes(n_coarse)[1:],
+                                         coarse.v, left=0.0)) for n in sizes]
 
     def f_fine(lam):
-        return (4.0 * value(fine, lam, 2 * fine.n) - value(fine, lam, fine.n)) / 3.0 - target
+        pairs[:] = [_smallest_pair(fine, lam, n, last) for n, last in zip(sizes, pairs)]
+        return ((4.0 * pairs[1].mu - pairs[0].mu) / 3.0 - target,
+                (4.0 * pairs[1].slope - pairs[0].slope) / 3.0)
 
-    bracket = walk(f_fine, lam_rough, 0.05 * (lam_rough - floor))
-    lam_star = brentq(f_fine, *bracket, xtol=xtol, rtol=BISECTION_RTOL)
-
-    _, v, p = _smallest_pair(fine, lam_star, 2 * fine.n)
-    phi = v / v[-1]
+    xtol = BISECTION_RTOL * scale
+    lam_star = _newton(f_fine, lam_rough, lower, prob.lambda_max, xtol)
+    if not lower + xtol < lam_star < prob.lambda_max - xtol:
+        raise BifurcationAbsentError(
+            f"the extrapolated root leaves [{lower:.6g}, {prob.lambda_max:.6g}]")
     return BifurcationPoint(
         epsilon=prob.epsilon,
         lambda_star=lam_star,
         mu=target,
-        p=p,
-        phi=phi,
+        p=fine.p_nodes(2 * fine.n)[1:],
+        phi=pairs[1].v / pairs[1].v[-1],
         g=prob.g,
         L=prob.L,
     )

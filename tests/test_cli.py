@@ -423,7 +423,9 @@ def test_cli_rejects_fewer_than_one_step(tmp_path, command, steps):
 
 
 def test_cli_records_match_pipeline(tmp_path):
-    # homotopy and continue write the records the pipeline writes
+    # bifurcate, homotopy and continue write the records the pipeline writes
+    from vorstokes.pipeline import grid_for
+
     cfg = write_config(
         tmp_path,
         "vorticity.kind = zero\ngrid.nq = 24\n"
@@ -433,6 +435,17 @@ def test_cli_records_match_pipeline(tmp_path):
     res = run_cli("pipeline", "--config", cfg, "--steps", "2", "--out", str(out))
     assert res.returncode == 0, res.stderr
     manifest = json.load(open(out / "manifest.json"))
+
+    res = run_cli("bifurcate", "--config", cfg, "--epsilon", "0.05",
+                  "--out", str(tmp_path) + os.sep)
+    assert res.returncode == 0, res.stderr
+    record = json.load(open(tmp_path / "bifurcation.json"))
+    assert record == json.load(open(out / "bifurcation_eps0p05.json"))
+    # Phi on the p nodes of the strip grid the branch is solved on, surface first
+    grid = grid_for(parse_config(cfg), record["lambda_star"], 0.05)
+    assert len(record["phi"]) == grid.np
+    assert record["phi"][0] == [0.0, 1.0]
+    assert [p for p, _ in record["phi"]] == grid.p_nodes[::-1].tolist()
 
     res = run_cli("homotopy", "--config", cfg, "--out", str(tmp_path) + os.sep)
     assert res.returncode == 0, res.stderr

@@ -226,6 +226,15 @@ def test_bifurcation_absent_for_hopeless_caps():
         find_bifurcation_point(prob)
 
 
+def test_bifurcation_absent_when_the_extrapolated_root_passes_lambda_max():
+    # the coarse walk brackets a root below the cap; the finer grids move it
+    # above, where the search stops on its bracket instead of iterating on
+    prob = zero_prob(eps=0.01)
+    lam = find_bifurcation_point(prob).lambda_star
+    with pytest.raises(BifurcationAbsentError, match="extrapolated root"):
+        find_bifurcation_point(dataclasses.replace(prob, lambda_max=lam - 1e-3))
+
+
 def test_epsilon_convergence_first_order():
     lam0 = find_bifurcation_point(zero_prob()).lambda_star
     eps_list = [0.1, 0.05, 0.025, 0.0125, 0.00625]
@@ -301,48 +310,117 @@ def test_eigenfunction_decay_for_rotational_model():
     assert fitted >= eigenfunction_decay_rate(bp, fn) - 1e-9
 
 
+# lambda* of the bisection search that Newton's method replaced: Brent's
+# method on eigenvalues from LAPACK's stebz, solved to 1e-10 g L / pi
+BISECTION_LAMBDA_STAR = [
+    (ZeroVorticity(), G, L, 0.1, 7.430444237293827),
+    (ZeroVorticity(), G, L, 0.05, 8.253661211909042),
+    (ZeroVorticity(), G, L, 0.025, 8.87476124977501),
+    (ZeroVorticity(), G, L, 0.0125, 9.285870690816378),
+    (ZeroVorticity(), G, L, 0.00625, 9.530273564077914),
+    (GerstnerVorticity(m=0.5), G, L, 0.01, 9.32853174671455),
+    (ExpDecayVorticity(-4.0, 1.0), G, L, 0.0, 5.493408186547263),
+    (ExpDecayVorticity(-4.0, 1.0), 1.0, 0.3, 0.0, 0.0298479296918856),
+    (ExpDecayVorticity(-11.5, 1.0), G, L, 0.0, 1.3487192191535822),
+    (ExpDecayVorticity(20.0, 1.0), G, L, 0.0, 40.21987493005441),
+]
+DEFAULT_CASES = [case[:4] for case in BISECTION_LAMBDA_STAR[:6]]
+
+
+def richardson_pair(prob, bp):
+    """The two SLProblems whose extrapolation located ``bp``: n and 2n nodes to its depth."""
+    n2 = bp.p.size
+    fine = dataclasses.replace(prob, n=n2, depth=-bp.p[0] * n2 / (n2 - 1))
+    return dataclasses.replace(fine, n=n2 // 2), fine
+
+
+@pytest.mark.parametrize("model, g, half_period, eps, lam", BISECTION_LAMBDA_STAR)
+def test_bifurcation_point_matches_the_bisection_search(model, g, half_period, eps, lam):
+    bp = find_bifurcation_point(SLProblem(model, g=g, L=half_period, epsilon=eps))
+    assert bp.lambda_star == pytest.approx(lam, rel=1e-9)
+
+
+@pytest.mark.parametrize("model, g, half_period, eps", DEFAULT_CASES)
+def test_bifurcation_point_is_the_richardson_root(model, g, half_period, eps):
+    # a tight Brent root of the same extrapolation on the same grids
+    prob = SLProblem(model, g=g, L=half_period, epsilon=eps)
+    bp = find_bifurcation_point(prob)
+    coarse, fine = richardson_pair(prob, bp)
+    target = -((math.pi / half_period) ** 2)
+
+    def f(x):
+        return (4.0 * lowest_eigenvalue(fine, x) - lowest_eigenvalue(coarse, x)) / 3.0 - target
+
+    lam = bp.lambda_star
+    reference = brentq(f, lam * (1.0 - 1e-6), lam * (1.0 + 1e-6), xtol=1e-14 * lam)
+    assert lam == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("model, g, half_period, eps", DEFAULT_CASES[::5])
+def test_bifurcation_eigenfunction_is_the_finer_grids_lowest_mode(model, g, half_period, eps):
+    # the Rayleigh quotient of Phi at lambda* is the 2n pencil's lowest
+    # eigenvalue to the tolerance of LAPACK's bisection, eps |T|_1 of the
+    # scaled tridiagonal T (about 4e-11 here)
+    prob = SLProblem(model, g=g, L=half_period, epsilon=eps)
+    bp = find_bifurcation_point(prob)
+    _, fine = richardson_pair(prob, bp)
+    d, e, _ = sturm_liouville._scaled_pencil(fine, bp.lambda_star, fine.n)
+    tol = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max())
+    mu = rayleigh_quotient(fine, bp.lambda_star, bp.phi)
+    assert abs(mu - lowest_eigenvalue(fine, bp.lambda_star)) <= tol
+
+
 @pytest.mark.parametrize("model, eps", [(ZeroVorticity(), 0.0),
                                         (GerstnerVorticity(m=0.5), 0.01)])
 def test_bifurcation_solves_each_eigenproblem_once(model, eps, monkeypatch):
-    from vorstokes import sturm_liouville
-
-    real_pair = sturm_liouville._smallest_pair
-    calls = []
-
-    def recording_pair(prob, lam, n=None):
-        calls.append((id(prob), lam, n))
-        return real_pair(prob, lam, n)
-
-    monkeypatch.setattr(sturm_liouville, "_smallest_pair", recording_pair)
-    find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
-    assert len(calls) == len(set(calls))
-
-
-@pytest.mark.parametrize("model, eps", [(ZeroVorticity(), 0.0),
-                                        (GerstnerVorticity(m=0.5), 0.01),
-                                        (ExpDecayVorticity(-1.0, 1.0), 0.05)])
-def test_bifurcation_solves_for_one_eigenvector(model, eps, monkeypatch):
-    # the root searches solve for eigenvalues only, each (problem, lambda, n)
-    # once; the eigenvector is solved for once, at lambda*, and lambda* and
-    # phi are those of searches that solve for eigen-pairs throughout
     real_value, real_pair = sturm_liouville._smallest_value, sturm_liouville._smallest_pair
-    values, pairs = [], []
+    solved = []
 
     def recording_value(prob, lam, n=None):
-        values.append((id(prob), lam, n))
+        solved.append((id(prob), lam, n))
         return real_value(prob, lam, n)
 
-    def recording_pair(prob, lam, n=None):
-        pairs.append(lam)
-        return real_pair(prob, lam, n)
+    def recording_pair(prob, lam, n, last=None):
+        solved.append((id(prob), lam, n))
+        return real_pair(prob, lam, n, last)
 
     monkeypatch.setattr(sturm_liouville, "_smallest_value", recording_value)
     monkeypatch.setattr(sturm_liouville, "_smallest_pair", recording_pair)
-    bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
-    assert len(values) == len(set(values)) > 2
-    assert pairs == [bp.lambda_star]
-    monkeypatch.setattr(sturm_liouville, "_smallest_value",
-                        lambda prob, lam, n=None: real_pair(prob, lam, n)[0])
-    reference = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
-    assert bp.lambda_star == reference.lambda_star
-    assert np.array_equal(bp.phi, reference.phi) and np.array_equal(bp.p, reference.p)
+    find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
+    assert len(solved) == len(set(solved))
+
+
+@pytest.mark.parametrize("model, eps, inverse_solves", [
+    pytest.param(ZeroVorticity(), 0.0, 8, id="model0-0.0"),
+    pytest.param(GerstnerVorticity(m=0.5), 0.01, 9, id="model1-0.01"),
+    pytest.param(ExpDecayVorticity(-1.0, 1.0), 0.05, 12, id="model2-0.05"),
+    pytest.param(ZeroVorticity(), 0.01, 9, id="default-0.01"),
+])
+def test_bifurcation_solves_for_one_eigenvector(model, eps, inverse_solves, monkeypatch):
+    # LAPACK's bisection solves for the walk's eigenvalues and one
+    # eigenvector; inverse iteration for every other eigenpair.  On the
+    # default problem that is three coarse Newton steps and three
+    # Richardson steps of two solves each.
+    counts = dict.fromkeys(("eigvalsh_tridiagonal", "eigh_tridiagonal", "_inverse_iteration"), 0)
+
+    def counting(name):
+        real = getattr(sturm_liouville, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(sturm_liouville, name, counting(name))
+    real_walk, walked = sturm_liouville.bracket_root, []
+
+    def recording_walk(f, *args):
+        return real_walk(lambda x: walked.append(x) or f(x), *args)
+
+    monkeypatch.setattr(sturm_liouville, "bracket_root", recording_walk)
+    find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
+    assert counts["eigvalsh_tridiagonal"] == len(walked)
+    assert counts["eigh_tridiagonal"] == 1
+    assert counts["_inverse_iteration"] <= inverse_solves
