@@ -7,12 +7,14 @@ nonsingular across folds, re-converges branches across a decreasing
 sequence of regularization strengths at a fixed branch coordinate, and
 classifies why a trace stopped.
 
-The corrector factors a bordered preconditioner about once per branch or
-homotopy: P, the strip linearization averaged over q, which cosine modes in
-q split into one banded system in p per mode (Concus & Golub 1973).  A
-solve that builds P takes chord updates on it while they at least halve
-the residual; one that starts on a P carried from an earlier solve, built
-at another iterate and bordered by another row, does not chord on it.
+The corrector factors a preconditioner about once per branch or homotopy:
+P, the strip linearization averaged over q, which cosine modes in q split
+into one banded system in p per mode (Concus & Golub 1973).  P is factored
+without a border; each solve borders it with its own dF/dlambda column and
+constraint row by block elimination (Keller 1977; Govaerts 2000), for the
+cost of one back-solve.  A solve that builds P takes chord updates on it
+while they at least halve the residual; one that starts on a P carried from
+an earlier solve, built at another iterate, does not chord on it.
 Every other update is Newton-Krylov (Eisenstat & Walker 1996): GMRES (Saad
 & Schultz 1986) on the exact bordered system, right-preconditioned by P,
 with a matrix-free J v.  It builds P again only
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import daxpy, dgemv
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -179,51 +181,65 @@ def initial_nontrivial_guess(bp: BifurcationPoint, op: StripOperator,
 # -- bordered linear algebra -----------------------------------------------------
 
 
-def _bordered(A, f_lam, c_row, c_lam):
-    """The bordered matrix [[A, f_lam], [c_row, c_lam]], canonical CSC, border last."""
-    n = A.shape[0]
-    return sp.bmat([[A, sp.csc_matrix(np.reshape(f_lam, (n, 1)))],
-                    [sp.csc_matrix(np.reshape(c_row, (1, n))), [[c_lam]]]], format="csc")
-
-
 def factor_bordered(lin, f_lam, c_row, c_lam):
     """The exact bordered solve [[J, f_lam], [c_row, c_lam]]^-1, for `solve_bordered`.
 
     J, the strip linearization ``lin`` assembled (`StripLinearization.tocsc`),
     may be singular on its own (fold points); the border keeps the extended
     matrix invertible along regular branch arcs.  It is one SuperLU
-    factorization, in SuperLU's MMD order.  J lives only while the bordered
-    matrix is built, so it is freed before the LU is.
+    factorization of the bordered matrix, border last, in SuperLU's MMD
+    order.  J lives only while the bordered matrix is built, so it is freed
+    before the LU is.
     """
-    return _splu(_bordered(lin.tocsc(), f_lam, c_row, c_lam),
-                 permc_spec="MMD_AT_PLUS_A").solve
+    n = f_lam.size
+    bordered = sp.bmat([[lin.tocsc(), sp.csc_matrix(np.reshape(f_lam, (n, 1)))],
+                        [sp.csc_matrix(np.reshape(c_row, (1, n))), [[c_lam]]]], format="csc")
+    return _splu(bordered, permc_spec="MMD_AT_PLUS_A").solve
+
+
+class _BorderedP:
+    """[[P, f_lam], [c_row, c_lam]]^-1 by block elimination on P-hat's LU (Keller 1977).
+
+    With Q = `from_modes`, P = Q P-hat Q^-1.  Bordering precomputes z =
+    P-hat^-1 Q^-1 f_lam, cq = c_row Q and the Schur complement s = c_lam -
+    cq z, one back-solve; a zero or non-finite s raises SingularJacobianError.
+    An apply to [r; rho] solves y = P-hat^-1 Q^-1 r and returns [Q (y - z
+    x_lam); x_lam] with x_lam = (rho - cq y) / s.
+    """
+
+    def __init__(self, grid, lu, f_lam, c_row, c_lam):
+        self.grid, self.lu = grid, lu
+        self.z = lu.solve(to_modes(grid, f_lam))
+        self.cq = to_modes(grid, c_row, transpose=True)
+        self.schur = c_lam - self.cq @ self.z
+        if not (math.isfinite(self.schur) and self.schur != 0.0):
+            raise SingularJacobianError(
+                f"bordered factorization failed: Schur complement {self.schur!r}")
+
+    def bordered(self, f_lam, c_row, c_lam):
+        """The same P-hat bordered by another column and row."""
+        return _BorderedP(self.grid, self.lu, f_lam, c_row, c_lam)
+
+    def __call__(self, rhs):
+        n = self.z.size
+        out = np.empty(n + 1)
+        y = self.lu.solve(to_modes(self.grid, rhs[:n], out=out[:n]))
+        out[n] = (rhs[n] - self.cq @ y) / self.schur
+        from_modes(self.grid, daxpy(self.z, y, a=-out[n]), out=out[:n])
+        return out
 
 
 def factor_modes(lin, f_lam, c_row, c_lam):
     """The bordered preconditioner solve [[P, f_lam], [c_row, c_lam]]^-1, for `solve_bordered`.
 
-    With Q = `from_modes` and P-hat = ``lin.modes`` (block-diagonal,
-    mode-major) it factors [[P-hat, Q^-1 f_lam], [c_row Q, c_lam]], border
-    last, in natural order with partial pivoting.  Panels of one column cut
-    SuperLU's transient workspace from 19 MB to 5 MB at 401 x 128, at no
-    cost in time.  An apply writes `to_modes` of the field part of [v; b]
-    into a new stacked array, solves the LU for it, and writes `from_modes`
-    of the solution's field part back into that array.
+    P-hat = ``lin.modes`` (block-diagonal, mode-major) is factored alone, in
+    natural order with partial pivoting, and bordered by block elimination
+    (`_BorderedP`), so `LUSlot` can border the same LU again for each later
+    system.  Panels of one column cut SuperLU's transient workspace from 19
+    MB to 5 MB at 401 x 128, at no cost in time.
     """
-    grid, n = lin.grid, f_lam.size
-    lu = _splu(_bordered(lin.modes, to_modes(grid, f_lam), to_modes(grid, c_row, transpose=True),
-                         c_lam), permc_spec="NATURAL", panel_size=1)
-
-    def apply(rhs):
-        out = np.empty(n + 1)
-        to_modes(grid, rhs[:n], out=out[:n])
-        out[n] = rhs[n]
-        sol = lu.solve(out)
-        from_modes(grid, sol[:n], out=out[:n])
-        out[n] = sol[n]
-        return out
-
-    return apply
+    return _BorderedP(lin.grid, _splu(lin.modes, permc_spec="NATURAL", panel_size=1),
+                      f_lam, c_row, c_lam)
 
 
 def _splu(M, **options):
@@ -310,11 +326,13 @@ class LUSlot:
     it to each solve; a solve given none makes its own.  `solve` is the only
     code that factors for `_bordered_newton` and `branch_tangent`, and
     holds P (`factor_modes`) or, after a fallback, the exact LU
-    (`factor_bordered`).  The factor may be from an earlier iterate, border
-    row or epsilon: `solve` uses it as a preconditioner and builds another
-    only when GMRES on it stalls, dropping the old one first, so one factor
-    is alive at a time; `_bordered_newton` chords only on a factor built
-    within its own solve.  A solve that raises leaves its last factor in the
+    (`factor_bordered`).  The factor may be from an earlier iterate or
+    epsilon: `solve` borders a held P with its own system's column and row
+    (the exact LU keeps the border it was built with), uses it as a
+    preconditioner and builds another only when GMRES on it stalls, dropping
+    the old one first, so one LU is alive at a time; `_bordered_newton`
+    chords only on a factor built within its own solve, as the slot's last
+    `solve` bordered it.  A solve that raises leaves its last factor in the
     slot; `continue_branch` empties the slot after a failed step, and
     `epsilon_homotopy` stops at its first failure.
     """
@@ -334,7 +352,9 @@ class LUSlot:
         stacked array, and every M^-1 is one `solve_bordered`.  The paths,
         each taken when the one before misses ``rtol``:
 
-        - "Krylov": GMRES on the factor in the slot, if there is one;
+        - "Krylov": GMRES on the factor in the slot, if there is one, a P
+          bordered first by dF/dlambda at ``ev`` and ``border`` (dropped if
+          that border makes it singular);
         - "fresh P": GMRES on P, built at ``ev`` (`factor_modes`);
         - "exact LU": the exact bordered LU at ``ev``, also when P is singular.
 
@@ -355,6 +375,11 @@ class LUSlot:
         def precond(x):
             return solve_bordered(self.factor, x)
 
+        if isinstance(self.factor, _BorderedP):  # the exact LU keeps its own border
+            try:
+                self.factor = self.factor.bordered(f_lam, c_row, c_lam)
+            except SingularJacobianError:
+                self.factor = None
         if self.factor is not None:
             x, iterations, converged = _gmres(matvec, precond, rhs, rtol)
             if converged:
@@ -396,8 +421,8 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     - chord: one back-solve of M, only on an M built within this solve and
       while the residual at least halves per update and, at that rate,
       reaches ``tol`` in the updates left.  A carried M was built at
-      another iterate and bordered by another row; a first chord on it
-      raised the residual 1.3-5 times.
+      another iterate; a first chord on it, while it also kept another
+      solve's border, raised the residual 1.3-5 times.
 
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the
@@ -519,8 +544,8 @@ def arclength_step(op: StripOperator, state: WaveState, tangent, ds: float,
     Predicts along the unit, stacked ``tangent`` and corrects on the hyperplane
     normal to it at distance ``ds``; returns the corrector's evaluation of
     the corrected state, whose ``.state`` is that state.  ``carry``
-    (see `LUSlot`) hands the corrector an earlier solve's factor, whose
-    border row may be an older tangent, and receives the one it ends with.
+    (see `LUSlot`) hands the corrector an earlier solve's factor and
+    receives the one it ends with.
     The next tangent is the caller's (`_history_tangent` in
     `continue_branch`).  Raises on corrector failure so the caller can halve
     the step.

@@ -303,22 +303,17 @@ def mode_blocks(grid: StripGrid, entries: dict, modes):
     Each of J's entries (`StripEvaluation.jacobian_entries`) is averaged over q
     and weighted by its shift's eigenvalue cos(k pi dj / (nq - 1)) on mode k; the
     odd stencils' (wq, wpq) entries at +dj and -dj cancel.  Per mode that leaves
-    a banded p-operator: identity bottom row, three points inside, one-sided top.
+    a banded p-operator: identity bottom row, three points inside, one-sided top,
+    so the whole matrix has the diagonals -2 .. 1, assembled as one DIA matrix.
     """
     theta = np.pi * np.asarray(modes, dtype=float) / (grid.nq - 1)
-    base, weights = grid.np * np.arange(theta.size), cosine_matrix(grid.nq)[1][0]
-    rows, cols, vals = [], [], []
+    weights = cosine_matrix(grid.nq)[1][0]
+    bands = np.zeros((4, theta.size, grid.np))  # diagonal di + 2, mode, column's p row
     for (lo, hi), shifts in entries.items():
-        ii, bands = np.arange(lo, hi)[:, None], {}
         for (di, dj), entry in shifts.items():
             mean = np.reshape(entry @ weights if np.ndim(entry) else entry, (-1, 1))
-            term = mean * np.cos(dj * theta)
-            bands[di] = bands[di] + term if di in bands else term
-        for di, val in bands.items():
-            rows.append((base + ii).ravel())
-            cols.append((base + ii + di).ravel())
-            vals.append(np.broadcast_to(val, (hi - lo, theta.size)).ravel())
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            bands[di + 2, :, lo + di:hi + di] += (mean * np.cos(dj * theta)).T
+    return sp.dia_matrix((bands.reshape(4, -1), np.arange(-2, 2)),
                          shape=(grid.np * theta.size,) * 2).tocsc()
 
 

@@ -126,13 +126,14 @@ class SLProblem:
                 (1.5 * a_mid / dp, 1.5 * self.epsilon * w * a_nod, 0.5 * w / a_nod), p[1:])
 
 
-def _quotient(prob, lam, n, v):
-    """Rayleigh quotient of ``v`` on p_1 .. p_n and its lambda-derivative at fixed ``v``.
+def _quotient(forms, v):
+    """Rayleigh quotient of ``v`` in the `SLProblem.forms` ``forms`` and its lambda-derivative.
 
-    At an eigenvector the derivative is the eigenvalue's (Hellmann-Feynman).
-    Summed over squared differences, the stiffness loses no digits to cancellation.
+    The derivative is taken at fixed ``v``; at an eigenvector it is the
+    eigenvalue's (Hellmann-Feynman).  Summed over squared differences, the
+    stiffness loses no digits to cancellation.
     """
-    (c, r, m), (dc, dr, dm), _ = prob.forms(lam, n)
+    (c, r, m), (dc, dr, dm), _ = forms
     dv2, v2 = np.diff(v, prepend=0.0) ** 2, v * v
     den = m @ v2
     mu = (c @ dv2 + r @ v2) / den
@@ -152,19 +153,19 @@ def rayleigh_quotient(prob: SLProblem, lam: float, v) -> float:
         raise DomainError(f"trial function must have {p.shape[0]} samples")
     if not vv.any():
         raise DomainError("trial function is identically zero")
-    return _quotient(prob, lam, prob.n, vv)[0]
+    return _quotient(prob.forms(lam), vv)[0]
 
 
-def _scaled_pencil(prob, lam, n):
-    """(d, e, scale): the pencil as one symmetric tridiagonal (d, e), and M^-1/2."""
-    (c, r, m), _, _ = prob.forms(lam, n)
+def _scaled_pencil(forms):
+    """(d, e, scale): the pencil of ``forms`` as one symmetric tridiagonal (d, e), and M^-1/2."""
+    (c, r, m), _, _ = forms
     scale = 1.0 / np.sqrt(m)
     return (c + np.append(c[1:], 0.0) + r) * scale**2, -c[1:] * scale[:-1] * scale[1:], scale
 
 
 def _smallest_value(prob, lam, n=None):
     """Lowest eigenvalue of the pencil, without its eigenvector (LAPACK's ``stebz``)."""
-    d, e, _ = _scaled_pencil(prob, lam, n)
+    d, e, _ = _scaled_pencil(prob.forms(lam, n))
     return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
 
 
@@ -202,7 +203,8 @@ def _smallest_pair(prob, lam, n, last=None):
     shifted below the eigenvalue its slope predicts by the predicted change,
     but by at least 1e-3 (pi/L)^2: near the root the gap to the next is over (pi/L)^2.
     """
-    d, e, scale = _scaled_pencil(prob, lam, n)
+    forms = prob.forms(lam, n)
+    d, e, scale = _scaled_pencil(forms)
     if last is None:
         x = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
     else:
@@ -210,7 +212,7 @@ def _smallest_pair(prob, lam, n, last=None):
         drop = max(abs(change), 1e-3 * (math.pi / prob.L) ** 2)
         x = _inverse_iteration(d, e, last.mu + change, drop, last.v / scale)
     v = x * scale if x[-1] > 0.0 else -x * scale
-    return _Eigenpair(lam, *_quotient(prob, lam, n, v), v)
+    return _Eigenpair(lam, *_quotient(forms, v), v)
 
 
 def lowest_eigenvalue(prob: SLProblem, lam: float) -> float:

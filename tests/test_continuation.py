@@ -625,9 +625,10 @@ def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
     assert len(branch.points) == 6
     assert len(tangents) == 1
     # the correctors' chords and GMRES iterations on P, and one GMRES tangent;
-    # 86 while each step's first update was a chord on the factor carried from
-    # the step before; on the exact LU it was 87, with a solved tangent per step 115
-    assert len(solves) == 83
+    # 83 while a carried P kept the border of the solve that built it, 86 while
+    # each step's first update was a chord on the factor carried from the step
+    # before; on the exact LU it was 87, with a solved tangent per step 115
+    assert len(solves) == 71
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
@@ -1007,22 +1008,66 @@ def test_a_held_p_solves_to_its_rtol(small_zero, border):
     c_row, c_lam = {"tangent": (t[:-1] / n, t[-1]),
                     "amplitude": (continuation._mode_weights(op.grid), 0.0),
                     "lambda pin": (np.zeros(n), 1.0)}[border]
-    held = op.evaluate(state.copy_with(w=0.98 * state.w))
-    carry = continuation.LUSlot()
-    carry.factor = continuation.factor_modes(op.jacobian(held), op.d_residual_d_lambda(held),
-                                             c_row, c_lam)
     ev = op.evaluate(state.copy_with(w=1.01 * state.w))
     rhs, rtol = np.append(-op.residual_vector(ev), 1e-4), 1e-8
-    x, path, iterations = carry.solve(op, ev, (c_row, c_lam), rhs, rtol)
-    assert path == "Krylov" and 0 < iterations <= continuation.KRYLOV_MAX
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = op.jacobian(ev).tocsc().toarray()
-    M[:n, n] = op.d_residual_d_lambda(ev)
-    M[n, :n] = c_row
-    M[n, n] = c_lam
+    M = _dense_bordered(op.jacobian(ev).tocsc(), op.d_residual_d_lambda(ev), c_row, c_lam)
     dense = np.linalg.solve(M, rhs)
-    assert np.linalg.norm(M @ x - rhs) <= rtol * np.linalg.norm(rhs)
-    assert np.linalg.norm(x - dense) <= rtol * np.linalg.cond(M) * np.linalg.norm(dense)
+    # a P near the state, and one at the seed at lambda*, whose mode-1 block
+    # is nearly singular, so block elimination on it is at its weakest
+    for held in (op.evaluate(state.copy_with(w=0.98 * state.w)),
+                 op.evaluate(initial_nontrivial_guess(bp, op, 0.004))):
+        carry = continuation.LUSlot()
+        carry.factor = continuation.factor_modes(op.jacobian(held), op.d_residual_d_lambda(held),
+                                                 c_row, c_lam)
+        x, path, iterations = carry.solve(op, ev, (c_row, c_lam), rhs, rtol)
+        assert path == "Krylov" and 0 < iterations <= continuation.KRYLOV_MAX
+        assert np.linalg.norm(M @ x - rhs) <= rtol * np.linalg.norm(rhs)
+        assert np.linalg.norm(x - dense) <= rtol * np.linalg.cond(M) * np.linalg.norm(dense)
+
+
+def test_a_carried_p_is_bordered_by_each_solve(small_zero, monkeypatch):
+    # at w = 0 P is J, so P bordered by the solve's own dF/dlambda and row is
+    # the exact bordered solve, whatever border P was built under, and GMRES
+    # on it converges in one iteration; a P that kept its border took three
+    bp, op = small_zero
+    state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    ev, n = op.evaluate(state), state.w.size
+    t = branch_tangent(op, ev, prev=seed_tangent(bp, op))
+    trivial = op.evaluate(state.copy_with(lam=1.2 * bp.lambda_star, w=np.zeros_like(state.w)))
+    lin = op.jacobian(trivial)
+    carry = continuation.LUSlot()
+    carry.factor = factor_modes(lin, op.d_residual_d_lambda(ev),
+                                continuation._mode_weights(op.grid), 0.0)
+    # dF/dlambda vanishes at w = 0, so the solve reads another state's
+    f_lam = op.d_residual_d_lambda(op.evaluate(state.copy_with(w=2.0 * state.w)))
+    monkeypatch.setattr(op, "d_residual_d_lambda", lambda _: f_lam)
+    c_row, c_lam = t[:-1] / n, t[-1]
+    rhs = np.append(-op.residual_vector(op.evaluate(state.copy_with(w=1.01 * state.w))), 0.3)
+    x, path, iterations = carry.solve(op, trivial, (c_row, c_lam), rhs, 1e-12)
+    assert (path, iterations) == ("Krylov", 1)
+    dense = np.linalg.solve(_dense_bordered(lin.tocsc(), f_lam, c_row, c_lam), rhs)
+    assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_a_carried_p_singular_under_a_new_border_is_built_again(small_zero):
+    # a border whose Schur complement on the carried P-hat is exactly zero
+    # drops that P, and the solve builds P afresh at its own state
+    bp, op = small_zero
+    state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
+    ev = op.evaluate(state.copy_with(w=1.01 * state.w))
+    f_lam, c_row = op.d_residual_d_lambda(ev), continuation._mode_weights(op.grid)
+    held = op.evaluate(state.copy_with(w=0.98 * state.w))
+    carry = continuation.LUSlot()
+    carry.factor = factor_modes(op.jacobian(held), op.d_residual_d_lambda(held), c_row, 0.0)
+    probe = carry.factor.bordered(f_lam, c_row, 1.0)
+    c_lam = float(probe.cq @ probe.z)
+    with pytest.raises(SingularJacobianError):
+        carry.factor.bordered(f_lam, c_row, c_lam)
+    rhs = np.append(-op.residual_vector(ev), 1e-4)
+    x, path, _ = carry.solve(op, ev, (c_row, c_lam), rhs, 1e-8)
+    assert path == "fresh P"
+    M = _dense_bordered(op.jacobian(ev).tocsc(), f_lam, c_row, c_lam)
+    assert np.linalg.norm(M @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_a_branch_and_a_homotopy_never_take_the_exact_lu(small_zero, monkeypatch, caplog):

@@ -364,7 +364,7 @@ def test_bifurcation_eigenfunction_is_the_finer_grids_lowest_mode(model, g, half
     prob = SLProblem(model, g=g, L=half_period, epsilon=eps)
     bp = find_bifurcation_point(prob)
     _, fine = richardson_pair(prob, bp)
-    d, e, _ = sturm_liouville._scaled_pencil(fine, bp.lambda_star, fine.n)
+    d, e, _ = sturm_liouville._scaled_pencil(fine.forms(bp.lambda_star))
     tol = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max())
     mu = rayleigh_quotient(fine, bp.lambda_star, bp.phi)
     assert abs(mu - lowest_eigenvalue(fine, bp.lambda_star)) <= tol
@@ -384,10 +384,19 @@ def test_bifurcation_solves_each_eigenproblem_once(model, eps, monkeypatch):
         solved.append((id(prob), lam, n))
         return real_pair(prob, lam, n, last)
 
+    real_forms, formed = SLProblem.forms, []
+
+    def counting_forms(self, lam, n=None):
+        formed.append((id(self), lam, n))
+        return real_forms(self, lam, n)
+
     monkeypatch.setattr(sturm_liouville, "_smallest_value", recording_value)
     monkeypatch.setattr(sturm_liouville, "_smallest_pair", recording_pair)
+    monkeypatch.setattr(SLProblem, "forms", counting_forms)
     find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
     assert len(solved) == len(set(solved))
+    # an eigenpair's pencil and its quotient read one build of the forms
+    assert len(formed) == len(solved)
 
 
 @pytest.mark.parametrize("model, eps, inverse_solves", [
