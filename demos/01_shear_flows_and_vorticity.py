@@ -1,9 +1,9 @@
 """Vorticity models and the laminar flows they support.
 
-Every solver run starts from a vorticity distribution gamma(r) and its
-derived functionals.  This script builds the four model kinds, prints
-Gamma_inf / Gamma_sup / Gamma_total, evaluates the bifurcation criterion,
-and tabulates a laminar height profile.
+Every solver run starts from a vorticity distribution gamma(r) and the
+bounds of its primitive Gamma, which the model states itself.  This script
+builds the four model kinds, prints Gamma_inf / Gamma_sup / Gamma_total,
+evaluates the bifurcation criterion, and tabulates a laminar height profile.
 """
 
 import math
@@ -17,7 +17,6 @@ from vorstokes import (
     TabulatedVorticity,
     ZeroVorticity,
     check_bifurcation_condition,
-    functionals,
 )
 
 G, L = 9.81, math.pi
@@ -33,10 +32,9 @@ models = [
 print(f"{'model':34s} {'Gamma_inf':>10s} {'Gamma_sup':>10s} {'Gamma_tot':>10s} "
       f"{'criterion':>10s} {'margin':>9s}")
 for model in models:
-    fn = functionals(model)
     cond = check_bifurcation_condition(model, G, L)
-    print(f"{model!r:34s} {fn.gamma_inf_bound:10.5f} {fn.gamma_sup_bound:10.5f} "
-          f"{fn.gamma_total:10.5f} {str(cond.holds):>10s} {cond.margin:9.4f}")
+    print(f"{model!r:34s} {model.gamma_inf_bound():10.5f} {model.gamma_sup_bound():10.5f} "
+          f"{model.gamma_total():10.5f} {str(cond.holds):>10s} {cond.margin:9.4f}")
 
 # the criterion is monotone under scaling of gamma: push the amplitude up
 # until small-amplitude bifurcation is no longer guaranteed

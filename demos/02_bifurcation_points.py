@@ -16,7 +16,6 @@ from vorstokes import (
     ZeroVorticity,
     eigenfunction_decay_rate,
     find_bifurcation_point,
-    functionals,
 )
 from vorstokes.sturm_liouville import fitted_tail_rate
 
@@ -35,9 +34,9 @@ for eps in (0.1, 0.05, 0.025, 0.0125):
 print("\nrotational models shift the point and its eigenfunction decay:")
 for model in (ExpDecayVorticity(1.0, 1.0), ExpDecayVorticity(-0.5, 1.0),
               GerstnerVorticity(m=0.5)):
-    fn = functionals(model)
     bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=0.01))
-    bound = eigenfunction_decay_rate(bp, fn)
+    bound = eigenfunction_decay_rate(bp, model)
     fitted = fitted_tail_rate(bp.p, bp.phi)
-    print(f"  {model!r:34s} lambda_eps = {bp.lambda_star:9.5f}  "
+    print(f"  {model!r:34s} Gamma in [{model.gamma_inf_bound():8.5f}, "
+          f"{model.gamma_sup_bound():8.5f}]  lambda_eps = {bp.lambda_star:9.5f}  "
           f"decay bound {bound:8.5f}  fitted {fitted:8.5f}")

@@ -66,11 +66,9 @@ from .vorticity import (
     ExpDecayVorticity,
     GerstnerVorticity,
     TabulatedVorticity,
-    VorticityFunctionals,
     VorticityModel,
     ZeroVorticity,
     check_bifurcation_condition,
-    functionals,
     model_from_config,
 )
 from .wave_physics import (

@@ -73,7 +73,7 @@ def _emit(args, text, default_name):
 
 
 def _emit_json(args, obj, default_name):
-    _emit(args, json.dumps(obj, sort_keys=True, indent=1), default_name)
+    _emit(args, json.dumps(obj, sort_keys=True), default_name)
 
 
 def cmd_trivial(args):
@@ -84,7 +84,7 @@ def cmd_trivial(args):
     lam = args.lam if args.lam is not None else cfg.g * cfg.L / math.pi
     flow = ShearFlow(model, lam=lam, g=cfg.g)
     p = -np.linspace(0.0, max(4.0 * cfg.L, 10.0), args.samples)
-    rows = [(float(pp), float(flow.h_tr(pp)), float(flow.h_tr_p(pp))) for pp in p]
+    rows = zip(p.tolist(), flow.h_tr(p).tolist(), flow.h_tr_p(p).tolist())
     lines = [f"# lambda,{lam!r}", f"# c,{flow.c!r}", "p,h_tr,h_tr_p"]
     lines += [",".join(repr(v) for v in row) for row in rows]
     _emit(args, "\n".join(lines), "trivial.csv")

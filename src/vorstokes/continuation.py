@@ -631,7 +631,7 @@ class Branch:
         self.rows.append({
             "s": surface_mode_amplitude(state),
             "lambda": state.lam,
-            "c": wave_speed(state.lam, op.fn),
+            "c": wave_speed(state.lam, op.model),
             "eta_crest": float(state.w[-1, -1]) - state.lam / (2 * op.g),
             "eta_trough": float(state.w[-1, 0]) - state.lam / (2 * op.g),
             "min_rel_speed": 1.0 / float(np.max(ev.hp)),

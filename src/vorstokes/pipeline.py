@@ -24,7 +24,7 @@ from .sturm_liouville import (
     eigenfunction_decay_rate,
     find_bifurcation_point,
 )
-from .vorticity import check_bifurcation_condition, functionals
+from .vorticity import check_bifurcation_condition
 from .wave_physics import verify_all
 
 __all__ = ["run_pipeline", "bifurcate_record", "grid_for", "trace_branch",
@@ -54,7 +54,7 @@ def bifurcate_record(cfg: RunConfig, epsilon: float):
         "epsilon": epsilon,
         "lambda_star": bp.lambda_star,
         "mu": bp.mu,
-        "decay_rate": eigenfunction_decay_rate(bp, functionals(model)),
+        "decay_rate": eigenfunction_decay_rate(bp, model),
         "phi": np.column_stack((p, bp.phi_at(p))).tolist(),
     }
 

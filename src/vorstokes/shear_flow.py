@@ -23,18 +23,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, StagnationDomainError
-from .vorticity import (
-    ExpDecayVorticity,
-    VorticityFunctionals,
-    VorticityModel,
-    ZeroVorticity,
-    functionals,
-)
+from .vorticity import ExpDecayVorticity, VorticityModel, ZeroVorticity
 
 __all__ = ["ShearFlow", "wave_speed"]
 
 
-def wave_speed(lam: float, fn: VorticityFunctionals) -> float:
+def wave_speed(lam: float, model: VorticityModel) -> float:
     """Wave speed c = (lambda + 2*Gamma_total)^(1/2).
 
     Raises
@@ -43,7 +37,7 @@ def wave_speed(lam: float, fn: VorticityFunctionals) -> float:
         If the radicand is not positive, i.e. the flow cannot satisfy the
         infinite-bottom condition.
     """
-    c_sq = lam + 2.0 * fn.gamma_total
+    c_sq = lam + 2.0 * model.gamma_total()
     if not c_sq > 0.0:
         raise StagnationDomainError(
             f"lambda + 2*Gamma_total = {c_sq:.6g} must be positive for a wave speed"
@@ -74,19 +68,17 @@ class ShearFlow:
     def __post_init__(self):
         if not self.g > 0:
             raise DomainError("gravity must be positive")
-        self.fn = functionals(self.model)
-        if not self.lam + 2.0 * self.fn.gamma_inf_bound > 0.0:
+        gamma_inf = self.model.gamma_inf_bound()
+        if not self.lam + 2.0 * gamma_inf > 0.0:
             raise StagnationDomainError(
                 f"lambda = {self.lam:.6g} is not above the critical floor "
-                f"{-2.0 * self.fn.gamma_inf_bound:.6g}"
+                f"{-2.0 * gamma_inf:.6g}"
             )
-        self._h_spline = None
-        self._h_depth = 0.0
 
     @property
     def c(self) -> float:
         """Wave speed of the flow."""
-        return wave_speed(self.lam, self.fn)
+        return wave_speed(self.lam, self.model)
 
     # -- coefficient -----------------------------------------------------------
 
@@ -140,11 +132,9 @@ class ShearFlow:
         return p / sqC - (2.0 * r0 / sqC) * np.log((s_u + sqC) / (s_1 + sqC))
 
     def _h_int_spline(self, p):
+        # one spline over [-depth, 0] per call: the flow keeps no state
         depth = max(8.0, float(-np.min(p)) * 1.25)
-        if self._h_spline is None or depth > self._h_depth:
-            grid = np.linspace(-depth, 0.0, 8193)
-            vals = 1.0 / np.sqrt(self.a_squared(grid))
-            self._h_spline = CubicSpline(grid, vals).antiderivative()
-            self._h_depth = depth
-        return self._h_spline(p) - self._h_spline(0.0)
+        grid = np.linspace(-depth, 0.0, 8193)
+        spline = CubicSpline(grid, 1.0 / np.sqrt(self.a_squared(grid))).antiderivative()
+        return spline(p) - spline(0.0)
 

@@ -47,7 +47,7 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import AdmissibilityError, DomainError, StagnationDomainError
 from .sturm_liouville import bracket_root
-from .vorticity import VorticityModel, functionals
+from .vorticity import VorticityModel
 
 __all__ = ["StripGrid", "WaveState", "StripEvaluation", "StripOperator", "StripLinearization",
            "default_grid", "linear_strip_mode", "mode_blocks", "to_modes", "from_modes"]
@@ -331,7 +331,7 @@ class StripEvaluation:
 
     def __init__(self, op: StripOperator, state: WaveState, fields: dict):
         self.op, self.state, self.fields = op, state, fields
-        self.lam_margin = state.lam + 2.0 * op.fn.gamma_inf_bound
+        self.lam_margin = state.lam + 2.0 * op.gamma_inf
         self.cap_margin = 2.0 * state.lam - 4.0 * op.g * float(np.max(state.w[-1]))
 
     @cached_property
@@ -400,7 +400,8 @@ class StripOperator:
     """Residual, linearization and admissibility test for one model and grid.
 
     Each reads a `StripEvaluation` from `evaluate`.  Holds the cached
-    vorticity samples on the grid; immutable, so threads may share it.
+    vorticity samples on the grid and ``gamma_inf``, the model's inf Gamma;
+    immutable, so threads may share it.
     """
 
     def __init__(self, model: VorticityModel, g: float, grid: StripGrid,
@@ -414,7 +415,7 @@ class StripOperator:
         self.grid = grid
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        self.fn = functionals(model)
+        self.gamma_inf = model.gamma_inf_bound()
         p = grid.p_nodes
         self.big_gamma_p = np.asarray(model.big_gamma(p))
         self.gamma_p = np.asarray(model.gamma(-p))
@@ -570,7 +571,7 @@ def linear_strip_mode(op: StripOperator, lam_hint: float):
 
     scale = op.g * grid.L / math.pi
     bracket = bracket_root(rising, lam_hint, 0.05 * lam_hint,
-                           -2.0 * op.fn.gamma_inf_bound + 1e-12 * scale, 1e8 * lam_hint)
+                           -2.0 * op.gamma_inf + 1e-12 * scale, 1e8 * lam_hint)
     if bracket is None:
         raise DomainError("no sign change for the discrete mode residual")
     lam_d = brentq(rising, *bracket, xtol=1e-13 * scale)

@@ -32,7 +32,7 @@ depend on the scale of g and L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import BifurcationAbsentError, DomainError, NoDiscreteEigenvalue
-from .vorticity import VorticityFunctionals, VorticityModel, functionals
+from .vorticity import VorticityModel
 
 __all__ = [
     "SLProblem",
@@ -76,7 +76,6 @@ class SLProblem:
     n: int = DEFAULT_NODES
     depth: float = None
     lambda_max: float = None
-    fn: VorticityFunctionals = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
@@ -85,8 +84,6 @@ class SLProblem:
             raise DomainError("gravity and half-period must be positive")
         if self.n < 8:
             raise DomainError("need at least 8 grid nodes")
-        if self.fn is None:
-            self.fn = functionals(self.model)
         if self.lambda_max is None:
             self.lambda_max = 10.0 * self.g * self.L / math.pi
         if self.depth is None:
@@ -310,7 +307,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
         bifurcation criterion fails) or below it up to ``prob.lambda_max``.
     """
     target = -((math.pi / prob.L) ** 2)
-    floor = -2.0 * prob.fn.gamma_inf_bound
+    floor = -2.0 * prob.model.gamma_inf_bound()
     scale = prob.g * prob.L / math.pi
     lower = floor + 1e-12 * scale
 
@@ -345,7 +342,7 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
 
     # adapt the depth to the located scale and polish with extrapolation
     k_mode = math.sqrt(
-        prob.epsilon + (math.pi / prob.L) ** 2 / (lam_rough + 2.0 * prob.fn.gamma_total)
+        prob.epsilon + (math.pi / prob.L) ** 2 / (lam_rough + 2.0 * prob.model.gamma_total())
     )
     fine = replace(prob, depth=25.0 / k_mode)
     sizes = (fine.n, 2 * fine.n)
@@ -373,15 +370,15 @@ def find_bifurcation_point(prob: SLProblem) -> BifurcationPoint:
     )
 
 
-def eigenfunction_decay_rate(bp: BifurcationPoint, fn: VorticityFunctionals) -> float:
+def eigenfunction_decay_rate(bp: BifurcationPoint, model: VorticityModel) -> float:
     """Guaranteed lower bound on the eigenfunction decay rate.
 
     The comparison argument yields
     (lambda + 2*Gamma_inf)^(1/2) / (lambda + 2*Gamma_sup)^(3/2); the fitted
     tail slope of log|phi| must not fall below it.
     """
-    num = bp.lambda_star + 2.0 * fn.gamma_inf_bound
-    den = bp.lambda_star + 2.0 * fn.gamma_sup_bound
+    num = bp.lambda_star + 2.0 * model.gamma_inf_bound()
+    den = bp.lambda_star + 2.0 * model.gamma_sup_bound()
     if num < 0.0 or den <= 0.0:
         raise DomainError("bifurcation point below the admissible floor")
     return math.sqrt(num) / den**1.5

@@ -5,18 +5,21 @@ stream function, r >= 0.  This module provides the admissible model kinds:
 zero, exponential decay, Gerstner's trochoidal vorticity (fixed by its
 parameter m) and a tabulated monotone-cubic interpolant that builds any
 decaying gamma from knots; ``model_from_config`` builds one from a config
-block.  It also computes every derived scalar the solvers consume:
+block.  Each model states every derived scalar the solvers consume:
 
 * ``Gamma(p) = int_0^p gamma(-p') dp'`` for p <= 0, with ``Gamma(0) = 0``,
-* its infimum/supremum over p <= 0 and its infinite-depth limit,
-* the integral criterion deciding whether a small-amplitude wave branch
-  bifurcates from the shear-flow family for given gravity and half-period.
+* its infimum/supremum over p <= 0 and its infinite-depth limit;
+
+and ``check_bifurcation_condition`` evaluates the integral criterion
+deciding whether a small-amplitude wave branch bifurcates from the
+shear-flow family for given gravity and half-period.
 
 Admissible models decay at depth, ``gamma(r) = O(r^(-2-2*rho))`` for some
 rho > 0, so that Gamma stays bounded on the half-line.  A closed-form kind
 is also monotone in r, so gamma(0) alone fixes the signs of gamma and
-gamma' and the supremum of gamma (see ``VorticityModel``).  All models are
-immutable and safe to share between concurrent solves.
+gamma', the supremum of gamma and the bounds of Gamma (see
+``VorticityModel``).  All models are immutable and safe to share between
+concurrent solves.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ __all__ = [
     "ExpDecayVorticity",
     "GerstnerVorticity",
     "TabulatedVorticity",
-    "VorticityFunctionals",
     "BifurcationCondition",
-    "functionals",
     "check_bifurcation_condition",
     "model_from_config",
 ]
@@ -70,11 +71,14 @@ class VorticityModel:
     r = inf).  ``big_gamma`` then follows from Gamma(p) = -G(-p), and the
     depth limit of Gamma from -G(inf).
 
-    The sign traits and ``gamma_sup_value`` are read off gamma(0).  That is
-    exact for a kind whose gamma is monotone on [0, inf) and decays to 0:
-    gamma keeps the sign of gamma(0), gamma' the opposite one, and
-    sup gamma = max(gamma(0), 0).  A closed-form kind must meet this
-    condition, or override the traits as ``TabulatedVorticity`` does.
+    The sign traits and ``gamma_sup_value`` are read off gamma(0), and the
+    bounds of Gamma off its depth limit.  That is exact for a kind whose
+    gamma is monotone on [0, inf) and decays to 0: gamma keeps the sign of
+    gamma(0), gamma' the opposite one, sup gamma = max(gamma(0), 0), and
+    Gamma runs monotonically from 0 to Gamma_total, so inf Gamma =
+    min(0, Gamma_total) and sup Gamma = max(0, Gamma_total).  A closed-form
+    kind must meet this condition, or override the traits and the bounds
+    as ``TabulatedVorticity`` does.
     """
 
     kind = "abstract"
@@ -102,6 +106,14 @@ class VorticityModel:
     def gamma_total(self):
         """Limit of Gamma(p) as p -> -infinity (improper integral)."""
         return -float(self._primitive_impl(np.inf))
+
+    def gamma_inf_bound(self) -> float:
+        """inf of Gamma over p <= 0; lambda must exceed -2 times it."""
+        return min(0.0, self.gamma_total())
+
+    def gamma_sup_bound(self) -> float:
+        """sup of Gamma over p <= 0."""
+        return max(0.0, self.gamma_total())
 
     # -- sign traits used to route the maximum-principle checks ---------------
 
@@ -241,7 +253,9 @@ class TabulatedVorticity(VorticityModel):
 
     The knots must start at r = 0 and end with gamma = 0; beyond the last
     knot the model is clamped to zero with zero slope, which preserves the
-    decay hypothesis.
+    decay hypothesis.  The interpolant need not be monotone and gamma may
+    change sign, so the sign traits, sup gamma and the bounds of Gamma are
+    sampled rather than read off gamma(0) and Gamma_total.
     """
 
     kind = "tabulated"
@@ -302,54 +316,35 @@ class TabulatedVorticity(VorticityModel):
     def gamma_sup_value(self):
         return max(0.0, float(self._dense_gamma()[1].max()))
 
+    def _sampled_bounds(self):
+        """(inf Gamma, sup Gamma) over a refining grid of p <= 0 and the depth limit.
+
+        Refinement stops once both bounds settle below 1e-10 absolute change.
+        """
+        total = self.gamma_total()
+        depth = self.tail_depth()
+        lo = hi = None
+        n = 1025
+        for _ in range(6):
+            p = -np.linspace(0.0, depth, n)
+            g = self.big_gamma(p)
+            new_lo = min(float(np.min(g)), total)
+            new_hi = max(float(np.max(g)), total)
+            if lo is not None and abs(new_lo - lo) < 1e-10 and abs(new_hi - hi) < 1e-10:
+                lo, hi = new_lo, new_hi
+                break
+            lo, hi = new_lo, new_hi
+            n = 2 * (n - 1) + 1
+        return lo, hi
+
+    def gamma_inf_bound(self):
+        return self._sampled_bounds()[0]
+
+    def gamma_sup_bound(self):
+        return self._sampled_bounds()[1]
+
     def __repr__(self):
         return f"TabulatedVorticity({len(self.knots)} knots)"
-
-
-@dataclass(frozen=True)
-class VorticityFunctionals:
-    """Derived scalar functionals of a vorticity model.
-
-    ``gamma_inf_bound``/``gamma_sup_bound`` are the infimum and supremum of
-    Gamma over p <= 0; ``gamma_total`` is the infinite-depth limit of Gamma.
-    """
-
-    gamma_inf_bound: float
-    gamma_sup_bound: float
-    gamma_total: float
-
-    def __post_init__(self):
-        tol = 1e-10 * max(1.0, abs(self.gamma_total))
-        if not (self.gamma_inf_bound <= tol and self.gamma_sup_bound >= -tol):
-            raise DomainError("Gamma(0) = 0 must lie between the inf and sup bounds")
-        if not (
-            self.gamma_inf_bound - tol <= self.gamma_total <= self.gamma_sup_bound + tol
-        ):
-            raise DomainError("the depth limit of Gamma must lie between its bounds")
-
-
-def functionals(model: VorticityModel) -> VorticityFunctionals:
-    """Compute Gamma_inf, Gamma_sup and the depth limit of Gamma.
-
-    Extrema are taken over a refining grid of p <= 0 together with the
-    p -> -infinity limit; refinement stops once both bounds settle below
-    1e-10 absolute change.
-    """
-    total = model.gamma_total()
-    depth = model.tail_depth()
-    lo = hi = None
-    n = 1025
-    for _ in range(6):
-        p = -np.linspace(0.0, depth, n)
-        g = model.big_gamma(p)
-        new_lo = min(float(np.min(g)), total)
-        new_hi = max(float(np.max(g)), total)
-        if lo is not None and abs(new_lo - lo) < 1e-10 and abs(new_hi - hi) < 1e-10:
-            lo, hi = new_lo, new_hi
-            break
-        lo, hi = new_lo, new_hi
-        n = 2 * (n - 1) + 1
-    return VorticityFunctionals(gamma_inf_bound=lo, gamma_sup_bound=hi, gamma_total=total)
 
 
 @dataclass(frozen=True)
@@ -376,11 +371,10 @@ def check_bifurcation_condition(
     """
     if g <= 0 or L <= 0:
         raise DomainError("gravity and half-period must be positive")
-    fn = functionals(model)
     depth = max(model.tail_depth(), 40.0)
     n = 8193
     p = -np.linspace(0.0, depth, n)[::-1]
-    q = 2.0 * model.big_gamma(p) - 2.0 * fn.gamma_inf_bound
+    q = 2.0 * model.big_gamma(p) - 2.0 * model.gamma_inf_bound()
     q = np.maximum(q, 0.0)
     integrand = (2.0 * q**1.5 + (math.pi / L) ** 2 * np.sqrt(q)) * np.exp(2.0 * p)
     value = float(simpson(integrand, x=p))

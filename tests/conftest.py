@@ -9,7 +9,7 @@ from vorstokes import strip_solver
 from vorstokes.continuation import continue_branch, epsilon_homotopy, initial_nontrivial_guess
 from vorstokes.strip_solver import StripOperator, default_grid
 from vorstokes.sturm_liouville import SLProblem, find_bifurcation_point
-from vorstokes.vorticity import GerstnerVorticity, ZeroVorticity, functionals
+from vorstokes.vorticity import GerstnerVorticity, ZeroVorticity
 
 G = 9.81
 L = math.pi
@@ -39,29 +39,27 @@ def derivative_passes(monkeypatch):
 
 @pytest.fixture(scope="session")
 def zero_setup():
-    """(model, functionals, bifurcation point, strip operator) for gamma = 0."""
+    """(model, bifurcation point, strip operator) for gamma = 0."""
     model = ZeroVorticity()
-    fn = functionals(model)
     bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=EPS_RUN))
     grid = default_grid(L, bp.lambda_star, EPS_RUN, nq=64)
     op = StripOperator(model, G, grid, epsilon=EPS_RUN)
-    return model, fn, bp, op
+    return model, bp, op
 
 
 @pytest.fixture(scope="session")
 def gerstner_setup():
     model = GerstnerVorticity(m=0.5)
-    fn = functionals(model)
     bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=EPS_RUN))
     grid = default_grid(L, bp.lambda_star, EPS_RUN, nq=64)
     op = StripOperator(model, G, grid, epsilon=EPS_RUN)
-    return model, fn, bp, op
+    return model, bp, op
 
 
 @pytest.fixture(scope="session")
 def zero_branch(zero_setup):
     """Thirty accepted points on the irrotational branch."""
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     branch = continue_branch(op, bp, steps=30, ds=0.00075, s0=0.005, tol=1e-11)
     assert len(branch.points) == 30
     return branch
@@ -69,7 +67,7 @@ def zero_branch(zero_setup):
 
 @pytest.fixture(scope="session")
 def gerstner_branch(gerstner_setup):
-    _, _, bp, op = gerstner_setup
+    _, bp, op = gerstner_setup
     branch = continue_branch(op, bp, steps=30, ds=0.00075, s0=0.005, tol=1e-11)
     assert len(branch.points) == 30
     return branch
@@ -78,7 +76,7 @@ def gerstner_branch(gerstner_setup):
 @pytest.fixture(scope="session")
 def zero_homotopy(zero_setup):
     """The gamma = 0 wave of amplitude 0.02 along SCHEDULE, seeded at its first epsilon."""
-    model, _, _, op = zero_setup
+    model, _, op = zero_setup
     bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=SCHEDULE[0]))
     start = initial_nontrivial_guess(bp, op, 0.02)
     return epsilon_homotopy(model, G, start, SCHEDULE, target_s=0.02, tol=1e-11)

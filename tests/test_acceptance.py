@@ -25,7 +25,6 @@ from vorstokes.vorticity import (
     ExpDecayVorticity,
     GerstnerVorticity,
     ZeroVorticity,
-    functionals,
 )
 from vorstokes.wave_physics import (
     decay_envelope_constants,
@@ -96,8 +95,7 @@ def test_criterion_03_trivial_branch_exactness():
     ]
     worst = 0.0
     for model in models:
-        fn = functionals(model)
-        lam = -2.0 * fn.gamma_inf_bound + rng.uniform(1.0, 8.0)
+        lam = -2.0 * model.gamma_inf_bound() + rng.uniform(1.0, 8.0)
         grid = StripGrid(L=L, P=4 * L, nq=48, np=160)
         op = StripOperator(model, G, grid, epsilon=rng.uniform(0.0, 0.1))
         st = WaveState(lam, op.epsilon, grid, np.zeros((grid.np, grid.nq)))
@@ -106,7 +104,7 @@ def test_criterion_03_trivial_branch_exactness():
 
 
 def test_criterion_04_local_theory_agreement(zero_setup):
-    _, _, bp, _ = zero_setup
+    _, bp, _ = zero_setup
     grid = StripGrid(L=L, P=4 * L, nq=64, np=200)
     op = StripOperator(ZeroVorticity(), G, grid, epsilon=0.01)
     lam_d, phi_d = linear_strip_mode(op, bp.lambda_star)
@@ -138,8 +136,8 @@ def test_criterion_04_local_theory_agreement(zero_setup):
 
 def test_criterion_05_nodal_suite(zero_setup, gerstner_setup, zero_branch, gerstner_branch):
     violations = []
-    runs = (("zero", zero_setup[3], zero_branch),
-            ("gerstner", gerstner_setup[3], gerstner_branch))
+    runs = (("zero", zero_setup[2], zero_branch),
+            ("gerstner", gerstner_setup[2], gerstner_branch))
     for name, op, branch in runs:
         for k, st in enumerate(branch.points):
             rep = verify_nodal(op.evaluate(st))
@@ -154,8 +152,8 @@ def test_criterion_06_physical_bounds_suite(zero_setup, gerstner_setup,
                                             zero_branch, gerstner_branch):
     failures = []
     runs = (
-        ("zero", ZeroVorticity(), zero_setup[3], zero_branch),
-        ("gerstner", GerstnerVorticity(m=0.5), gerstner_setup[3], gerstner_branch),
+        ("zero", ZeroVorticity(), zero_setup[2], zero_branch),
+        ("gerstner", GerstnerVorticity(m=0.5), gerstner_setup[2], gerstner_branch),
     )
     n_checks = 0
     for name, model, op, branch in runs:
@@ -170,7 +168,7 @@ def test_criterion_06_physical_bounds_suite(zero_setup, gerstner_setup,
 
 
 def test_criterion_07_decay_rates(zero_setup, zero_branch):
-    _, _, _, op = zero_setup
+    _, _, op = zero_setup
     worst_rel = 0.0
     sigma_ok = True
     checked = 0
@@ -190,7 +188,7 @@ def test_criterion_07_decay_rates(zero_setup, zero_branch):
 
 
 def test_criterion_08_jacobian_correctness(zero_setup, zero_branch):
-    _, _, _, op = zero_setup
+    _, _, op = zero_setup
     rng = np.random.default_rng(7)
     grid = op.grid
     p = grid.p_nodes[:, None]
@@ -232,7 +230,7 @@ def test_criterion_09_homotopy_cauchy(zero_homotopy):
 
 
 def test_criterion_10_cross_oracle(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.05), 0.05,
                             tol=1e-11)
     wave = reconstruct(st, ZeroVorticity(), G)
@@ -251,7 +249,7 @@ def test_criterion_10_cross_oracle(zero_setup):
 
 
 def test_criterion_11_grid_robustness(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     base = op.grid
     st_base = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.02), 0.02,
                                  tol=1e-11)

@@ -41,7 +41,7 @@ L = math.pi
 
 
 def test_initial_guess_zero_amplitude_is_trivial(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = initial_nontrivial_guess(bp, op, 0.0)
     assert np.all(st.w == 0.0)
     assert st.lam == bp.lambda_star
@@ -59,7 +59,7 @@ def test_surface_mode_amplitude_is_the_mode_weights_row_sum(nq, np_):
 
 
 def test_initial_guess_matches_local_theory(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     s = 0.01
     st = initial_nontrivial_guess(bp, op, s)
     q = op.grid.q_nodes
@@ -76,19 +76,19 @@ def test_initial_guess_matches_local_theory(zero_setup):
 
 def test_initial_guess_rejects_huge_amplitude(zero_setup):
     # the seed is built unchecked; the solve's first admissibility test rejects it
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     with pytest.raises(AdmissibilityError):
         solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 50.0), 50.0)
 
 
 def test_initial_guess_differentiates_nothing(zero_setup, derivative_passes):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     initial_nontrivial_guess(bp, op, 0.01)
     assert derivative_passes == []
 
 
 def test_solve_at_amplitude_pins_coordinate_and_scales_quadratically(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     lam_d, phi_d = linear_strip_mode(op, bp.lambda_star)
     mode = phi_d[:, None] * np.cos(math.pi * op.grid.q_nodes / L)[None, :]
 
@@ -104,7 +104,7 @@ def test_solve_at_amplitude_pins_coordinate_and_scales_quadratically(zero_setup)
 
 def test_negative_amplitude_gives_half_period_translate(zero_setup):
     # the sign flip is the half-period translate: reflection through -L/2
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     for s in (0.01, 0.02, 0.03):
         plus = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, s), s,
                                   tol=1e-11)
@@ -115,7 +115,7 @@ def test_negative_amplitude_gives_half_period_translate(zero_setup):
 
 
 def test_first_arclength_step_follows_tangent(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     start = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.01), 0.01,
                                tol=1e-11)
     tangent = branch_tangent(op, op.evaluate(start), prev=seed_tangent(bp, op))
@@ -184,7 +184,7 @@ def test_branch_amplitudes_increase(zero_branch):
 
 
 def test_classify_termination_running_for_generous_caps(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = WaveState(bp.lambda_star, op.epsilon, op.grid,
                    np.zeros((op.grid.np, op.grid.nq)))
     caps = Caps.default(G, L)
@@ -192,7 +192,7 @@ def test_classify_termination_running_for_generous_caps(zero_setup):
 
 
 def test_classify_termination_lambda_blowup(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = WaveState(bp.lambda_star, op.epsilon, op.grid,
                    np.zeros((op.grid.np, op.grid.nq)))
     caps = Caps(lambda_cap=bp.lambda_star * 0.5)
@@ -200,7 +200,7 @@ def test_classify_termination_lambda_blowup(zero_setup):
 
 
 def test_classify_termination_stagnation_clause(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     grid = op.grid
     w = np.zeros((grid.np, grid.nq))
     # pull wp down to -a^-1 + delta/2 at the crest column
@@ -214,7 +214,7 @@ def test_classify_termination_stagnation_clause(zero_setup):
 
 
 def test_classify_termination_surface_clause(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     lam = bp.lambda_star
     w = np.zeros((op.grid.np, op.grid.nq))
     w[-1] = (2.0 * lam - op.delta) / (4.0 * G) + 1e-9
@@ -223,7 +223,7 @@ def test_classify_termination_surface_clause(zero_setup):
 
 
 def test_classify_termination_lambda_floor(zero_setup):
-    _, _, _, op = zero_setup
+    _, _, op = zero_setup
     st = WaveState(0.5 * op.delta, op.epsilon, op.grid,
                    np.zeros((op.grid.np, op.grid.nq)))
     assert classify_termination(op.evaluate(st), Caps.default(G, L)) is Termination.LAMBDA_FLOOR
@@ -253,14 +253,14 @@ def test_homotopy_lambda_first_order_in_epsilon(zero_homotopy):
 
 def test_homotopy_rejects_a_zero_target(zero_setup):
     # like a branch, a homotopy cannot follow the trivial solution
-    model, _, bp, op = zero_setup
+    model, bp, op = zero_setup
     with pytest.raises(DomainError, match="target_s = 0"):
         epsilon_homotopy(model, G, initial_nontrivial_guess(bp, op, 0.0), [0.1, 0.05],
                          target_s=0.0)
 
 
 def test_homotopy_rejects_bad_schedule(zero_setup):
-    model, _, bp, op = zero_setup
+    model, bp, op = zero_setup
     start = initial_nontrivial_guess(bp, op, 0.01)
     with pytest.raises(DomainError):
         epsilon_homotopy(model, G, start, [0.05, 0.1], target_s=0.01)
@@ -283,7 +283,7 @@ def test_homotopy_from_a_solved_state_keeps_its_first_entry(small_zero, caplog):
 
 def test_every_accepted_point_strictly_admissible(zero_branch, zero_setup):
     # all six admissibility/cap clauses hold strictly at accepted points
-    _, _, _, op = zero_setup
+    _, _, op = zero_setup
     caps = Caps.default(G, L)
     for st in zero_branch.points:
         ev = op.evaluate(st)
@@ -294,7 +294,7 @@ def test_every_accepted_point_strictly_admissible(zero_branch, zero_setup):
 def test_homotopy_stability_under_epsilon_halving(zero_homotopy, zero_setup, caplog):
     # re-solving a branch point with half the regularization converges in at
     # most ten Newton corrections at the same amplitude
-    model, _, _, op0 = zero_setup
+    model, _, op0 = zero_setup
     from vorstokes.strip_solver import StripOperator
 
     state = zero_homotopy.states[-1]
@@ -311,9 +311,9 @@ def test_homotopy_stability_under_epsilon_halving(zero_homotopy, zero_setup, cap
 
 
 def test_branch_records_have_consistent_wave_speed(zero_branch, zero_setup):
-    _, fn, _, op = zero_setup
+    model = zero_setup[0]
     for row in zero_branch.record_rows():
-        assert row["c"] ** 2 == pytest.approx(row["lambda"] + 2.0 * fn.gamma_total,
+        assert row["c"] ** 2 == pytest.approx(row["lambda"] + 2.0 * model.gamma_total(),
                                               rel=1e-12)
 
 

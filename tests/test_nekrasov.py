@@ -211,7 +211,7 @@ def test_mapped_strip_wave_satisfies_bound(zero_setup):
     from vorstokes.wave_physics import reconstruct
     from vorstokes.vorticity import ZeroVorticity
 
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.05), 0.05,
                             tol=1e-11)
     wave = reconstruct(st, ZeroVorticity(), 9.81)
@@ -228,7 +228,7 @@ def test_cross_solver_profile_agreement(zero_setup):
     from vorstokes.wave_physics import reconstruct
     from vorstokes.vorticity import ZeroVorticity
 
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.05), 0.05,
                             tol=1e-11)
     wave = reconstruct(st, ZeroVorticity(), 9.81)

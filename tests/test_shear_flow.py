@@ -6,7 +6,12 @@ from scipy.integrate import quad
 
 from vorstokes.errors import DomainError, StagnationDomainError
 from vorstokes.shear_flow import ShearFlow, wave_speed
-from vorstokes.vorticity import ExpDecayVorticity, GerstnerVorticity, ZeroVorticity, functionals
+from vorstokes.vorticity import (
+    ExpDecayVorticity,
+    GerstnerVorticity,
+    TabulatedVorticity,
+    ZeroVorticity,
+)
 
 G = 9.81
 
@@ -42,9 +47,8 @@ def test_shear_flow_rejects_stagnation_domain():
 
 
 def test_a_nan_parameter_is_not_positive():
-    fn = functionals(ZeroVorticity())
     with pytest.raises(StagnationDomainError):
-        wave_speed(math.nan, fn)
+        wave_speed(math.nan, ZeroVorticity())
     with pytest.raises(StagnationDomainError):
         ShearFlow(ZeroVorticity(), lam=math.nan, g=G)
     with pytest.raises(DomainError):
@@ -101,15 +105,26 @@ def test_h_trivial_strictly_increasing():
 
 
 def test_wave_speed_zero_vorticity():
-    assert wave_speed(4.0, functionals(ZeroVorticity())) == pytest.approx(2.0, rel=1e-14)
+    assert wave_speed(4.0, ZeroVorticity()) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_wave_speed_expdecay():
-    fn = functionals(ExpDecayVorticity(1.0, 1.0))
-    assert wave_speed(4.0, fn) == pytest.approx(math.sqrt(2.0), rel=1e-10)
+    assert wave_speed(4.0, ExpDecayVorticity(1.0, 1.0)) == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
 def test_wave_speed_zero_radicand_rejected():
-    fn = functionals(ExpDecayVorticity(1.0, 1.0))
+    model = ExpDecayVorticity(1.0, 1.0)
     with pytest.raises(StagnationDomainError):
-        wave_speed(-2.0 * fn.gamma_total, fn)
+        wave_speed(-2.0 * model.gamma_total(), model)
+
+
+def test_a_flow_holds_only_its_parameters():
+    # README: solver state is immutable or owned by one solve, so h_tr
+    # builds the spline it needs and leaves the flow as it found it
+    models = (ExpDecayVorticity(0.5, 2.0), GerstnerVorticity(m=0.5),
+              TabulatedVorticity([[0.0, 0.4], [1.0, 0.1], [2.0, 0.0]]))
+    for model in models:
+        flow = ShearFlow(model, lam=6.0, g=G)
+        for p in (-1.0, -np.linspace(0.0, 40.0, 9), -3.0):
+            flow.h_tr(p)
+            assert vars(flow) == {"model": model, "lam": 6.0, "g": G}

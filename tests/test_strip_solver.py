@@ -23,7 +23,6 @@ from vorstokes.vorticity import (
     ExpDecayVorticity,
     GerstnerVorticity,
     ZeroVorticity,
-    functionals,
 )
 
 G = 9.81
@@ -62,8 +61,7 @@ def test_trivial_residual_exact_for_random_admissible_pairs():
         GerstnerVorticity(m=0.8),
     ]
     for model in models:
-        fn = functionals(model)
-        lam = -2.0 * fn.gamma_inf_bound + rng.uniform(1.0, 8.0)
+        lam = -2.0 * model.gamma_inf_bound() + rng.uniform(1.0, 8.0)
         op = make_op(model, lam_hint=lam)
         st = zero_state(op, lam)
         assert op.residual_norm(st) <= 1e-13
@@ -449,7 +447,7 @@ def test_reflected_solution_satisfies_full_period_equations(zero_setup):
     # 2L-periodic even solution: reflect and evaluate with periodic stencils
     from vorstokes.continuation import initial_nontrivial_guess, solve_at_amplitude
 
-    model, _, bp, op = zero_setup
+    model, bp, op = zero_setup
     st = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.02), 0.02, tol=1e-11)
     grid = op.grid
     w_full = np.concatenate([st.w, st.w[:, -2:0:-1]], axis=1)  # q in [-L, L)
@@ -538,7 +536,7 @@ def test_wave_state_load_rejects_a_non_json_file(tmp_path):
 
 
 def test_linear_strip_mode_matches_halfline_solver(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     lam_d, phi_d = linear_strip_mode(op, bp.lambda_star)
     # two discretizations of the same eigenvalue problem
     assert lam_d == pytest.approx(bp.lambda_star, rel=2e-3)

@@ -21,8 +21,8 @@ from vorstokes.sturm_liouville import (
 from vorstokes.vorticity import (
     ExpDecayVorticity,
     GerstnerVorticity,
+    TabulatedVorticity,
     ZeroVorticity,
-    functionals,
 )
 
 G = 9.81
@@ -149,6 +149,40 @@ def test_bifurcation_point_is_scale_free_for_zero_vorticity(g, half_period):
     assert bp.lambda_star == pytest.approx(g * half_period / math.pi, rel=1e-9)
 
 
+def similar_model(model, g, half_period):
+    """``model`` (posed at g = G, L = pi) mapped to the similar problem at g, L.
+
+    With l = L / pi, lambda scales like g l, gamma like (g / l)^(1/2), the
+    stream-function variable like g^(1/2) l^(3/2) and epsilon like 1 / (g l^3).
+    """
+    ell = half_period / math.pi
+    s_gamma = math.sqrt(g / (G * ell))
+    s_r = math.sqrt(g / G) * ell**1.5
+    if isinstance(model, ExpDecayVorticity):
+        return ExpDecayVorticity(model.amplitude * s_gamma, model.rate * s_r)
+    return TabulatedVorticity(model.knots * [s_r, s_gamma])
+
+
+# GerstnerVorticity has no similar family: b(psi) = -1 - psi fixes the scale
+# of psi, so m alone cannot follow a change of g or L
+@pytest.mark.parametrize("model", [
+    ExpDecayVorticity(1.0, 1.0),
+    ExpDecayVorticity(-0.6, 1.4),
+    TabulatedVorticity([[0.0, 0.4], [1.0, 0.1], [2.0, 0.02], [3.0, 0.0]]),
+    TabulatedVorticity([[0.0, 0.4], [1.0, -0.3], [2.5, 0.0]]),
+], ids=["expdecay+", "expdecay-", "tabulated", "tabulated-sign-change"])
+@pytest.mark.parametrize("g, half_period, eps", [(1.0, 0.3, 0.0), (25.0, 7.0, 0.0),
+                                                 (25.0, 7.0, 0.01)])
+def test_bifurcation_point_is_scale_free_for_a_similar_model(model, g, half_period, eps):
+    # lambda* / (g L / pi) is the same for a model and its image under the
+    # similarity map, at the image of epsilon
+    ell = half_period / math.pi
+    base = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=eps))
+    image = find_bifurcation_point(SLProblem(similar_model(model, g, half_period), g=g,
+                                             L=half_period, epsilon=eps * G / (g * ell**3)))
+    assert image.lambda_star / (g * ell) == pytest.approx(base.lambda_star / G, abs=1e-9)
+
+
 def refined_lambda_star(model, g, half_period, lam):
     """Richardson root at eps = 0 on a grid resolving the surface layer and tail.
 
@@ -156,11 +190,10 @@ def refined_lambda_star(model, g, half_period, lam):
     vorticity's tail depth, whichever is deeper, with sixty nodes per decay
     length or per surface-layer width lam^(3/2) / g, whichever is thinner.
     """
-    fn = functionals(model)
-    k = (math.pi / half_period) / math.sqrt(lam + 2.0 * fn.gamma_total)
+    k = (math.pi / half_period) / math.sqrt(lam + 2.0 * model.gamma_total())
     depth = max(60.0 / k, model.tail_depth())
     n = int(60.0 * depth / min(1.0 / k, lam**1.5 / g))
-    coarse = SLProblem(model, g=g, L=half_period, n=n, depth=depth, fn=fn)
+    coarse = SLProblem(model, g=g, L=half_period, n=n, depth=depth)
     fine = dataclasses.replace(coarse, n=2 * n)
     target = -((math.pi / half_period) ** 2)
 
@@ -206,10 +239,9 @@ def test_bracket_root_walks_to_a_sign_change():
 
 def test_bifurcation_point_interval_membership():
     for model in (ExpDecayVorticity(1.0, 1.0), GerstnerVorticity(m=0.5)):
-        fn = functionals(model)
         bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=0.01))
-        lo = -2.0 * fn.gamma_inf_bound
-        hi = G * L / math.pi + abs(2.0 * fn.gamma_inf_bound) + 1.0
+        lo = -2.0 * model.gamma_inf_bound()
+        hi = G * L / math.pi + abs(2.0 * model.gamma_inf_bound()) + 1.0
         assert lo < bp.lambda_star <= hi
 
 
@@ -268,24 +300,22 @@ def test_grid_convergence_of_lambda():
 
 
 def test_decay_rate_bound_irrotational():
-    fn = functionals(ZeroVorticity())
     bp = find_bifurcation_point(zero_prob())
-    assert eigenfunction_decay_rate(bp, fn) == pytest.approx(1.0 / 9.81, rel=1e-6)
+    assert eigenfunction_decay_rate(bp, ZeroVorticity()) == pytest.approx(1.0 / 9.81, rel=1e-6)
 
 
 def test_fitted_tail_rate_exceeds_bound():
-    fn = functionals(ZeroVorticity())
     bp = find_bifurcation_point(zero_prob())
     fitted = fitted_tail_rate(bp.p, bp.phi)
     assert fitted == pytest.approx(math.pi / (L * math.sqrt(bp.lambda_star)), rel=1e-2)
-    assert fitted >= eigenfunction_decay_rate(bp, fn) - 1e-9
+    assert fitted >= eigenfunction_decay_rate(bp, ZeroVorticity()) - 1e-9
 
 
 def test_decay_rate_degenerate_limit():
     # As lambda + 2*Gamma_inf -> 0+ with Gamma_sup > Gamma_inf the guaranteed
     # rate collapses to zero.
-    fn = functionals(ExpDecayVorticity(1.0, 1.0))  # Gamma_inf = -1, Gamma_sup = 0
-    floor = -2.0 * fn.gamma_inf_bound
+    model = ExpDecayVorticity(1.0, 1.0)  # Gamma_inf = -1, Gamma_sup = 0
+    floor = -2.0 * model.gamma_inf_bound()
     rates = []
     for offset in (1e-2, 1e-6, 1e-10):
         bp = BifurcationPoint(
@@ -297,17 +327,16 @@ def test_decay_rate_degenerate_limit():
             g=G,
             L=L,
         )
-        rates.append(eigenfunction_decay_rate(bp, fn))
+        rates.append(eigenfunction_decay_rate(bp, model))
     assert np.all(np.diff(rates) < 0.0)
     assert rates[-1] < 1e-4
 
 
 def test_eigenfunction_decay_for_rotational_model():
     model = ExpDecayVorticity(1.0, 1.0)
-    fn = functionals(model)
     bp = find_bifurcation_point(SLProblem(model, g=G, L=L, epsilon=0.01))
     fitted = fitted_tail_rate(bp.p, bp.phi)
-    assert fitted >= eigenfunction_decay_rate(bp, fn) - 1e-9
+    assert fitted >= eigenfunction_decay_rate(bp, model) - 1e-9
 
 
 # lambda* of the bisection search that Newton's method replaced: Brent's

@@ -10,11 +10,9 @@ from vorstokes.vorticity import (
     ExpDecayVorticity,
     GerstnerVorticity,
     TabulatedVorticity,
-    VorticityFunctionals,
     VorticityModel,
     ZeroVorticity,
     check_bifurcation_condition,
-    functionals,
     model_from_config,
 )
 
@@ -65,28 +63,26 @@ def test_big_gamma_rejects_positive_argument():
         ExpDecayVorticity().big_gamma(0.5)
 
 
-def test_functionals_zero():
-    fn = functionals(ZeroVorticity())
-    assert (fn.gamma_inf_bound, fn.gamma_sup_bound, fn.gamma_total) == (0.0, 0.0, 0.0)
+def bounds(model):
+    return model.gamma_inf_bound(), model.gamma_sup_bound(), model.gamma_total()
 
 
-def test_functionals_expdecay_positive_amplitude():
-    fn = functionals(ExpDecayVorticity(amplitude=1.0, rate=1.0))
-    assert fn.gamma_inf_bound == pytest.approx(-1.0, abs=1e-10)
-    assert fn.gamma_sup_bound == pytest.approx(0.0, abs=1e-10)
-    assert fn.gamma_total == pytest.approx(-1.0, abs=1e-12)
+def test_gamma_bounds_zero():
+    assert bounds(ZeroVorticity()) == (0.0, 0.0, 0.0)
 
 
-def test_functionals_expdecay_negative_amplitude():
-    fn = functionals(ExpDecayVorticity(amplitude=-1.0, rate=1.0))
-    assert fn.gamma_inf_bound == pytest.approx(0.0, abs=1e-10)
-    assert fn.gamma_sup_bound == pytest.approx(1.0, abs=1e-10)
-    assert fn.gamma_total == pytest.approx(1.0, abs=1e-12)
+def test_gamma_bounds_expdecay_positive_amplitude():
+    inf, sup, total = bounds(ExpDecayVorticity(amplitude=1.0, rate=1.0))
+    assert inf == pytest.approx(-1.0, abs=1e-10)
+    assert sup == pytest.approx(0.0, abs=1e-10)
+    assert total == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_functionals_ordering_invariant():
-    with pytest.raises(DomainError):
-        VorticityFunctionals(gamma_inf_bound=0.5, gamma_sup_bound=1.0, gamma_total=0.7)
+def test_gamma_bounds_expdecay_negative_amplitude():
+    inf, sup, total = bounds(ExpDecayVorticity(amplitude=-1.0, rate=1.0))
+    assert inf == pytest.approx(0.0, abs=1e-10)
+    assert sup == pytest.approx(1.0, abs=1e-10)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bifurcation_condition_zero_vorticity():
@@ -157,11 +153,10 @@ def test_big_gamma_between_bounds_random_p():
         ExpDecayVorticity(-0.7, 2.0),
         GerstnerVorticity(m=0.7),
     ):
-        fn = functionals(model)
         p = -rng.uniform(0.0, 80.0, size=1000)
         g = model.big_gamma(p)
-        assert np.all(g >= fn.gamma_inf_bound - 1e-10)
-        assert np.all(g <= fn.gamma_sup_bound + 1e-10)
+        assert np.all(g >= model.gamma_inf_bound() - 1e-10)
+        assert np.all(g <= model.gamma_sup_bound() + 1e-10)
 
 
 def test_gerstner_sign_pattern():
@@ -184,7 +179,7 @@ def test_gerstner_state_is_its_parameter():
     # evaluation leaves no cache behind, so one model serves concurrent solves
     model = GerstnerVorticity(m=0.5)
     model.big_gamma(-np.linspace(0.0, 30.0, 9))
-    functionals(model)
+    bounds(model)
     assert vars(model) == {"m": 0.5}
 
 
@@ -227,6 +222,45 @@ def test_gerstner_with_an_underflowing_m_is_irrotational():
     assert traits(model) == (True, True, True, True, 0.0, 0.0)
 
 
+def sampled_gamma_bounds(model):
+    """inf and sup of Gamma over p <= 0 by search: grids of 1,025 to 32,769
+    points out to the depth where Gamma meets its limit, until both settle
+    to 1e-10, with the limit itself taken in."""
+    total = model.gamma_total()
+    depth = model.tail_depth()
+    lo = hi = None
+    for k in range(6):
+        g = model.big_gamma(-np.linspace(0.0, depth, 1024 * 2**k + 1))
+        new_lo, new_hi = min(float(np.min(g)), total), max(float(np.max(g)), total)
+        settled = lo is not None and abs(new_lo - lo) < 1e-10 and abs(new_hi - hi) < 1e-10
+        lo, hi = new_lo, new_hi
+        if settled:
+            break
+    return lo, hi
+
+
+def test_closed_form_gamma_bounds_equal_a_sampled_search():
+    # a monotone gamma makes Gamma monotone from 0 to Gamma_total, so the
+    # base class's min(0, Gamma_total) and max(0, Gamma_total) are exact
+    for cls, sets in CLOSED_FORM_PARAMS.items():
+        for params in sets:
+            model = cls(**params)
+            total = model.gamma_total()
+            assert bounds(model) == (min(0.0, total), max(0.0, total), total), model
+            assert bounds(model)[:2] == sampled_gamma_bounds(model), model
+
+
+def test_tabulated_gamma_bounds_follow_a_sign_change():
+    # gamma changes sign, so Gamma dips below both 0 and its depth limit and
+    # the closed-form rule would miss the floor lambda > -2 inf Gamma
+    model = TabulatedVorticity([[0.0, 0.4], [1.0, -0.3], [2.5, 0.0]])
+    inf, sup, total = bounds(model)
+    assert (inf, sup) == sampled_gamma_bounds(model)
+    assert inf == pytest.approx(-0.0778, abs=5e-5)
+    assert inf < min(0.0, total)
+    assert sup == max(0.0, total)
+
+
 def test_every_closed_form_kind_is_monotone_with_one_signed_slope():
     # the base class reads the sign traits and sup gamma off gamma(0), which
     # holds only for a gamma monotone in r; a kind that breaks this must
@@ -264,7 +298,7 @@ def test_gerstner_rejects_m_outside_its_range(m):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["amplitude", "rate"])
 def test_expdecay_rejects_a_non_finite_parameter(name, value):
-    # used to pass, and functionals() then reported a violated decay hypothesis
+    # used to pass, and the tail-depth search then reported a violated decay hypothesis
     with pytest.raises(DomainError, match=name):
         ExpDecayVorticity(**{name: value})
 

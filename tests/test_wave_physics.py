@@ -32,7 +32,7 @@ def trivial_state(op, lam):
 
 @pytest.fixture(scope="module")
 def solved_zero(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.02), 0.02,
                             tol=1e-11)
     return op, st
@@ -40,7 +40,7 @@ def solved_zero(zero_setup):
 
 @pytest.fixture(scope="module")
 def solved_gerstner(gerstner_setup):
-    model, _, bp, op = gerstner_setup
+    model, bp, op = gerstner_setup
     st = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.02), 0.02,
                             tol=1e-11)
     return model, op, st
@@ -84,7 +84,7 @@ def test_surface_bernoulli_identity_on_solved_state(solved_zero):
 
 
 def test_nodal_passes_for_local_theory_state(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = initial_nontrivial_guess(bp, op, 0.01)
     rep = verify_nodal(op.evaluate(st))
     assert rep.passed
@@ -96,7 +96,7 @@ def test_nodal_passes_for_local_theory_state(zero_setup):
 
 
 def test_nodal_flags_sign_flipped_state(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     st = initial_nontrivial_guess(bp, op, -0.01)  # crest at the period ends
     rep = verify_nodal(op.evaluate(st))
     names = {c.name for c in rep.failures()}
@@ -105,13 +105,13 @@ def test_nodal_flags_sign_flipped_state(zero_setup):
 
 
 def test_nodal_trivial_is_vacuous(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     rep = verify_nodal(op.evaluate(trivial_state(op, bp.lambda_star)))
     assert rep.checks[0].skipped
 
 
 def test_decay_degenerate_for_trivial_irrotational(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     rep = verify_decay(op.evaluate(trivial_state(op, bp.lambda_star)))
     assert rep.checks[0].skipped
 
@@ -136,7 +136,7 @@ def test_verify_all_differentiates_each_state_once(solved_zero, derivative_passe
 
 
 def test_velocity_bounds_trivial_equality_case(zero_setup):
-    _, _, bp, op = zero_setup
+    _, bp, op = zero_setup
     wave = reconstruct(trivial_state(op, bp.lambda_star), ZeroVorticity(), G)
     rep = verify_velocity_bounds(wave, tol=1e-9)
     assert rep.passed
