@@ -198,15 +198,26 @@ def _newton_system(nu, t, W, theta):
 
     With D = nu^-1 + T(sin theta), T the running trapezoid,
     J v = v - W [(cos theta / D) v - (sin theta / D^2) T(cos theta v)] / (3 pi),
-    v padded with zeros at both ends: O(n^2) per product, no matrix.
+    v padded with zeros at both ends: O(n^2) per product, no matrix.  The
+    padded v, the steps of t and T's buffers are built here, once per
+    linearization; each product fills them in place, in the operation
+    order of `_running_trapezoid`, so it gives the same bits.
     """
     st, ct = np.sin(theta), np.cos(theta)
     denom = 1.0 / nu + _running_trapezoid(st, t)
     a, b = ct / denom, st / denom**2
+    dt = np.diff(t)
+    full, y, cum = np.zeros_like(t), np.empty_like(t), np.zeros_like(t)
+    seg = np.empty_like(dt)
 
     def jv(v):
-        full = np.pad(v, 1)
-        return v - (W @ (a * full - b * _running_trapezoid(ct * full, t))) / (3.0 * math.pi)
+        full[1:-1] = v
+        np.multiply(ct, full, out=y)
+        np.add(y[1:], y[:-1], out=seg)
+        np.multiply(seg, 0.5, out=seg)
+        np.multiply(seg, dt, out=seg)
+        np.cumsum(seg, out=cum[1:])
+        return v - (W @ (a * full - b * cum)) / (3.0 * math.pi)
 
     return (theta - _picard_map(nu, t, W, theta))[1:-1], jv
 

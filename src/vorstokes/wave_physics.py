@@ -156,14 +156,17 @@ def reconstruct(state: WaveState, model: VorticityModel, g: float) -> PhysicalWa
 
     h = flow.h_tr(p)[:, None] + state.w
     d = derivative_fields(grid, state.w)
-    ainv = 1.0 / flow.a(p)
-    hp = ainv[:, None] + d["wp"]
+    # a^2 = lambda + 2 Gamma, so 1/a and the pressure share one Gamma
+    big_gamma = np.asarray(model.big_gamma(p))
+    a_sq = flow.lam + 2.0 * big_gamma
+    if np.any(a_sq <= 0.0):
+        raise StagnationDomainError(f"lambda + 2*Gamma(p) dropped to {float(np.min(a_sq)):.6g}")
+    hp = 1.0 / np.sqrt(a_sq)[:, None] + d["wp"]
     if np.any(hp <= 0.0):
         raise StagnationDomainError("height map is not monotone in p")
 
     psi_x = d["wq"] / hp
     psi_y = -1.0 / hp
-    big_gamma = np.asarray(model.big_gamma(p))
     speed_sq = psi_x**2 + psi_y**2
     pressure = -(0.5 * speed_sq + g * h - big_gamma[:, None])
 

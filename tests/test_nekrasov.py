@@ -150,6 +150,29 @@ def test_weights_are_built_once_per_node_count(monkeypatch):
         W[0, 0] = 0.0
 
 
+def test_jacobian_product_fills_its_buffers_to_the_same_bits():
+    # J v by the padded-vector formula, written out with np.pad and a
+    # concatenating running trapezoid, against the product's in-place buffers
+    rng = np.random.default_rng(29)
+    for n in (8, 96, 256):
+        t = np.linspace(0.0, PI, n + 1)
+        W = nekrasov._interior_weights(n)
+        for nu in (3.5, 6.0, 40.0):
+            theta = np.concatenate([[0.0], rng.uniform(-0.6, 0.6, n - 1), [0.0]])
+            st, ct = np.sin(theta), np.cos(theta)
+            trap = np.concatenate([[0.0], np.cumsum(0.5 * (st[1:] + st[:-1]) * np.diff(t))])
+            denom = 1.0 / nu + trap
+            a, b = ct / denom, st / denom**2
+            jv = nekrasov._newton_system(nu, t, W, theta)[1]
+            for _ in range(4):
+                v = rng.standard_normal(n - 1)
+                full = np.pad(v, 1)
+                y = ct * full
+                cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
+                expected = v - (W @ (a * full - b * cum)) / (3.0 * PI)
+                assert np.array_equal(jv(v), expected)
+
+
 def test_each_solve_logs_one_record(caplog):
     assert logging.getLogger("vorstokes").handlers == []
     t = np.linspace(0.0, PI, 257)

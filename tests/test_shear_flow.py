@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from vorstokes.errors import DomainError, StagnationDomainError
 from vorstokes.shear_flow import ShearFlow, wave_speed
+from vorstokes.strip_solver import default_grid
 from vorstokes.vorticity import (
     ExpDecayVorticity,
     GerstnerVorticity,
@@ -44,6 +45,8 @@ def test_shear_flow_rejects_stagnation_domain():
     # Gamma_inf = 0, so lambda must simply be positive; push it below.
     with pytest.raises(StagnationDomainError):
         ShearFlow(ExpDecayVorticity(1.0, 1.0), lam=1.9, g=G)  # floor is 2.0
+    with pytest.raises(StagnationDomainError):
+        ShearFlow(ExpDecayVorticity(1.0, 1.0), lam=2.0, g=G)
 
 
 def test_a_nan_parameter_is_not_positive():
@@ -104,6 +107,63 @@ def test_h_trivial_strictly_increasing():
     assert np.all(np.diff(vals) > 0.0)
 
 
+# every model kind without a closed-form h_tr, and the exponential kind just
+# above its floor lambda > 2*amplitude*rate, where its closed form is nearest
+# cancellation; lambda = 2*amplitude*rate itself is no flow
+# (test_shear_flow_rejects_stagnation_domain)
+QUADRATURE_FLOWS = (
+    (GerstnerVorticity(m=0.5), 4.0),
+    (GerstnerVorticity(m=0.6), 5.0),
+    (TabulatedVorticity([[0.0, 0.4], [1.0, -0.3], [2.5, 0.1], [4.0, 0.0]]), 3.0),
+    (ExpDecayVorticity(1.0, 1.0), 2.002),
+)
+
+
+@pytest.mark.parametrize("model, lam", QUADRATURE_FLOWS,
+                         ids=["gerstner-0.5", "gerstner-0.6", "tabulated", "expdecay"])
+def test_h_tr_matches_adaptive_quadrature_on_strip_nodes_and_deep(model, lam):
+    flow = ShearFlow(model, lam=lam, g=G)
+    knots = -model.knots[:, 0] if isinstance(model, TabulatedVorticity) else []
+
+    def reference(p):
+        inside = [k for k in knots if p < k < 0.0]
+        val, _ = quad(lambda t: 1.0 / flow.a(t), 0.0, p, epsabs=0.0, epsrel=1e-13,
+                      limit=200, points=inside or None)
+        return val - lam / (2.0 * G)
+
+    p = default_grid(math.pi, lam, 0.01).p_nodes
+    expected = np.array([reference(x) for x in p])
+    assert np.max(np.abs(flow.h_tr(p) - expected) / np.abs(expected)) <= 1e-13
+    deep = flow.h_tr(-40.0)
+    assert isinstance(deep, float)
+    assert abs(deep - reference(-40.0)) <= 1e-13 * abs(reference(-40.0))
+
+    rng = np.random.default_rng(41)
+    scattered = np.concatenate([rng.choice(p, 30), [-40.0, p[7], p[7], -40.0, 0.0]])
+    rng.shuffle(scattered)
+    one_by_one = np.array([flow.h_tr(float(x)) for x in scattered])
+    assert np.max(np.abs(flow.h_tr(scattered) - one_by_one) / np.abs(one_by_one)) <= 1e-14
+    grid_of_them = flow.h_tr(scattered.reshape(5, 7))
+    assert grid_of_them.shape == (5, 7)
+    assert np.array_equal(grid_of_them.ravel(), flow.h_tr(scattered))
+
+
+def test_h_tr_quadrature_stops_at_the_rounding_of_a_near_its_floor():
+    # next to the floor lambda + 2*Gamma cancels to 1e-9 of lambda, so 1/a
+    # carries rounding far above 1e-14 relative; the halving must stop there
+    model = TabulatedVorticity([[0.0, 0.4], [1.0, -0.3], [2.5, 0.1], [4.0, 0.0]])
+    flow = ShearFlow(model, lam=-2.0 * model.gamma_inf_bound() * (1.0 + 1e-9), g=G)
+    vals = flow.h_tr(-np.linspace(0.0, 40.0, 41)[::-1])
+    assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, 0.5])
+def test_h_tr_quadrature_rejects_p_off_the_half_line(bad):
+    flow = ShearFlow(GerstnerVorticity(m=0.5), lam=4.0, g=G)
+    with pytest.raises(DomainError):
+        flow.h_tr(np.array([-1.0, bad]))
+
+
 def test_wave_speed_zero_vorticity():
     assert wave_speed(4.0, ZeroVorticity()) == pytest.approx(2.0, rel=1e-14)
 
@@ -120,7 +180,7 @@ def test_wave_speed_zero_radicand_rejected():
 
 def test_a_flow_holds_only_its_parameters():
     # README: solver state is immutable or owned by one solve, so h_tr
-    # builds the spline it needs and leaves the flow as it found it
+    # leaves the flow as it found it
     models = (ExpDecayVorticity(0.5, 2.0), GerstnerVorticity(m=0.5),
               TabulatedVorticity([[0.0, 0.4], [1.0, 0.1], [2.0, 0.0]]))
     for model in models:
