@@ -10,14 +10,15 @@ classifies why a trace stopped.
 The corrector factors a preconditioner about once per branch or homotopy:
 P, the strip linearization averaged over q, which cosine modes in q split
 into one banded system in p per mode (Concus & Golub 1973).  P is factored
-without a border; each solve borders it with its own dF/dlambda column and
-constraint row by block elimination (Keller 1977; Govaerts 2000), for the
-cost of one back-solve.  A solve that builds P takes chord updates on it
-while they at least halve the residual; one that starts on a P carried from
-an earlier solve, built at another iterate, does not chord on it.
+without a border and bordered by block elimination (Keller 1977; Govaerts
+2000): the dF/dlambda column P was built with costs one back-solve, once,
+and each solve borders P again with its own constraint row alone, at no
+back-solve.  A solve that builds P takes chord updates on it while they at
+least halve the residual; one that starts on a P carried from an earlier
+solve, built at another iterate, does not chord on it.
 Every other update is Newton-Krylov (Eisenstat & Walker 1996): GMRES (Saad
-& Schultz 1986) on the exact bordered system, right-preconditioned by P,
-with a matrix-free J v.  It builds P again only
+& Schultz 1986) on the exact bordered system, with its own dF/dlambda,
+right-preconditioned by P, with a matrix-free J v.  It builds P again only
 when GMRES stalls, and factors the exact bordered matrix only when GMRES on
 a fresh P stalls too.  A one-slot holder, `LUSlot`, owns the factor and
 carries it from solve to solve; its `solve` makes those choices for the
@@ -200,25 +201,26 @@ def factor_bordered(lin, f_lam, c_row, c_lam):
 class _BorderedP:
     """[[P, f_lam], [c_row, c_lam]]^-1 by block elimination on P-hat's LU (Keller 1977).
 
-    With Q = `from_modes`, P = Q P-hat Q^-1.  Bordering precomputes z =
-    P-hat^-1 Q^-1 f_lam, cq = c_row Q and the Schur complement s = c_lam -
-    cq z, one back-solve; a zero or non-finite s raises SingularJacobianError.
-    An apply to [r; rho] solves y = P-hat^-1 Q^-1 r and returns [Q (y - z
-    x_lam); x_lam] with x_lam = (rho - cq y) / s.
+    With Q = `from_modes`, P = Q P-hat Q^-1.  ``z`` = P-hat^-1 Q^-1 f_lam
+    is computed once, by `factor_modes`, for the dF/dlambda column P was
+    built with.  Bordering by a row precomputes cq = c_row Q and the Schur
+    complement s = c_lam - cq z, with no back-solve; a zero or non-finite s
+    raises SingularJacobianError.  An apply to [r; rho] solves y = P-hat^-1
+    Q^-1 r and returns [Q (y - z x_lam); x_lam] with x_lam = (rho - cq y) /
+    s.
     """
 
-    def __init__(self, grid, lu, f_lam, c_row, c_lam):
-        self.grid, self.lu = grid, lu
-        self.z = lu.solve(to_modes(grid, f_lam))
+    def __init__(self, grid, lu, z, c_row, c_lam):
+        self.grid, self.lu, self.z = grid, lu, z
         self.cq = to_modes(grid, c_row, transpose=True)
         self.schur = c_lam - self.cq @ self.z
         if not (math.isfinite(self.schur) and self.schur != 0.0):
             raise SingularJacobianError(
                 f"bordered factorization failed: Schur complement {self.schur!r}")
 
-    def bordered(self, f_lam, c_row, c_lam):
-        """The same P-hat bordered by another column and row."""
-        return _BorderedP(self.grid, self.lu, f_lam, c_row, c_lam)
+    def bordered(self, c_row, c_lam):
+        """The same P-hat and column bordered by another constraint row."""
+        return _BorderedP(self.grid, self.lu, self.z, c_row, c_lam)
 
     def __call__(self, rhs):
         n = self.z.size
@@ -234,12 +236,14 @@ def factor_modes(lin, f_lam, c_row, c_lam):
 
     P-hat = ``lin.modes`` (block-diagonal, mode-major) is factored alone, in
     natural order with partial pivoting, and bordered by block elimination
-    (`_BorderedP`), so `LUSlot` can border the same LU again for each later
-    system.  Panels of one column cut SuperLU's transient workspace from 19
-    MB to 5 MB at 401 x 128, at no cost in time.
+    (`_BorderedP`).  Its one back-solve, z for the column ``f_lam``, is
+    taken here, so `LUSlot` can border the same LU and column by each later
+    system's constraint row at no back-solve.  Panels of one column cut
+    SuperLU's transient workspace from 19 MB to 5 MB at 401 x 128, at no
+    cost in time.
     """
-    return _BorderedP(lin.grid, _splu(lin.modes, permc_spec="NATURAL", panel_size=1),
-                      f_lam, c_row, c_lam)
+    lu = _splu(lin.modes, permc_spec="NATURAL", panel_size=1)
+    return _BorderedP(lin.grid, lu, lu.solve(to_modes(lin.grid, f_lam)), c_row, c_lam)
 
 
 def _splu(M, **options):
@@ -327,10 +331,11 @@ class LUSlot:
     code that factors for `_bordered_newton` and `branch_tangent`, and
     holds P (`factor_modes`) or, after a fallback, the exact LU
     (`factor_bordered`).  The factor may be from an earlier iterate or
-    epsilon: `solve` borders a held P with its own system's column and row
-    (the exact LU keeps the border it was built with), uses it as a
-    preconditioner and builds another only when GMRES on it stalls, dropping
-    the old one first, so one LU is alive at a time; `_bordered_newton`
+    epsilon: `solve` borders a held P with its own system's constraint row,
+    keeping the dF/dlambda column P was built with (the exact LU keeps the
+    whole border it was built with), uses it as a preconditioner and builds
+    another only when GMRES on it stalls, dropping the old one first, so
+    one LU is alive at a time; `_bordered_newton`
     chords only on a factor built within its own solve, as the slot's last
     `solve` bordered it.  A solve that raises leaves its last factor in the
     slot; `continue_branch` empties the slot after a failed step, and
@@ -348,13 +353,14 @@ class LUSlot:
         ``border`` is (c_row, c_lam).  GMRES solves [[J, dF/dlambda],
         [c_row, c_lam]] to the relative residual ``rtol`` in `KRYLOV_MAX`
         iterations, right-preconditioned by the slot's factor; J v and
-        dF/dlambda read ``ev``.  J v and its border entry fill one new
-        stacked array, and every M^-1 is one `solve_bordered`.  The paths,
-        each taken when the one before misses ``rtol``:
+        dF/dlambda read ``ev``.  J v fills one new stacked array in place,
+        dF/dlambda times the lambda entry is added to it, and every M^-1 is
+        one `solve_bordered`.  The paths, each taken when the one before
+        misses ``rtol``:
 
         - "Krylov": GMRES on the factor in the slot, if there is one, a P
-          bordered first by dF/dlambda at ``ev`` and ``border`` (dropped if
-          that border makes it singular);
+          bordered first by ``border``'s row, with no back-solve, and its
+          own column (dropped if that border makes it singular);
         - "fresh P": GMRES on P, built at ``ev`` (`factor_modes`);
         - "exact LU": the exact bordered LU at ``ev``, also when P is singular.
 
@@ -367,8 +373,7 @@ class LUSlot:
 
         def matvec(x):
             out = np.empty(x.size)
-            np.multiply(f_lam, x[-1], out=out[:-1])
-            out[:-1] += jv(x[:-1])
+            daxpy(f_lam, jv(x[:-1], out=out[:-1]), a=x[-1])
             out[-1] = c_row @ x[:-1] + c_lam * x[-1]
             return out
 
@@ -377,7 +382,7 @@ class LUSlot:
 
         if isinstance(self.factor, _BorderedP):  # the exact LU keeps its own border
             try:
-                self.factor = self.factor.bordered(f_lam, c_row, c_lam)
+                self.factor = self.factor.bordered(c_row, c_lam)
             except SingularJacobianError:
                 self.factor = None
         if self.factor is not None:
@@ -421,8 +426,9 @@ def _bordered_newton(op: StripOperator, state: WaveState, border, tol: float,
     - chord: one back-solve of M, only on an M built within this solve and
       while the residual at least halves per update and, at that rate,
       reaches ``tol`` in the updates left.  A carried M was built at
-      another iterate; a first chord on it, while it also kept another
-      solve's border, raised the residual 1.3-5 times.
+      another iterate, and its dF/dlambda column with it; a first chord on
+      it, while it also kept another solve's row, raised the residual
+      1.3-5 times.
 
     So M is kept across updates, steps and epsilons until a preconditioned
     solve stalls.  Each update is halved (at most thirty times) until the

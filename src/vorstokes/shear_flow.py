@@ -22,15 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StagnationDomainError
-from .vorticity import ExpDecayVorticity, TabulatedVorticity, VorticityModel, ZeroVorticity
+from .vorticity import (ExpDecayVorticity, TabulatedVorticity, VorticityModel, ZeroVorticity,
+                        _panel_quadrature)
 
 __all__ = ["ShearFlow", "wave_speed"]
-
-# six-point Gauss-Legendre rule on [-1, 1], the rule of `nekrasov.kernel_weights`
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
-# a panel of the h_tr quadrature is accepted once its two halves agree with
-# it to this fraction of their rounding scale (`ShearFlow._gauss_panels`)
-H_TR_RTOL = 1e-14
 
 
 def wave_speed(lam: float, model: VorticityModel) -> float:
@@ -138,12 +133,12 @@ class ShearFlow:
         """int_0^p dp'/a(p') at every entry of p (any shape, order or repeats).
 
         The sorted distinct entries, 0 and the knots of a tabulated model
-        cut the range into panels, so that 1/a is smooth on each.  Each
-        panel is integrated by the six-point Gauss-Legendre rule and halved
-        until its halves agree with it to `H_TR_RTOL` of their rounding
-        scale, or until it cannot be halved in floating point; the running
-        sum of the panels from 0 gives every entry.  No depth or node count
-        enters.
+        cut the range into panels, so that 1/a is smooth on each, and
+        `_panel_quadrature` integrates each; the running sum of the panels
+        from 0 gives every entry.  The rounding scale of 1/a is kappa/a,
+        kappa = (|lambda| + |2 Gamma|) / a^2 the condition number of the sum
+        a^2 = lambda + 2 Gamma: 1/a carries a relative rounding error of a
+        few ulps times kappa.  Without cancellation kappa = 1.
         """
         if not np.all(np.isfinite(p)):
             raise DomainError("h_tr needs finite p")
@@ -154,38 +149,14 @@ class ShearFlow:
         kinks = kinks[kinks > np.min(p, initial=0.0)]
         nodes, where = np.unique(np.concatenate((np.ravel(p), [0.0], kinks)),
                                  return_inverse=True)
-        panels = np.zeros(nodes.size - 1)
-        owner = np.arange(panels.size)
-        lo, hi = nodes[:-1], nodes[1:]
-        whole = self._gauss_panels(lo, hi)[0]
-        while owner.size:
-            mid = 0.5 * (lo + hi)
-            (left, left_scale), (right, right_scale) = (
-                self._gauss_panels(lo, mid), self._gauss_panels(mid, hi))
-            halves = left + right
-            split = ((np.abs(halves - whole) > H_TR_RTOL * (left_scale + right_scale))
-                     & (lo < mid) & (mid < hi))
-            np.add.at(panels, owner[~split], halves[~split])
-            owner = np.repeat(owner[split], 2)
-            lo = np.column_stack((lo[split], mid[split])).ravel()
-            hi = np.column_stack((mid[split], hi[split])).ravel()
-            whole = np.column_stack((left[split], right[split])).ravel()
+        panels = _panel_quadrature(self._ainv_and_scale, nodes)
         # int_0^{nodes[i]} = -(sum of the panels above node i); 0 at p = 0
         below_zero = -np.cumsum(panels[::-1])[::-1]
         return np.append(below_zero, 0.0)[where[:p.size]].reshape(p.shape)
 
-    def _gauss_panels(self, lo, hi):
-        """Six-point Gauss-Legendre values of int 1/a and its rounding scale over each [lo, hi].
-
-        The scale is int kappa/a, kappa = (|lambda| + |2 Gamma|) / a^2 the
-        condition number of the sum a^2 = lambda + 2 Gamma: 1/a carries a
-        relative rounding error of a few ulps times kappa, so halving cannot
-        get two estimates closer than a few ulps of the scale.  Without
-        cancellation kappa = 1 and the scale is the value.
-        """
-        half = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GAUSS_X
-        a_sq = self.a_squared(x)
+    def _ainv_and_scale(self, p):
+        """1/a at p and its rounding scale kappa/a (`_h_int_gauss`)."""
+        a_sq = self.a_squared(p)
         ainv = 1.0 / np.sqrt(a_sq)
         kappa = (abs(self.lam) + np.abs(a_sq - self.lam)) / a_sq
-        return half * (ainv @ _GAUSS_W), half * ((kappa * ainv) @ _GAUSS_W)
+        return ainv, kappa * ainv

@@ -485,19 +485,31 @@ class StripOperator:
         """The map v -> J v of `jacobian`, without assembling J.
 
         One multiply-add per entry of ``ev.jacobian_entries`` on v padded
-        with its reflections across the q-ends.  ``v`` is a flattened field.
+        with its reflections across the q-ends.  ``v`` is a flattened field;
+        J v fills ``out``, a contiguous array of v's size, when one is given,
+        and a new array otherwise.  The first shift of each row class is
+        written straight into J v and each other one is added through a
+        scratch array; the padded v and the scratch are allocated once per
+        map, so the map must not be shared between threads.
         """
         shape, nq = ev.state.w.shape, self.grid.nq
         entries = ev.jacobian_entries
         padded = _fold(np.arange(-1, nq + 1), nq)
+        vpad, scratch = np.empty((shape[0], nq + 2)), np.empty(shape)
 
-        def apply(v):
-            vpad = np.reshape(v, shape).take(padded, axis=1)
-            out = np.zeros(shape)
+        def apply(v, out=None):
+            # the indices are in range; "clip" lets take write into vpad unbuffered
+            np.take(np.reshape(v, shape), padded, axis=1, out=vpad, mode="clip")
+            jv = np.empty(shape) if out is None else np.reshape(out, shape)
             for (lo, hi), shifts in entries.items():
-                for (di, dj), coeff in shifts.items():
-                    out[lo:hi] += coeff * vpad[lo + di:hi + di, 1 + dj:1 + dj + nq]
-            return out.ravel()
+                dst, tmp = jv[lo:hi], scratch[lo:hi]
+                for k, ((di, dj), coeff) in enumerate(shifts.items()):
+                    view = vpad[lo + di:hi + di, 1 + dj:1 + dj + nq]
+                    if k:
+                        dst += np.multiply(coeff, view, out=tmp)
+                    else:
+                        np.multiply(coeff, view, out=dst)
+            return jv.ravel()
 
         return apply
 

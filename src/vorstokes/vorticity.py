@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import DomainError, QuadratureError
@@ -47,6 +46,11 @@ __all__ = [
 # Tolerance for locating the depth beyond which Gamma is indistinguishable
 # from its limit.
 TAIL_TOL = 1e-12
+# six-point Gauss-Legendre rule on [-1, 1], the rule of `nekrasov.kernel_weights`
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
+# a panel of `_panel_quadrature` is accepted once its two halves agree with it
+# to this fraction of their rounding scale
+QUADRATURE_RTOL = 1e-14
 
 
 def _as_nonneg_array(r, name="r"):
@@ -366,19 +370,68 @@ def check_bifurcation_condition(
     """Evaluate the sufficient condition for a bifurcation point to exist.
 
     The criterion integrates
-        2*(2*Gamma - 2*Gamma_inf)^(3/2) + (pi/L)^2 * (2*Gamma - 2*Gamma_inf)^(1/2)
-    against e^(2p) over p in (-inf, 0] and compares the value with g.
+        f(q) = 2 q^(3/2) + (pi/L)^2 q^(1/2),  q = 2*Gamma - 2*Gamma_inf,
+    against e^(2p) over p in (-inf, 0] and compares the value with g.  With
+    u = e^(2p) it is int_0^1 f / 2 du, which `_panel_quadrature` takes on
+    [0, 1], cut at a tabulated model's knots, with no depth cut-off.  The
+    rounding scale of f is M f'(q), M = 2 (sup Gamma - inf Gamma): q, a
+    difference of values of Gamma, carries an absolute rounding error of a
+    few ulps of M.  Below q = M eps, where f is rounding noise, f' is taken
+    at M eps.
     """
     if g <= 0 or L <= 0:
         raise DomainError("gravity and half-period must be positive")
-    depth = max(model.tail_depth(), 40.0)
-    n = 8193
-    p = -np.linspace(0.0, depth, n)[::-1]
-    q = 2.0 * model.big_gamma(p) - 2.0 * model.gamma_inf_bound()
-    q = np.maximum(q, 0.0)
-    integrand = (2.0 * q**1.5 + (math.pi / L) ** 2 * np.sqrt(q)) * np.exp(2.0 * p)
-    value = float(simpson(integrand, x=p))
+    gamma_inf = model.gamma_inf_bound()
+    M = 2.0 * (model.gamma_sup_bound() - gamma_inf)
+    k2 = (math.pi / L) ** 2
+    value = 0.0
+    if M > 0.0:  # otherwise Gamma is 0 and so is q
+        def integrand(u):
+            q = np.maximum(2.0 * model.big_gamma(0.5 * np.log(u)) - 2.0 * gamma_inf, 0.0)
+            root = np.sqrt(np.maximum(q, M * np.finfo(float).eps))
+            return 0.5 * (2.0 * q**1.5 + k2 * np.sqrt(q)), 0.5 * M * (3.0 * root + 0.5 * k2 / root)
+
+        knots = model.knots[:, 0] if isinstance(model, TabulatedVorticity) else ()
+        ends = np.unique(np.concatenate(([0.0, 1.0], np.exp(-2.0 * np.asarray(knots)))))
+        value = math.fsum(_panel_quadrature(integrand, ends))
     return BifurcationCondition(holds=value < g, margin=g - value, integral=value)
+
+
+def _panel_quadrature(integrand, ends):
+    """int f over each panel [ends[i], ends[i + 1]] of the increasing array ``ends``.
+
+    ``integrand(x)`` gives, at every entry of an array x, f and its rounding
+    scale, the size of f that f's rounding error is a few ulps of.  Each
+    panel is integrated by the six-point Gauss-Legendre rule and halved
+    until its two halves agree with it to `QUADRATURE_RTOL` of their
+    integrated scale, or until it cannot be halved in floating point; a
+    panel's value is the sum of its accepted halves.  No depth or node
+    count enters.
+    """
+    panels = np.zeros(ends.size - 1)
+    owner = np.arange(panels.size)
+    lo, hi = ends[:-1], ends[1:]
+    whole = _gauss_panels(integrand, lo, hi)[0]
+    while owner.size:
+        mid = 0.5 * (lo + hi)
+        (left, left_scale), (right, right_scale) = (
+            _gauss_panels(integrand, lo, mid), _gauss_panels(integrand, mid, hi))
+        halves = left + right
+        split = ((np.abs(halves - whole) > QUADRATURE_RTOL * (left_scale + right_scale))
+                 & (lo < mid) & (mid < hi))
+        np.add.at(panels, owner[~split], halves[~split])
+        owner = np.repeat(owner[split], 2)
+        lo = np.column_stack((lo[split], mid[split])).ravel()
+        hi = np.column_stack((mid[split], hi[split])).ravel()
+        whole = np.column_stack((left[split], right[split])).ravel()
+    return panels
+
+
+def _gauss_panels(integrand, lo, hi):
+    """Six-point Gauss-Legendre values of int f and of int scale over each [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    f, scale = integrand((0.5 * (lo + hi))[:, None] + half[:, None] * _GAUSS_X)
+    return half * (f @ _GAUSS_W), half * (scale @ _GAUSS_W)
 
 
 # -- construction from a config block ------------------------------------------

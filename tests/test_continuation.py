@@ -625,10 +625,11 @@ def test_a_branch_solves_only_its_first_tangent(small_zero, monkeypatch):
     assert len(branch.points) == 6
     assert len(tangents) == 1
     # the correctors' chords and GMRES iterations on P, and one GMRES tangent;
-    # 83 while a carried P kept the border of the solve that built it, 86 while
+    # 71 while each solve re-bordered a carried P by its own dF/dlambda, 83
+    # while a carried P kept the border of the solve that built it, 86 while
     # each step's first update was a chord on the factor carried from the step
     # before; on the exact LU it was 87, with a solved tangent per step 115
-    assert len(solves) == 71
+    assert len(solves) == 67
 
 
 @pytest.mark.parametrize("ds", [0.004, 0.002, 0.00075, 0.03, 0.08])
@@ -1025,26 +1026,40 @@ def test_a_held_p_solves_to_its_rtol(small_zero, border):
         assert np.linalg.norm(x - dense) <= rtol * np.linalg.cond(M) * np.linalg.norm(dense)
 
 
-def test_a_carried_p_is_bordered_by_each_solve(small_zero, monkeypatch):
-    # at w = 0 P is J, so P bordered by the solve's own dF/dlambda and row is
-    # the exact bordered solve, whatever border P was built under, and GMRES
-    # on it converges in one iteration; a P that kept its border took three
+class _CountingLU:
+    """A factor's LU that counts its back-solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+def test_a_carried_p_takes_each_solves_row_without_a_back_solve(small_zero, monkeypatch):
+    # at w = 0 P is J, so a P built with the solve's own dF/dlambda is the
+    # exact bordered solve under any row: re-bordered by another row, GMRES
+    # on it converges in one iteration, and the re-border takes no back-solve
     bp, op = small_zero
     state = solve_at_amplitude(op, initial_nontrivial_guess(bp, op, 0.004), 0.004)
     ev, n = op.evaluate(state), state.w.size
     t = branch_tangent(op, ev, prev=seed_tangent(bp, op))
     trivial = op.evaluate(state.copy_with(lam=1.2 * bp.lambda_star, w=np.zeros_like(state.w)))
-    lin = op.jacobian(trivial)
-    carry = continuation.LUSlot()
-    carry.factor = factor_modes(lin, op.d_residual_d_lambda(ev),
-                                continuation._mode_weights(op.grid), 0.0)
     # dF/dlambda vanishes at w = 0, so the solve reads another state's
     f_lam = op.d_residual_d_lambda(op.evaluate(state.copy_with(w=2.0 * state.w)))
     monkeypatch.setattr(op, "d_residual_d_lambda", lambda _: f_lam)
+    lin = op.jacobian(trivial)
+    carry = continuation.LUSlot()
+    carry.factor = factor_modes(lin, f_lam, continuation._mode_weights(op.grid), 0.0)
+    carry.factor.lu = lu = _CountingLU(carry.factor.lu)
     c_row, c_lam = t[:-1] / n, t[-1]
+    carry.factor.bordered(c_row, c_lam)
+    assert lu.solves == 0
     rhs = np.append(-op.residual_vector(op.evaluate(state.copy_with(w=1.01 * state.w))), 0.3)
     x, path, iterations = carry.solve(op, trivial, (c_row, c_lam), rhs, 1e-12)
     assert (path, iterations) == ("Krylov", 1)
+    assert lu.solves == 1  # the one GMRES iteration's M^-1
     dense = np.linalg.solve(_dense_bordered(lin.tocsc(), f_lam, c_row, c_lam), rhs)
     assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -1059,10 +1074,10 @@ def test_a_carried_p_singular_under_a_new_border_is_built_again(small_zero):
     held = op.evaluate(state.copy_with(w=0.98 * state.w))
     carry = continuation.LUSlot()
     carry.factor = factor_modes(op.jacobian(held), op.d_residual_d_lambda(held), c_row, 0.0)
-    probe = carry.factor.bordered(f_lam, c_row, 1.0)
+    probe = carry.factor.bordered(c_row, 1.0)
     c_lam = float(probe.cq @ probe.z)
     with pytest.raises(SingularJacobianError):
-        carry.factor.bordered(f_lam, c_row, c_lam)
+        carry.factor.bordered(c_row, c_lam)
     rhs = np.append(-op.residual_vector(ev), 1e-4)
     x, path, _ = carry.solve(op, ev, (c_row, c_lam), rhs, 1e-8)
     assert path == "fresh P"

@@ -335,7 +335,9 @@ def test_jacobian_directional_derivative(model):
                          ids=["zero", "expdecay", "gerstner"])
 def test_jacobian_action_equals_the_assembled_jacobian(model):
     # J v and J read the same entries; this checks J v's placement and
-    # folding on rough vectors that load every shift and both reflections
+    # folding on rough vectors that load every shift and both reflections.
+    # J v into a given array is the same map bit for bit, and both are the
+    # sum of the shifts from zero, each added in entry order
     grid = StripGrid(L=L, P=4 * L, nq=32, np=80)
     op = StripOperator(model, G, grid, epsilon=0.01)
     p = grid.p_nodes[:, None]
@@ -350,6 +352,17 @@ def test_jacobian_action_equals_the_assembled_jacobian(model):
                                                          for _ in range(3)]:
         ref = J @ v
         assert np.max(np.abs(jv(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        buf = np.full(v.size + 1, np.nan)
+        filled = jv(v, out=buf[:-1])
+        assert np.shares_memory(filled, buf) and np.isnan(buf[-1])
+        assert buf[:-1].tobytes() == jv(v).tobytes()
+        # v padded by its even reflections across q = 0 and q = L
+        vpad = v.reshape(w0.shape)[:, np.r_[1, :grid.nq, grid.nq - 2]]
+        summed = np.zeros(w0.shape)
+        for (lo, hi), shifts in ev.jacobian_entries.items():
+            for (di, dj), coeff in shifts.items():
+                summed[lo:hi] += coeff * vpad[lo + di:hi + di, 1 + dj:1 + dj + grid.nq]
+        assert summed.tobytes() == buf[:-1].tobytes()
 
 
 @pytest.mark.parametrize("model", [ZeroVorticity(), ExpDecayVorticity(0.4, 1.0),

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +104,45 @@ def test_bifurcation_condition_expdecay_closed_form():
     assert cond.holds
     assert cond.integral == pytest.approx(expected, rel=1e-7)
     assert cond.margin == pytest.approx(G - expected, rel=1e-6)
+
+
+def test_bifurcation_condition_expdecay_meets_its_closed_form_to_round_off():
+    expected = 2.0 ** 2.5 * 2.0 / 7.0 + math.sqrt(2.0) * 2.0 / 5.0
+    cond = check_bifurcation_condition(ExpDecayVorticity(1.0, 1.0), g=G, L=math.pi)
+    assert cond.integral == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    ExpDecayVorticity(-4.0, 1.0),
+    GerstnerVorticity(0.5),
+    TabulatedVorticity([[0.0, 1.0], [0.5, -0.5], [1.0, 0.3], [2.0, 0.0]]),
+], ids=["expdecay", "gerstner", "tabulated"])
+def test_bifurcation_condition_matches_adaptive_quadrature_in_p(model):
+    # the criterion's integral in p, by QUADPACK on the half-line, split at
+    # the knots of a tabulated model, where gamma' has kinks
+    L = 2.0
+    gamma_inf = model.gamma_inf_bound()
+
+    def integrand(p):
+        q = max(2.0 * model.big_gamma(p) - 2.0 * gamma_inf, 0.0)
+        return (2.0 * q**1.5 + (math.pi / L) ** 2 * math.sqrt(q)) * math.exp(2.0 * p)
+
+    cuts = [-math.inf, 0.0]
+    if isinstance(model, TabulatedVorticity):
+        cuts[1:1] = sorted(-model.knots[1:, 0])
+    expected = math.fsum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(cuts, cuts[1:]))
+    cond = check_bifurcation_condition(model, g=G, L=L)
+    assert cond.integral == pytest.approx(expected, rel=1e-10)
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, vorstokes.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bifurcation_condition_fails_for_large_amplitude():
